@@ -17,13 +17,14 @@ from enum import Enum
 from typing import Optional
 
 from .messages import (
+    CONTROL_MAGIC,
     PRIORITY_LEVELS,
     EmergencyMessage,
+    InvariantViolation,
+    MalformedDocument,
     NodeId,
-    PacketKind,
-    classify_packet,
     decode_message,
-    encode_message,
+    encoded_size,
 )
 
 DEFAULT_RAM_BUDGET = 2 * 1024 * 1024
@@ -96,6 +97,8 @@ class PriorityQueueBank:
         self.dropped: Counter[int] = Counter()
         self.backed_up: Counter[int] = Counter()
         self.ignored_count = 0
+        # The message the latest accepted receive decoded, else None.
+        self.last_received: Optional[EmergencyMessage] = None
         self.drop_reasons: Counter[DropReason] = Counter()
 
     # -- admission --------------------------------------------------------
@@ -105,11 +108,19 @@ class PriorityQueueBank:
 
         A message addressed to this node (or to any station, when this
         node is one) terminates here instead of re-entering the queues.
+        The bytes are decoded once; an accepted message is left in
+        `last_received` for the caller.
         """
-        if classify_packet(data) is not PacketKind.EMERGENCY:
+        self.last_received = None
+        if data.startswith(CONTROL_MAGIC):
             self.ignored_count += 1
             return ReceiveResult.IGNORED
-        msg = decode_message(data)
+        try:
+            msg = decode_message(data)
+        except (MalformedDocument, InvariantViolation):
+            self.ignored_count += 1
+            return ReceiveResult.IGNORED
+        self.last_received = msg
         self.accepted[msg.msg_id] += 1
         if self._is_local_destination(msg.dst):
             self._deliver_terminal(msg)
@@ -161,7 +172,7 @@ class PriorityQueueBank:
         Dropped(RamExhausted) outcome when queues 0-2 alone exceed the
         budget and nothing swappable remains.
         """
-        entry = _Entry(msg, len(encode_message(msg)), self._seq)
+        entry = _Entry(msg, encoded_size(msg), self._seq)
         self._seq += 1
         self.queues[msg.priority].append(entry)
         self.ram_used += entry.size

@@ -2,20 +2,17 @@
 
 Messages travel between nodes as small canonical XML documents: a fixed
 element set in a fixed order with no optional whitespace, so that equal
-messages always encode to identical bytes.  The same codec is used over
-in-memory simulator links and, in live mode, length-prefixed over TCP.
+messages always encode to identical bytes.  Decoding rejects every
+document that is not canonical, so each accepted document is exactly the
+encoding of the message it decodes to.
 """
 
 from __future__ import annotations
 
-import base64
-import socket
-import struct
-import threading
+import binascii
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional
-from xml.etree import ElementTree
 
 WIRE_VERSION = "1"
 MESSAGE_ROOT = "lifeline-msg"
@@ -30,9 +27,6 @@ ADDRESS_SPACE = 1 << 32
 STATION_RANGE_SIZE = 256
 # Top 256 addresses of the space are reserved for emergency stations.
 STATION_RANGE_START = ADDRESS_SPACE - STATION_RANGE_SIZE
-
-# Live-mode TCP port; frames are 4-byte big-endian length + document bytes.
-DEFAULT_PORT = 33333
 
 _MESSAGE_FIELDS = (
     "msg_id", "src", "dst", "priority",
@@ -124,74 +118,83 @@ class EmergencyMessage:
             raise InvariantViolation(f"negative created_at: {self.created_at}")
 
 
+# Field grammar of the canonical encoding: ASCII decimals without sign or
+# leading zeros, and octets 0-255.  Base64 is only matched by alphabet here;
+# decode checks it is canonical (padding, zero unused bits) by re-encoding.
+_INT = rb"(0|[1-9][0-9]*)"
+_OCTET = rb"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_ADDRESS = rb"\.".join([_OCTET] * 4)
+_BASE64 = rb"([A-Za-z0-9+/]*={0,2})"
+_FIELD_GRAMMAR = {
+    "msg_id": _INT, "src": _ADDRESS, "dst": _ADDRESS, "priority": _INT,
+    "payload": _BASE64, "sender_load": _INT, "hop_count": _INT,
+    "created_at": _INT,
+}
+_HEAD = f'<{MESSAGE_ROOT} v="{WIRE_VERSION}">'
+_TAIL = f"</{MESSAGE_ROOT}>"
+# The one canonical layout; encode fills it, decode matches nothing else.
+_TEMPLATE = _HEAD + "".join(f"<{f}>{{}}</{f}>" for f in _MESSAGE_FIELDS) + _TAIL
+_FIXED_SIZE = len(_TEMPLATE.format(*[""] * len(_MESSAGE_FIELDS)))
+_DOCUMENT = re.compile(
+    re.escape(_HEAD.encode("ascii"))
+    + b"".join(b"<%s>%s</%s>" % (f.encode("ascii"), _FIELD_GRAMMAR[f],
+                                 f.encode("ascii"))
+               for f in _MESSAGE_FIELDS)
+    + re.escape(_TAIL.encode("ascii")))
+
+
 def encode_message(msg: EmergencyMessage) -> bytes:
     """Canonical wire encoding; equal messages yield identical bytes."""
     msg.validate()
-    payload_b64 = base64.b64encode(msg.payload).decode("ascii")
-    parts = [
-        f'<{MESSAGE_ROOT} v="{WIRE_VERSION}">',
-        f"<msg_id>{msg.msg_id}</msg_id>",
-        f"<src>{msg.src}</src>",
-        f"<dst>{msg.dst}</dst>",
-        f"<priority>{msg.priority}</priority>",
-        f"<payload>{payload_b64}</payload>",
-        f"<sender_load>{msg.sender_load}</sender_load>",
-        f"<hop_count>{msg.hop_count}</hop_count>",
-        f"<created_at>{msg.created_at}</created_at>",
-        f"</{MESSAGE_ROOT}>",
-    ]
-    return "".join(parts).encode("ascii")
+    return _TEMPLATE.format(
+        msg.msg_id, msg.src, msg.dst, msg.priority,
+        binascii.b2a_base64(msg.payload, newline=False).decode("ascii"),
+        msg.sender_load, msg.hop_count, msg.created_at,
+    ).encode("ascii")
 
 
-def _int_field(fields: dict, name: str) -> int:
-    try:
-        return int(fields[name])
-    except ValueError:
-        raise MalformedDocument(f"non-integer {name}: {fields[name]!r}") from None
+def encoded_size(msg: EmergencyMessage) -> int:
+    """len(encode_message(msg)), computed without building the document."""
+    msg.validate()
+    return (_FIXED_SIZE + 4 * ((len(msg.payload) + 2) // 3)
+            + len(str(msg.src)) + len(str(msg.dst))
+            + len(str(msg.msg_id)) + len(str(msg.priority))
+            + len(str(msg.sender_load)) + len(str(msg.hop_count))
+            + len(str(msg.created_at)))
 
 
 def decode_message(data: bytes) -> EmergencyMessage:
     """Decode wire bytes back into a message, enforcing all invariants.
 
-    Raises MalformedDocument for anything that is not a well-formed v1
-    message document, InvariantViolation for parsed-but-out-of-range
-    fields.  Never raises anything else on arbitrary input.
+    Only the canonical encoding decodes: every accepted document is
+    exactly encode_message of the result.  Raises MalformedDocument for
+    anything else, InvariantViolation for canonical documents with
+    out-of-range fields.  Never raises anything else on arbitrary input.
     """
+    match = _DOCUMENT.fullmatch(data)
+    if match is None:
+        raise MalformedDocument("not a canonical v1 message document")
+    (msg_id, s0, s1, s2, s3, d0, d1, d2, d3, priority, payload_b64,
+     sender_load, hop_count, created_at) = match.groups()
     try:
-        root = ElementTree.fromstring(data)
-    # expat raises ParseError for syntax, ValueError/LookupError for bogus
-    # encoding declarations; this boundary must be total over arbitrary bytes.
-    except Exception as exc:
-        raise MalformedDocument(f"unparseable document: {exc}") from None
-    if root.tag != MESSAGE_ROOT:
-        raise MalformedDocument(f"unexpected root element: {root.tag!r}")
-    if root.get("v") != WIRE_VERSION:
-        raise MalformedDocument(f"unsupported version: {root.get('v')!r}")
-
-    fields: dict[str, str] = {}
-    for child in root:
-        if child.tag not in _MESSAGE_FIELDS or child.tag in fields:
-            raise MalformedDocument(f"unexpected element: {child.tag!r}")
-        fields[child.tag] = child.text or ""
-    missing = [f for f in _MESSAGE_FIELDS if f not in fields]
-    if missing:
-        raise MalformedDocument(f"missing elements: {missing}")
-
-    try:
-        payload = base64.b64decode(fields["payload"], validate=True)
-    except Exception:
+        payload = binascii.a2b_base64(payload_b64)
+    except binascii.Error:
         raise MalformedDocument("payload is not valid base64") from None
-
-    msg = EmergencyMessage(
-        msg_id=_int_field(fields, "msg_id"),
-        src=NodeId.parse(fields["src"]),
-        dst=NodeId.parse(fields["dst"]),
-        priority=_int_field(fields, "priority"),
-        payload=payload,
-        sender_load=_int_field(fields, "sender_load"),
-        hop_count=_int_field(fields, "hop_count"),
-        created_at=_int_field(fields, "created_at"),
-    )
+    if binascii.b2a_base64(payload, newline=False) != payload_b64:
+        raise MalformedDocument("payload is not canonical base64")
+    try:
+        msg = EmergencyMessage(
+            msg_id=int(msg_id),
+            src=NodeId((int(s0) << 24) | (int(s1) << 16) | (int(s2) << 8) | int(s3)),
+            dst=NodeId((int(d0) << 24) | (int(d1) << 16) | (int(d2) << 8) | int(d3)),
+            priority=int(priority),
+            payload=payload,
+            sender_load=int(sender_load),
+            hop_count=int(hop_count),
+            created_at=int(created_at),
+        )
+    except ValueError:  # more digits than int() converts
+        raise MalformedDocument("integer field too long") from None
     msg.validate()
     return msg
 
@@ -205,87 +208,3 @@ def classify_packet(data: bytes) -> PacketKind:
     except (MalformedDocument, InvariantViolation):
         return PacketKind.OTHER
     return PacketKind.EMERGENCY
-
-
-# --- live-mode framing -------------------------------------------------------
-
-_LEN_STRUCT = struct.Struct(">I")
-
-
-def frame(payload: bytes) -> bytes:
-    """Length-prefix a document for stream transport."""
-    return _LEN_STRUCT.pack(len(payload)) + payload
-
-
-def send_framed(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(frame(payload))
-
-
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
-
-
-def recv_framed(sock: socket.socket) -> Optional[bytes]:
-    """Read one frame; None on clean EOF."""
-    header = _recv_exact(sock, _LEN_STRUCT.size)
-    if header is None:
-        return None
-    (length,) = _LEN_STRUCT.unpack(header)
-    return _recv_exact(sock, length)
-
-
-def iter_frames(sock: socket.socket) -> Iterator[bytes]:
-    while True:
-        payload = recv_framed(sock)
-        if payload is None:
-            return
-        yield payload
-
-
-class FrameServer:
-    """Minimal live-mode TCP listener: one callback per received frame.
-
-    Defaults to port 33333; tests bind port 0 for an ephemeral port.
-    """
-
-    def __init__(self, handler: Callable[[bytes], None],
-                 host: str = "127.0.0.1", port: int = DEFAULT_PORT):
-        self._handler = handler
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(4)
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._stopped = threading.Event()
-
-    @property
-    def port(self) -> int:
-        return self._sock.getsockname()[1]
-
-    def start(self) -> "FrameServer":
-        self._thread.start()
-        return self
-
-    def _serve(self) -> None:
-        while not self._stopped.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return
-            with conn:
-                for payload in iter_frames(conn):
-                    self._handler(payload)
-
-    def close(self) -> None:
-        self._stopped.set()
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()

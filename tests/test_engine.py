@@ -1,8 +1,12 @@
 """End-to-end simulator behaviour on the canned scenarios."""
 
+import sys
+
 import pytest
 
+from lifeline import messages
 from lifeline.engine import Simulator, run, run_battery_experiment
+from lifeline.forwarding import PriorityQueueBank, ReceiveResult
 from lifeline.messages import NodeId
 from lifeline.scenario import (
     LinkSpec,
@@ -105,6 +109,33 @@ def test_option_1_persists_every_message():
 def test_option_4_persists_only_priority_0():
     metrics = run(build_setup("E", messages=50, backup_option=4))
     assert sum(metrics.persisted.values()) == 10
+
+
+def test_each_received_hop_is_decoded_once(monkeypatch):
+    calls = {"decode": 0, "accepted": 0}
+    original_decode = messages.decode_message
+    original_receive = PriorityQueueBank.receive
+
+    def counting_decode(data):
+        calls["decode"] += 1
+        return original_decode(data)
+
+    def counting_receive(self, data):
+        result = original_receive(self, data)
+        calls["accepted"] += result is ReceiveResult.ACCEPTED
+        return result
+
+    # Modules bind decode_message by name, so replace it everywhere.
+    for name, module in list(sys.modules.items()):
+        if name == "lifeline" or name.startswith("lifeline."):
+            for attr, value in list(vars(module).items()):
+                if value is original_decode:
+                    monkeypatch.setattr(module, attr, counting_decode)
+    monkeypatch.setattr(PriorityQueueBank, "receive", counting_receive)
+    metrics = run(build_setup("G", messages=40))
+    assert metrics.persisted  # the backup policy ran on received hops
+    assert calls["accepted"] > 0
+    assert calls["decode"] == calls["accepted"]
 
 
 def test_backup_happens_on_the_relay_path():

@@ -1,6 +1,4 @@
 import random
-import socket
-import threading
 
 import pytest
 
@@ -8,7 +6,6 @@ from lifeline.messages import (
     MAX_PAYLOAD_BYTES,
     STATION_RANGE_START,
     EmergencyMessage,
-    FrameServer,
     InvariantViolation,
     MalformedDocument,
     NodeId,
@@ -16,10 +13,7 @@ from lifeline.messages import (
     classify_packet,
     decode_message,
     encode_message,
-    frame,
     make_msg_id,
-    recv_framed,
-    send_framed,
 )
 
 
@@ -109,6 +103,30 @@ def test_decode_rejects_missing_field():
         decode_message(broken)
 
 
+WIRE = encode_message(make_msg())
+
+
+@pytest.mark.parametrize("old,new", [
+    (b"<src>10.0.0.1</src>", b"<src>1_0.0.0.1</src>"),
+    (b"<priority>2</priority>", b"<priority> +1 </priority>"),
+    (b"<msg_id>%d</msg_id>" % make_msg().msg_id,
+     "<msg_id>\u0661\u0662\u0663</msg_id>".encode("utf-8")),
+    (b"<src>10.0.0.1</src>", b"<src>010.0.0.1</src>"),
+    (b"<hop_count>0</hop_count>", b"<hop_count>00</hop_count>"),
+    (b'<lifeline-msg v="1">', b'<lifeline-msg v="1" x="y">'),
+    (b"</msg_id><src>", b"</msg_id> <src>"),
+    (b"<payload>aGVscA==</payload>", b"<payload>QR==</payload>"),
+    (b"<lifeline-msg ", b'<?xml version="1.0"?><lifeline-msg '),
+], ids=["underscore-octet", "signed-padded-priority", "arabic-indic-msg-id",
+        "leading-zero-octet", "leading-zero-integer", "extra-attribute",
+        "whitespace-between-elements", "nonzero-base64-padding-bits",
+        "xml-declaration"])
+def test_decode_rejects_non_canonical(old, new):
+    assert old in WIRE
+    with pytest.raises(MalformedDocument):
+        decode_message(WIRE.replace(old, new, 1))
+
+
 def test_validate_rejects_bad_fields():
     for bad in (
         dict(priority=5),
@@ -146,43 +164,12 @@ def test_decode_never_crashes_on_fuzz():
     corpus = [rng.randbytes(rng.randint(0, 300)) for _ in range(500)]
     corpus += [encode_message(random_valid_message(rng))[:n] for n in (0, 5, 40)]
     corpus.append(b'<?xml version="1.0" encoding="bogus"?><lifeline-msg/>')
+    corpus.append(WIRE.replace(b"<hop_count>0</hop_count>",
+                               b"<hop_count>" + b"7" * 5000 + b"</hop_count>"))
     for data in corpus:
         try:
             decode_message(data)
         except (MalformedDocument, InvariantViolation):
             pass
-
-
-def test_framing_round_trip_over_tcp():
-    received = []
-    done = threading.Event()
-
-    def on_frame(payload: bytes) -> None:
-        received.append(payload)
-        if len(received) == 3:
-            done.set()
-
-    server = FrameServer(on_frame, port=0).start()
-    try:
-        wires = [encode_message(make_msg(msg_id=i + 1)) for i in range(3)]
-        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
-            for wire in wires:
-                send_framed(sock, wire)
-        assert done.wait(5)
-        assert received == wires
-        assert all(classify_packet(w) is PacketKind.EMERGENCY for w in received)
-    finally:
-        server.close()
-
-
-def test_frame_layout():
-    assert frame(b"abc") == b"\x00\x00\x00\x03abc"
-
-
-def test_recv_framed_socketpair():
-    a, b = socket.socketpair()
-    with a, b:
-        send_framed(a, b"payload")
-        a.shutdown(socket.SHUT_WR)
-        assert recv_framed(b) == b"payload"
-        assert recv_framed(b) is None
+    with pytest.raises(MalformedDocument):
+        decode_message(corpus[-1])
