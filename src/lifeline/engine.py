@@ -12,6 +12,15 @@ receive path, which decodes each received hop exactly once; the backup
 policy reuses that decoded message.  Control packets are handed to the
 topology states by value, since their codec is exercised separately and
 the volume of hello traffic dominates long runs.
+
+Work is done on change, not on a timer.  A hello reruns MPR selection and
+route computation only when the topology state says an input changed.
+A node whose held messages have no route parks its custody: it schedules
+no retry tick until its route table changes or a message arrives that
+it can send.  The node counts its sendable messages with one scan of its
+bank per route table and then keeps the count as messages arrive and
+leave, so deciding to park costs no further scan.  Retry ticks remain
+for banks that hold both sendable and unroutable messages.
 """
 
 from __future__ import annotations
@@ -32,7 +41,12 @@ from .backup import (
     evaluate_policy,
 )
 from .boot import BootController, BootDecision, PeerObservation, Signature
-from .forwarding import OutcomeKind, PriorityQueueBank, ReceiveResult
+from .forwarding import (
+    OutcomeKind,
+    PriorityQueueBank,
+    ReceiveResult,
+    resolve_next_hop,
+)
 from .locating import estimate_position, passive_query
 from .messages import (
     EmergencyMessage,
@@ -106,6 +120,10 @@ class _NodeRuntime:
     tc_seq: int = 0
     msg_counter: int = 0
     tick_scheduled: bool = False
+    # Held messages (queued or swapped) that resolve under `routes`, or
+    # None until a failed send counts them.  At 0 custody is parked: no
+    # tick runs until the routes change or a message that resolves arrives.
+    routable: Optional[int] = None
     next_power_at: Optional[int] = None
     pending_after_forward: set = field(default_factory=set)
 
@@ -189,6 +207,10 @@ class Simulator:
         if not rt.tick_scheduled:
             rt.tick_scheduled = True
             self._at(t, "tick", rt.node)
+
+    def _wants_tick(self, rt: _NodeRuntime) -> bool:
+        """The bank holds messages and custody is not parked."""
+        return rt.routable != 0 and (any(rt.bank.queues) or rt.bank.swap_store)
 
     def _link(self, a: NodeId, b: NodeId) -> LinkModel:
         return self._links.get(frozenset((a, b)),
@@ -358,12 +380,20 @@ class Simulator:
         if not rt.alive:
             return
         if self._is_awake(rt, now):
-            rt.topo.expire_links(now)
-            rt.topo.expire_topology(now)
-            rt.topo.select_mprs()
+            topo = rt.topo
+            topo.expire_links(now)
+            topo.expire_topology(now)
+            if topo.dirty:
+                topo.dirty = False
+                topo.select_mprs()
+                routes = topo.compute_routes()
+                if routes != rt.routes:
+                    rt.routes = routes
+                    rt.routable = None
+                    if self._wants_tick(rt):
+                        self._schedule_tick(rt, now)
             rt.hello_seq = (rt.hello_seq + 1) % (1 << 16)
-            self._broadcast(rt, rt.topo.make_hello(rt.hello_seq), now)
-            rt.routes = rt.topo.compute_routes()
+            self._broadcast(rt, topo.make_hello(rt.hello_seq), now)
             self._check_handoff(rt, now)
         self._at(now + self.policies.hello_interval_ms, "hello", node)
 
@@ -453,14 +483,44 @@ class Simulator:
         retry = False
         for outcome in outcomes:
             if outcome.kind is OutcomeKind.DELIVERED:
+                if rt.routable:
+                    rt.routable -= 1
                 self._transmit(rt, outcome.message, outcome.next_hop, now)
                 if not rt.alive:
                     return
             elif outcome.kind is OutcomeKind.UNREACHABLE:
                 retry = True
-        if any(rt.bank.queues) or rt.bank.swap_store:
+        if retry and rt.routable is None:
+            rt.routable = self._count_routable(rt)
+        if self._wants_tick(rt):
             self._schedule_tick(rt, now + (RETRY_TICK_MS if retry
                                            else FORWARD_TICK_MS))
+
+    def _resolves(self, rt: _NodeRuntime, dst: NodeId) -> bool:
+        """Whether forward_tick would send toward dst rather than demote."""
+        return (rt.bank._is_local_destination(dst)
+                or resolve_next_hop(rt.routes, dst) is not None)
+
+    def _count_routable(self, rt: _NodeRuntime) -> int:
+        """Held messages that resolve under rt.routes, by one bank scan."""
+        bank = rt.bank
+        return sum(1 for entry in itertools.chain(*bank.queues, bank.swap_store)
+                   if self._resolves(rt, entry.msg.dst))
+
+    def _held(self, rt: _NodeRuntime) -> Optional[int]:
+        """Messages in custody, while the routable count is being kept."""
+        if rt.routable is None:
+            return None
+        return sum(map(len, rt.bank.queues)) + len(rt.bank.swap_store)
+
+    def _admitted(self, rt: _NodeRuntime, msg: EmergencyMessage,
+                  held_before: Optional[int], now: int) -> None:
+        """Count a message the bank just took into custody, then wake it."""
+        if (held_before is not None and self._held(rt) > held_before
+                and self._resolves(rt, msg.dst)):
+            rt.routable += 1
+        if self._wants_tick(rt):
+            self._schedule_tick(rt, now)
 
     def _on_msg(self, now: int, node: NodeId, data: bytes,
                 sender: NodeId) -> None:
@@ -483,14 +543,14 @@ class Simulator:
                 self.metrics.handoff_rejected += 1
                 return
         before = len(rt.bank.delivered_log)
+        held = self._held(rt)
         if rt.bank.receive(data) is ReceiveResult.IGNORED:
             self.metrics.ignored += 1
             return
         self._maybe_backup(rt, rt.bank.last_received, now)
         for msg in rt.bank.delivered_log[before:]:
             self._record_delivery(rt, msg, now)
-        if any(rt.bank.queues) or rt.bank.swap_store:
-            self._schedule_tick(rt, now)
+        self._admitted(rt, rt.bank.last_received, held, now)
 
     def _record_delivery(self, rt: _NodeRuntime, msg: EmergencyMessage,
                          now: int) -> None:
@@ -539,9 +599,9 @@ class Simulator:
             }
         self.metrics.injected += 1
         self._maybe_backup(rt, msg, now)
+        held = self._held(rt)
         rt.bank.inject(msg)
-        if any(rt.bank.queues) or rt.bank.swap_store:
-            self._schedule_tick(rt, now)
+        self._admitted(rt, msg, held, now)
 
     def _draw_priority(self, rt: _NodeRuntime, spec, i: int) -> int:
         if spec.kind == "fixed":
@@ -567,6 +627,8 @@ class Simulator:
             return
         actions = low_battery_handoff(rt.bank, rt.routes, rt.battery.percent,
                                       self.policies.handoff_threshold_pct)
+        if actions:
+            rt.routable = 0  # the bank is empty now
         for action in actions:
             if action.kind is HandoffKind.FLUSH:
                 self.metrics.handoff_flushed += 1

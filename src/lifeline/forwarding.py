@@ -193,11 +193,6 @@ class PriorityQueueBank:
             return self._drop(msg, DropReason.RAM_EXHAUSTED)
         return None
 
-    def dequeue_next(self) -> Optional[EmergencyMessage]:
-        """Head of the lowest-index nonempty queue; None when all are empty."""
-        popped = self._pop_entry()
-        return popped[0].msg if popped else None
-
     def _pop_entry(self) -> Optional[tuple[_Entry, int]]:
         for level, queue in enumerate(self.queues):
             if queue:

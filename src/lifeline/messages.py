@@ -58,16 +58,12 @@ class NodeId:
 
     @classmethod
     def parse(cls, text: str) -> "NodeId":
-        parts = text.strip().split(".")
-        if len(parts) != 4:
-            raise MalformedDocument(f"not a dotted-quad address: {text!r}")
-        try:
-            octets = [int(p) for p in parts]
-        except ValueError:
-            raise MalformedDocument(f"not a dotted-quad address: {text!r}") from None
-        if any(not 0 <= o <= 255 for o in octets):
-            raise MalformedDocument(f"octet out of range in: {text!r}")
-        return cls((octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) | octets[3])
+        """Inverse of str(): only the canonical dotted quad parses."""
+        match = _ADDRESS_TEXT.fullmatch(text)
+        if match is None:
+            raise MalformedDocument(f"not a canonical dotted-quad address: {text!r}")
+        a, b, c, d = map(int, match.groups())
+        return cls((a << 24) | (b << 16) | (c << 8) | d)
 
     @property
     def is_station_address(self) -> bool:
@@ -124,6 +120,8 @@ class EmergencyMessage:
 _INT = rb"(0|[1-9][0-9]*)"
 _OCTET = rb"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _ADDRESS = rb"\.".join([_OCTET] * 4)
+# NodeId.parse accepts exactly the address text this grammar accepts.
+_ADDRESS_TEXT = re.compile(_ADDRESS.decode("ascii"))
 _BASE64 = rb"([A-Za-z0-9+/]*={0,2})"
 _FIELD_GRAMMAR = {
     "msg_id": _INT, "src": _ADDRESS, "dst": _ADDRESS, "priority": _INT,

@@ -137,6 +137,12 @@ class TopologyState:
         self.routing_table: dict[NodeId, tuple[NodeId, int]] = {}
         self.stale_tc_dropped = 0
         self.duplicate_tc_dropped = 0
+        # Set when an input of select_mprs/compute_routes changes: a link
+        # appears, expires or changes status, a 2-hop set changes, or an
+        # advertised set appears, changes or expires.  Refreshes that only
+        # move an expiry, and mpr_selectors, leave it alone.  The caller
+        # recomputes while it is set and then clears it (RFC 3626 section 10).
+        self.dirty = False
 
     # -- link sensing ---------------------------------------------------
 
@@ -154,11 +160,17 @@ class TopologyState:
             return
         listed = dict(hello.neighbors)
         status = LinkStatus.SYMMETRIC if self.self_id in listed else LinkStatus.ASYMMETRIC
+        old = self.links.get(sender)
+        if old is None or old.status is not status:
+            self.dirty = True
         self.links[sender] = LinkRecord(sender, status, now, now + self.hold_time_ms)
-        self.two_hop[sender] = {
+        two_hop = {
             n for n, st in listed.items()
             if st in (LinkStatus.SYMMETRIC, LinkStatus.MPR) and n != self.self_id
         }
+        if two_hop != self.two_hop.get(sender):
+            self.dirty = True
+            self.two_hop[sender] = two_hop
         if listed.get(self.self_id) is LinkStatus.MPR:
             self.mpr_selectors.add(sender)
         else:
@@ -172,12 +184,14 @@ class TopologyState:
             self.two_hop.pop(n, None)
             self.mpr_set.discard(n)
             self.mpr_selectors.discard(n)
+            self.dirty = True
         return gone
 
     def expire_topology(self, now: int) -> None:
         dead = [o for o, (_, _, expiry) in self.topology.items() if expiry <= now]
         for o in dead:
             del self.topology[o]
+            self.dirty = True
 
     # -- MPR selection ----------------------------------------------------
 
@@ -255,6 +269,8 @@ class TopologyState:
         current = self.topology.get(tc.origin)
         if current is None or seq_newer(tc.sequence, current[0]):
             advertised = frozenset(n for n, _ in tc.neighbors)
+            if current is None or advertised != current[1]:
+                self.dirty = True
             self.topology[tc.origin] = (tc.sequence, advertised, now + self.topology_hold_ms)
         else:
             self.stale_tc_dropped += 1

@@ -15,6 +15,7 @@ from lifeline.scenario import (
     PrioritySpec,
     Scenario,
     TrafficSpec,
+    build_battery_scenario,
     build_boot_scenario,
     build_duty_cycle_scenario,
     build_setup,
@@ -96,6 +97,65 @@ def test_delivery_records_carry_priorities():
     metrics = run(build_setup("C", messages=200, seed=2))
     priorities = {d.priority for d in metrics.deliveries}
     assert priorities == {0, 1, 2, 3, 4}
+
+
+# -- custody without polling ----------------------------------------------------
+
+
+def test_unroutable_custody_parks_instead_of_polling():
+    # The relay dies at about 7 h; the laptop then holds every message it
+    # injects for 9 h with no route, which 100 ms polling made 300k ticks.
+    scenario = build_battery_scenario("10s")
+    assert scenario.duration_ms == 16 * 3_600_000
+    sim = Simulator(scenario)
+    ticks = []
+    on_tick = sim._on_tick
+    sim._on_tick = lambda now, node: (ticks.append(now), on_tick(now, node))
+    metrics = sim.run()
+    assert len(ticks) < 10_000
+    assert metrics.conservation_ok
+
+
+def two_routers_and_an_island(traffic):
+    r1, r2, island = nid("10.0.0.1"), nid("10.0.0.2"), nid("10.0.0.3")
+    return Scenario(
+        name="custody",
+        nodes=[NodeSpec(r1, "router"), NodeSpec(r2, "router"),
+               NodeSpec(island, "router")],
+        links=[LinkSpec(r1, r2, 3.0)],
+        traffic=traffic(r1, r2, island),
+        duration_ms=60_000,
+    )
+
+
+def test_parked_node_still_delivers_routable_arrivals():
+    # r1 parks on messages for an unreachable island, then is handed
+    # lowest-priority messages for its neighbour that queue behind them.
+    scenario = two_routers_and_an_island(lambda r1, r2, island: [
+        TrafficSpec(r1, island, 5, interval_ms=10, start_ms=10_000,
+                    priority=PrioritySpec.fixed(0)),
+        TrafficSpec(r1, r2, 5, interval_ms=3_000, start_ms=20_000,
+                    priority=PrioritySpec.fixed(4)),
+    ])
+    metrics = run(scenario)
+    assert metrics.injected == 10
+    assert metrics.delivered == 5
+    assert {d.dst for d in metrics.deliveries} == {"10.0.0.2"}
+    assert metrics.conservation_ok
+
+
+def test_messages_sent_at_the_hello_that_creates_their_route():
+    scenario = two_routers_and_an_island(lambda r1, r2, island: [
+        TrafficSpec(r1, r2, 5, interval_ms=1, start_ms=50)])
+    metrics = run(scenario)
+    hello_ms = scenario.policies.hello_interval_ms
+    first = min(d.delivered_at for d in metrics.deliveries)
+    assert metrics.delivered == 5
+    assert first > hello_ms  # injected long before the link is symmetric
+    # Sent at the route's hello, plus one link latency and 1 ms spacing,
+    # not at the next 100 ms retry after it.
+    assert all(d.delivered_at - first < 10 for d in metrics.deliveries)
+    assert first % hello_ms < 10
 
 
 # -- backup experiments ------------------------------------------------------------

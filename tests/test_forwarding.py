@@ -44,6 +44,15 @@ def budget_for(n_messages):
     return n_messages * msg_size(make_msg())
 
 
+# A route table under which make_msg's default destination resolves.
+ROUTES = {FAR: (PEER, 2)}
+
+
+def tick_once(bank, table):
+    (outcome,) = bank.forward_tick(table)
+    return outcome
+
+
 # --- receive ---------------------------------------------------------------
 
 def test_valid_emergency_bytes_accepted():
@@ -175,24 +184,28 @@ def test_dequeue_prefers_lowest_index_queue():
     urgent = make_msg(priority=0)
     bank.enqueue(low)
     bank.enqueue(urgent)
-    assert bank.dequeue_next().msg_id == urgent.msg_id
+    assert tick_once(bank, ROUTES).message.msg_id == urgent.msg_id
 
 
 def test_dequeue_empty_bank_returns_none():
     bank = PriorityQueueBank(SELF)
-    assert bank.dequeue_next() is None
+    assert bank.forward_tick(ROUTES) == []
 
 
 def test_full_drain_priorities_non_decreasing():
     rng = random.Random(0xD2)
     bank = PriorityQueueBank(SELF)
-    for _ in range(300):
-        bank.enqueue(make_msg(priority=rng.randrange(5)))
+    sent = [make_msg(priority=rng.randrange(5)) for _ in range(300)]
+    original = {m.msg_id: m.priority for m in sent}
+    for m in sent:
+        bank.enqueue(m)
     drained = []
-    while (msg := bank.dequeue_next()) is not None:
-        drained.append(msg.priority)
-    assert drained == sorted(drained)
-    assert len(drained) == 300
+    while outcomes := bank.forward_tick(ROUTES):
+        drained.append(outcomes[0].message.msg_id)
+    # Promotion shifts whole queues, so sends follow the enqueue-time
+    # priority, FIFO within a level.
+    assert drained == [m.msg_id for m in
+                       sorted(sent, key=lambda m: original[m.msg_id])]
     assert bank.ram_used == 0
 
 
@@ -202,8 +215,7 @@ def test_failure_demotes_one_level():
     bank = PriorityQueueBank(SELF)
     msg = make_msg(priority=0)
     bank.enqueue(msg)
-    bank.dequeue_next()
-    bank.on_send_failure(msg)
+    assert tick_once(bank, {}).kind is OutcomeKind.UNREACHABLE
     assert msg.priority == 1
     assert [e.msg for e in bank.queues[1]] == [msg]
 
@@ -212,20 +224,16 @@ def test_demotion_saturates_at_lowest_level():
     bank = PriorityQueueBank(SELF)
     msg = make_msg(priority=4)
     bank.enqueue(msg)
-    bank.dequeue_next()
-    bank.on_send_failure(msg)
+    tick_once(bank, {})
     assert msg.priority == 4
+    assert [e.msg for e in bank.queues[4]] == [msg]
 
 
 def test_repeated_failures_trace_saturating_sequence():
     bank = PriorityQueueBank(SELF)
     msg = make_msg(priority=0)
     bank.enqueue(msg)
-    trace = []
-    for _ in range(10):
-        out = bank.dequeue_next()
-        bank.on_send_failure(out)
-        trace.append(out.priority)
+    trace = [tick_once(bank, {}).message.priority for _ in range(10)]
     assert trace == [1, 2, 3, 4, 4, 4, 4, 4, 4, 4]
 
 

@@ -55,6 +55,23 @@ def test_node_id_round_trip():
     assert str(NodeId(STATION_RANGE_START)) == "255.255.255.0"
 
 
+NON_CANONICAL_ADDRESSES = [
+    "1_0.0.0.1",      # int() accepts digit-group underscores
+    " +10.0.0.1 ",    # sign and surrounding whitespace
+    "010.0.0.1",      # leading zero
+    "10.0.0.1\n",
+    "\u0661\u0660.0.0.1",  # Arabic-Indic digits
+    "256.0.0.1",
+    "10.0.0",
+]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_ADDRESSES)
+def test_node_id_parse_rejects_non_canonical(text):
+    with pytest.raises(MalformedDocument):
+        NodeId.parse(text)
+
+
 def test_minimal_message_contains_priority_element():
     data = encode_message(make_msg(priority=0, payload=b"x"))
     assert b"<priority>0</priority>" in data

@@ -3,6 +3,8 @@
 import random
 from collections import deque
 
+import pytest
+
 from lifeline.messages import NodeId
 from lifeline.olsr import (
     DEFAULT_TTL,
@@ -260,6 +262,68 @@ def test_topology_entries_age_out():
     assert c in state.topology
     state.expire_topology(now=15_000)
     assert c not in state.topology
+
+
+# --- recompute on change ---------------------------------------------------
+
+SYM, MPR = LinkStatus.SYMMETRIC, LinkStatus.MPR
+
+
+def tc_from(origin, seq, advertised, last_hop):
+    return ControlPacket(ControlKind.TC, origin, seq,
+                         tuple((n, SYM) for n in advertised),
+                         ttl=5, last_hop=last_hop)
+
+
+def settled_state():
+    """Node 1 with symmetric neighbour 2 (2-hop {3}), and 4's TC; flag clear."""
+    state = TopologyState(nid(1), hold_time_ms=6_000, topology_hold_ms=15_000)
+    state.process_hello(hello_from(nid(2), [(nid(1), SYM), (nid(3), SYM)]), 0)
+    state.process_tc(tc_from(nid(4), 1, [nid(3)], nid(2)), 0)
+    assert state.dirty
+    state.select_mprs()
+    state.compute_routes()
+    state.dirty = False
+    return state
+
+
+DIRTY_TRIGGERS = {
+    "new link": lambda s: s.process_hello(hello_from(nid(5), []), 100),
+    "link status": lambda s: s.process_hello(
+        hello_from(nid(2), [(nid(3), SYM)]), 100),
+    "2-hop set": lambda s: s.process_hello(
+        hello_from(nid(2), [(nid(1), SYM), (nid(3), SYM), (nid(6), SYM)]), 100),
+    "link expiry": lambda s: s.expire_links(6_000),
+    "tc new origin": lambda s: s.process_tc(tc_from(nid(7), 1, [nid(4)], nid(2)), 100),
+    "tc advertised set": lambda s: s.process_tc(
+        tc_from(nid(4), 2, [nid(3), nid(8)], nid(2)), 100),
+    "topology expiry": lambda s: s.expire_topology(15_000),
+}
+
+PURE_REFRESHES = {
+    "hello refresh": lambda s: s.process_hello(
+        hello_from(nid(2), [(nid(1), SYM), (nid(3), SYM)], seq=1), 4_000),
+    "mpr selector": lambda s: s.process_hello(
+        hello_from(nid(2), [(nid(1), MPR), (nid(3), SYM)], seq=1), 100),
+    "tc refresh": lambda s: s.process_tc(tc_from(nid(4), 2, [nid(3)], nid(2)), 100),
+    "duplicate tc": lambda s: s.process_tc(tc_from(nid(4), 1, [nid(3)], nid(2)), 100),
+    "stale tc": lambda s: s.process_tc(tc_from(nid(4), 0, [nid(9)], nid(2)), 100),
+    "nothing expires": lambda s: (s.expire_links(5_999), s.expire_topology(14_999)),
+}
+
+
+@pytest.mark.parametrize("trigger", DIRTY_TRIGGERS)
+def test_route_input_change_sets_dirty(trigger):
+    state = settled_state()
+    DIRTY_TRIGGERS[trigger](state)
+    assert state.dirty
+
+
+@pytest.mark.parametrize("refresh", PURE_REFRESHES)
+def test_pure_refresh_leaves_dirty_clear(refresh):
+    state = settled_state()
+    PURE_REFRESHES[refresh](state)
+    assert not state.dirty
 
 
 def test_flood_converges_to_true_edge_set():

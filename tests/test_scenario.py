@@ -251,6 +251,14 @@ def test_bad_address_text_names_its_path():
         Scenario.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("text", ["1_0.0.0.1", " +10.0.0.1 ", "010.0.0.1"])
+def test_non_canonical_address_rejected(text):
+    doc = doc_for()
+    doc["links"][0]["a"] = text
+    with pytest.raises(MalformedScenario, match=r"links\[0\].a"):
+        Scenario.from_json_dict(doc)
+
+
 def test_size_kind_diagnostic():
     doc = doc_for()
     doc["traffic"][0]["size"] = {"kind": "gaussian"}
