@@ -159,11 +159,16 @@ class BackupStore:
         self._size = offset
         self.corrupt_tail_bytes = len(data) - offset
 
-    def persist(self, msg: EmergencyMessage) -> bool:
-        """Append one message; False if its id is already in the log."""
+    def persist(self, msg: EmergencyMessage,
+                payload: Optional[bytes] = None) -> bool:
+        """Append one message; False if its id is already in the log.
+
+        `payload` is msg's encoding when the caller already holds it.
+        """
         if msg.msg_id in self._ids:
             return False
-        payload = encode_message(msg)
+        if payload is None:
+            payload = encode_message(msg)
         record = _RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         if self._size + len(record) > self.limit_bytes:
             raise StorageFull(f"backup log at {self._size} bytes cannot take {len(record)} more")

@@ -21,6 +21,15 @@ it can send.  The node counts its sendable messages with one scan of its
 bank per route table and then keeps the count as messages arrive and
 leave, so deciding to park costs no further scan.  Retry ticks remain
 for banks that hold both sendable and unroutable messages.
+
+Facts that cannot change are computed once.  Per run: the link model of
+each address pair (and each node's neighbours with their links), and the
+location estimate of each message source, since a passive query floods
+the static adjacency to the static known locations.  Per route table:
+whether a node reaches a station, set where a hello replaces the table.
+The codec is canonical, so a received message's wire bytes are its
+encoding: they size its queue entry and become its backup record, and a
+transmission encodes once for both the wire and an after-forward backup.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .forwarding import (
     ReceiveResult,
     resolve_next_hop,
 )
-from .locating import estimate_position, passive_query
+from .locating import LocationEstimate, estimate_position, passive_query
 from .messages import (
     EmergencyMessage,
     NodeId,
@@ -113,6 +122,9 @@ class _NodeRuntime:
     rng: np.random.Generator
     battery: Optional[BatteryModel]
     routes: dict = field(default_factory=dict)
+    # Whether a station is this node or has a route under `routes`; set
+    # with `routes`, so a backup decision costs no table scan.
+    station_reachable: bool = False
     role: Optional[RoleAssignment] = None
     alive: bool = True
     clock: int = 0
@@ -148,13 +160,19 @@ class Simulator:
 
         base = _base_battery()
         self._static_adjacency = scenario.adjacency()
-        self._adjacency = {
-            node: sorted(neighbors, key=lambda n: n.address)
+        # Link models keyed by address pair, in both directions; a send
+        # over no configured link is a loopback.
+        self._link_models: dict[tuple[int, int], LinkModel] = {}
+        for link in scenario.links:
+            a, b = link.a.address, link.b.address
+            self._link_models[a, b] = self._link_models[b, a] = link.model
+        self._loopback = LinkModel(LOOPBACK_LATENCY_MS)
+        # Each node's neighbours in address order, with the link to each.
+        self._out_links = {
+            node: [(nb, self._link_models[node.address, nb.address])
+                   for nb in sorted(neighbors, key=lambda n: n.address)]
             for node, neighbors in self._static_adjacency.items()
         }
-        self._links: dict[frozenset, LinkModel] = {}
-        for link in scenario.links:
-            self._links[frozenset((link.a, link.b))] = link.model
         self._lossy = any(l.model.p_send_error > 0 for l in scenario.links)
         self._p_send = max((l.model.p_send_error for l in scenario.links),
                            default=0.0)
@@ -171,6 +189,10 @@ class Simulator:
         }
         self._station_kinds = {spec.node for spec in scenario.nodes
                                if spec.kind == "station"}
+        # Location estimate by origin address.  A passive query floods the
+        # static adjacency to the static known locations, so within a run
+        # its answer depends on the message's source alone.
+        self._estimates: dict[int, LocationEstimate] = {}
 
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         for spec in sorted(scenario.nodes, key=lambda s: s.node.address):
@@ -196,6 +218,7 @@ class Simulator:
                 boot=BootController(),
                 rng=np.random.Generator(np.random.Philox(key=key)),
                 battery=battery,
+                station_reachable=spec.node in self._station_kinds,
             )
 
     # -- event plumbing -----------------------------------------------------
@@ -211,10 +234,6 @@ class Simulator:
     def _wants_tick(self, rt: _NodeRuntime) -> bool:
         """The bank holds messages and custody is not parked."""
         return rt.routable != 0 and (any(rt.bank.queues) or rt.bank.swap_store)
-
-    def _link(self, a: NodeId, b: NodeId) -> LinkModel:
-        return self._links.get(frozenset((a, b)),
-                               LinkModel(LOOPBACK_LATENCY_MS))
 
     def _latency(self, rt: _NodeRuntime, model: LinkModel) -> int:
         jitter = float(rt.rng.uniform(-LATENCY_JITTER, LATENCY_JITTER))
@@ -368,8 +387,7 @@ class Simulator:
             self._drain_event(rt, Activity.CONTROL_PACKET, now)
             if not rt.alive:
                 return
-        for nb in self._adjacency.get(rt.node, ()):
-            model = self._link(rt.node, nb)
+        for nb, model in self._out_links[rt.node]:
             self._at(now + self._latency(rt, model), "ctl", nb, pkt)
 
     def _on_hello(self, now: int, node: NodeId) -> None:
@@ -390,6 +408,9 @@ class Simulator:
                 if routes != rt.routes:
                     rt.routes = routes
                     rt.routable = None
+                    rt.station_reachable = (
+                        node in self._station_kinds
+                        or station_route(routes) is not None)
                     if self._wants_tick(rt):
                         self._schedule_tick(rt, now)
             rt.hello_seq = (rt.hello_seq + 1) % (1 << 16)
@@ -425,31 +446,32 @@ class Simulator:
         return min(100, round(100 * rt.bank.ram_used / rt.bank.ram_budget))
 
     def _maybe_backup(self, rt: _NodeRuntime, msg: EmergencyMessage,
-                      now: int) -> None:
+                      now: int, data: Optional[bytes] = None) -> None:
+        """Apply the backup policy; data is msg's encoding, if held."""
         if not self._backup_options:
             return
         battery_pct = 100 if rt.battery is None else int(rt.battery.percent)
-        reachable = (rt.node in self._station_kinds
-                     or station_route(rt.routes) is not None)
         cond = NodeCondition(battery_percent=max(0, min(100, battery_pct)),
                              load_percent=self._load_percent(rt),
-                             station_reachable=reachable)
+                             station_reachable=rt.station_reachable)
         decision = evaluate_policy(self._backup_options, msg, cond)
         if decision.action is BackupAction.BACKUP_ON_RECEIVE:
-            self._persist(rt, msg)
+            self._persist(rt, msg, data)
         elif decision.action is BackupAction.BACKUP_AFTER_FORWARD:
             rt.pending_after_forward.add(msg.msg_id)
 
-    def _persist(self, rt: _NodeRuntime, msg: EmergencyMessage) -> None:
+    def _persist(self, rt: _NodeRuntime, msg: EmergencyMessage,
+                 data: Optional[bytes] = None) -> None:
         try:
-            rt.store.persist(msg)
+            rt.store.persist(msg, data)
         except StorageFull:
             self.metrics.dropped["backup_full"] = (
                 self.metrics.dropped.get("backup_full", 0) + 1)
 
     def _transmit(self, rt: _NodeRuntime, msg: EmergencyMessage,
                   next_hop: NodeId, now: int) -> None:
-        model = self._link(rt.node, next_hop)
+        model = self._link_models.get((rt.node.address, next_hop.address),
+                                      self._loopback)
         latency = self._latency(rt, model)
         meta = self._msg_meta.get(msg.msg_id)
         if meta is not None:
@@ -465,10 +487,11 @@ class Simulator:
                 self.metrics.recv_errors += 1
                 latency += model.base_latency_ms
         self._drain_event(rt, Activity.FORWARD_MESSAGE, now)
+        data = encode_message(msg)
         if msg.msg_id in rt.pending_after_forward:
             rt.pending_after_forward.discard(msg.msg_id)
-            self._persist(rt, msg)
-        self._at(now + latency, "msg", next_hop, encode_message(msg), rt.node)
+            self._persist(rt, msg, data)
+        self._at(now + latency, "msg", next_hop, data, rt.node)
 
     def _on_tick(self, now: int, node: NodeId) -> None:
         rt = self.nodes[node]
@@ -547,7 +570,8 @@ class Simulator:
         if rt.bank.receive(data) is ReceiveResult.IGNORED:
             self.metrics.ignored += 1
             return
-        self._maybe_backup(rt, rt.bank.last_received, now)
+        # The codec is canonical, so data is the received message's encoding.
+        self._maybe_backup(rt, rt.bank.last_received, now, data)
         for msg in rt.bank.delivered_log[before:]:
             self._record_delivery(rt, msg, now)
         self._admitted(rt, rt.bank.last_received, held, now)
@@ -556,11 +580,13 @@ class Simulator:
                          now: int) -> None:
         estimate = "unknown"
         if rt.node in self._station_kinds and self._known_locations:
-            replies = passive_query(msg.src,
-                                    self.policies.location_query_hops,
-                                    self._static_adjacency,
-                                    self._known_locations)
-            estimate = estimate_position(replies).to_json()
+            located = self._estimates.get(msg.src.address)
+            if located is None:
+                located = self._estimates[msg.src.address] = estimate_position(
+                    passive_query(msg.src, self.policies.location_query_hops,
+                                  self._static_adjacency,
+                                  self._known_locations))
+            estimate = located.to_json()
         self.metrics.deliveries.append(DeliveryRecord(
             msg_id=msg.msg_id,
             src=str(msg.src),
@@ -642,7 +668,7 @@ class Simulator:
         if not rt.alive:
             return
         observations = []
-        for nb in self._adjacency.get(node, ()):
+        for nb, _ in self._out_links.get(node, ()):
             peer = self.nodes[nb]
             if not peer.alive:
                 continue

@@ -109,7 +109,8 @@ class PriorityQueueBank:
         A message addressed to this node (or to any station, when this
         node is one) terminates here instead of re-entering the queues.
         The bytes are decoded once; an accepted message is left in
-        `last_received` for the caller.
+        `last_received` for the caller.  The codec is canonical, so the
+        queue entry is sized by the received bytes themselves.
         """
         self.last_received = None
         if data.startswith(CONTROL_MAGIC):
@@ -127,7 +128,7 @@ class PriorityQueueBank:
         elif msg.msg_id in self._delivered_ids:
             self._drop(msg, DropReason.DUPLICATE)
         else:
-            self.enqueue(msg)
+            self.enqueue(msg, len(data))
         return ReceiveResult.ACCEPTED
 
     def inject(self, msg: EmergencyMessage) -> Optional[ForwardOutcome]:
@@ -165,14 +166,18 @@ class PriorityQueueBank:
 
     # -- queue discipline ---------------------------------------------------
 
-    def enqueue(self, msg: EmergencyMessage) -> Optional[ForwardOutcome]:
+    def enqueue(self, msg: EmergencyMessage,
+                size: Optional[int] = None) -> Optional[ForwardOutcome]:
         """FIFO insert at msg.priority, evicting 4-then-3 tails on pressure.
 
+        `size` is msg's encoded size when the caller already knows it.
         Returns None when the message is queued (or swapped), or a
         Dropped(RamExhausted) outcome when queues 0-2 alone exceed the
         budget and nothing swappable remains.
         """
-        entry = _Entry(msg, encoded_size(msg), self._seq)
+        if size is None:
+            size = encoded_size(msg)
+        entry = _Entry(msg, size, self._seq)
         self._seq += 1
         self.queues[msg.priority].append(entry)
         self.ram_used += entry.size

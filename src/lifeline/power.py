@@ -70,13 +70,18 @@ class BatteryModel:
     def activity_cost(self, activity: Activity, amount: float = 1.0) -> float:
         if amount < 0:
             raise InvariantViolation(f"negative activity amount: {amount}")
-        per_unit = {
-            Activity.IDLE_HOUR: self.drain_idle,
-            Activity.SCREEN_HOUR: self.drain_idle + self.drain_screen_extra,
-            Activity.FORWARD_MESSAGE: self.energy_per_message,
-            Activity.CONTROL_PACKET: self.energy_per_control,
-            Activity.SLEEP_HOUR: self.drain_idle * self.sleep_factor,
-        }[activity]
+        if activity is Activity.IDLE_HOUR:
+            per_unit = self.drain_idle
+        elif activity is Activity.SCREEN_HOUR:
+            per_unit = self.drain_idle + self.drain_screen_extra
+        elif activity is Activity.FORWARD_MESSAGE:
+            per_unit = self.energy_per_message
+        elif activity is Activity.CONTROL_PACKET:
+            per_unit = self.energy_per_control
+        elif activity is Activity.SLEEP_HOUR:
+            per_unit = self.drain_idle * self.sleep_factor
+        else:
+            raise KeyError(activity)
         return per_unit * amount
 
     def drain(self, activity: Activity, amount: float = 1.0) -> None:

@@ -81,10 +81,6 @@ class NodeSpec:
     screen_on: bool = False
     location: Optional[KnownLocation] = None
 
-    @property
-    def mains_powered(self) -> bool:
-        return self.battery_capacity is None
-
     def to_json(self) -> dict:
         doc: dict = {"address": str(self.node), "kind": self.kind}
         if self.battery_capacity is not None:
@@ -248,9 +244,6 @@ class Scenario:
     seed: int = 0
     duration_ms: int = 60_000
 
-    def node_map(self) -> dict[NodeId, NodeSpec]:
-        return {spec.node: spec for spec in self.nodes}
-
     def adjacency(self) -> dict[NodeId, set[NodeId]]:
         adj: dict[NodeId, set[NodeId]] = {s.node: set() for s in self.nodes}
         for link in self.links:
@@ -258,12 +251,6 @@ class Scenario:
                 adj[link.a].add(link.b)
                 adj[link.b].add(link.a)
         return adj
-
-    def link_model(self, a: NodeId, b: NodeId) -> Optional[LinkModel]:
-        for link in self.links:
-            if {link.a, link.b} == {a, b}:
-                return link.model
-        return None
 
     def validate(self) -> None:
         known = set()

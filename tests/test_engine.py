@@ -4,10 +4,13 @@ import sys
 
 import pytest
 
-from lifeline import messages
+from lifeline import engine, messages
+from lifeline.backup import BackupStore
 from lifeline.engine import Simulator, run, run_battery_experiment
 from lifeline.forwarding import PriorityQueueBank, ReceiveResult
-from lifeline.messages import NodeId
+from lifeline.locating import KnownLocation, estimate_position, passive_query
+from lifeline.messages import NodeId, encode_message, encoded_size
+from lifeline.power import station_route
 from lifeline.scenario import (
     LinkSpec,
     NodeSpec,
@@ -345,3 +348,134 @@ def test_energy_ledger_accounts_for_drain():
     spent_pct = 100 * sum(ledger.values()) / 1.0
     assert metrics.battery_percent["10.0.1.1"] == pytest.approx(
         100 - spent_pct, abs=1e-6)
+
+
+# -- facts computed once per run or per route table -----------------------------------
+
+
+def located_fan_in():
+    """Five phones reach a station through two located routers and an
+    unlocated one, so their location estimates all differ."""
+    station = nid("255.255.255.1")
+    r1, r2, r3 = nid("10.0.0.1"), nid("10.0.0.2"), nid("10.0.0.3")
+    phones = [nid(f"10.0.1.{n}") for n in range(1, 6)]
+    nodes = [NodeSpec(station, "station"),
+             NodeSpec(r1, "router", location=KnownLocation(r1, (0.0, 0.0))),
+             NodeSpec(r2, "router", location=KnownLocation(r2, (10.0, 0.0))),
+             NodeSpec(r3, "router")]
+    nodes += [NodeSpec(p, "phone") for p in phones]
+    links = [LinkSpec(r1, station, 3.0), LinkSpec(r2, station, 3.0),
+             LinkSpec(r3, r1, 3.0),
+             LinkSpec(phones[0], r1, 3.0), LinkSpec(phones[1], r2, 3.0),
+             LinkSpec(phones[2], r1, 3.0), LinkSpec(phones[2], r2, 3.0),
+             LinkSpec(phones[3], r3, 3.0), LinkSpec(phones[4], phones[3], 3.0)]
+    traffic = [TrafficSpec(p, station, 20, interval_ms=50) for p in phones]
+    return Scenario(name="fan-in", nodes=nodes, links=links, traffic=traffic,
+                    duration_ms=30_000)
+
+
+def test_location_estimate_is_queried_once_per_origin(monkeypatch):
+    scenario = located_fan_in()
+    queried = []
+    original = engine.passive_query
+    monkeypatch.setattr(engine, "passive_query",
+                        lambda origin, *rest: (queried.append(origin),
+                                               original(origin, *rest))[1])
+    metrics = run(scenario)
+    assert metrics.delivered == 100
+    adjacency = scenario.adjacency()
+    known = {spec.node: spec.location for spec in scenario.nodes
+             if spec.location is not None}
+    hops = scenario.policies.location_query_hops
+    for record in metrics.deliveries:
+        fresh = estimate_position(passive_query(nid(record.src), hops,
+                                                adjacency, known))
+        assert record.estimate == fresh.to_json()
+    origins = {record.src for record in metrics.deliveries}
+    assert len({str(r.estimate) for r in metrics.deliveries}) == len(origins) == 5
+    assert sorted(map(str, queried)) == sorted(origins)
+
+
+def relay_that_dies():
+    """A laptop reaches the station only through a phone, which the
+    laptop's backlog kills at about 8 s; every node backs up under
+    option 1."""
+    laptop, phone, station = nid("10.0.2.1"), nid("10.0.1.1"), nid("255.255.255.1")
+    return Scenario(
+        name="relay-dies",
+        nodes=[NodeSpec(laptop, "laptop"),
+               NodeSpec(phone, "phone", battery_capacity=3e-3),
+               NodeSpec(station, "station")],
+        links=[LinkSpec(laptop, phone, 3.0), LinkSpec(phone, station, 3.0)],
+        traffic=[TrafficSpec(laptop, station, 300, interval_ms=100,
+                             start_ms=0)],
+        policies=Policies(backup_options=[{"option": 1}]),
+        duration_ms=40_000,
+    )
+
+
+def test_station_reachability_is_kept_per_route_table(monkeypatch):
+    scenario = relay_that_dies()
+    sim = Simulator(scenario)
+    decided = {}
+    maybe_backup = sim._maybe_backup
+
+    def checked(rt, msg, now, data=None):
+        fresh = (rt.spec.kind == "station"
+                 or station_route(rt.routes) is not None)
+        assert rt.station_reachable == fresh
+        flips = decided.setdefault(str(rt.node), [])
+        if not flips or flips[-1] != fresh:
+            flips.append(fresh)
+        maybe_backup(rt, msg, now, data)
+
+    sim._maybe_backup = checked
+    route_calls = []
+    monkeypatch.setattr(engine, "station_route",
+                        lambda table: (route_calls.append(1),
+                                       station_route(table))[1])
+    metrics = sim.run()
+    assert "10.0.1.1" in metrics.deaths
+    # The laptop decided before its route existed, while it held one,
+    # and after the relay's death took it away.
+    assert decided["10.0.2.1"] == [False, True, False]
+    assert decided["255.255.255.1"] == [True]
+    assert metrics.persisted
+    # One station_route per route-table change, not one per message.
+    assert 0 < len(route_calls) < 20
+
+
+def test_received_entries_are_sized_by_their_encoding(monkeypatch):
+    receive = PriorityQueueBank.receive
+    checked = []
+
+    def checking_receive(bank, data):
+        result = receive(bank, data)
+        for queue in bank.queues + [bank.swap_store]:
+            for entry in queue:
+                assert entry.size == encoded_size(entry.msg)
+                checked.append(entry.size)
+        return result
+
+    monkeypatch.setattr(PriorityQueueBank, "receive", checking_receive)
+    metrics = run(build_setup("C", messages=200))
+    assert metrics.delivered == 200
+    assert checked
+
+
+@pytest.mark.parametrize("option", [1, 2, 4])
+def test_persisted_records_are_the_message_encoding(monkeypatch, option):
+    persist = BackupStore.persist
+    stored = []
+
+    def checking_persist(store, msg, payload=None):
+        expected = encode_message(msg)
+        if persist(store, msg, payload):
+            assert store._payloads[-1] == expected
+            stored.append(msg.msg_id)
+            return True
+        return False
+
+    monkeypatch.setattr(BackupStore, "persist", checking_persist)
+    metrics = run(build_setup("F", messages=100, backup_option=option))
+    assert len(stored) == sum(metrics.persisted.values()) > 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from lifeline.engine import Simulator
 from lifeline.messages import NodeId
 from lifeline.scenario import (
     BATTERY_INTERVALS,
@@ -110,10 +111,14 @@ def test_adjacency_skips_loopback_links():
 
 
 def test_link_model_lookup_is_direction_free():
+    # The simulator's link table, keyed by address pair both ways.
     scenario = build_setup("B", messages=10)
-    a, b = scenario.links[0].a, scenario.links[0].b
-    assert scenario.link_model(a, b) == scenario.link_model(b, a)
-    assert scenario.link_model(a, NodeId.parse("10.9.9.9")) is None
+    link = scenario.links[0]
+    a, b = link.a.address, link.b.address
+    models = Simulator(scenario)._link_models
+    assert models[a, b] is models[b, a]
+    assert models[a, b] == link.model
+    assert (a, NodeId.parse("10.9.9.9").address) not in models
 
 
 # -- battery, boot, duty-cycle builders --------------------------------------
