@@ -70,7 +70,6 @@ class BackupOption:
 class NodeCondition:
     battery_percent: int
     load_percent: int
-    station_reachable: bool = True
 
     def __post_init__(self) -> None:
         for label, value in (("battery", self.battery_percent),

@@ -6,6 +6,10 @@ backup store, a boot controller, and a battery.  The event loop orders
 work by (time, insertion sequence), and every random draw comes from a
 per-node counter-based generator keyed by (run seed, node address), so
 a given (scenario, seed) pair always produces byte-identical metrics.
+A node's draws (`_Draws`) read raw Philox words a block at a time and
+apply numpy's transforms in Python, returning exactly what a
+`np.random.Generator` over the same key would, at a fraction of the
+cost of a scalar Generator call.
 
 Emergency messages cross links as real wire bytes through each bank's
 receive path, which decodes each received hop exactly once; the backup
@@ -15,6 +19,11 @@ the volume of hello traffic dominates long runs.
 
 Work is done on change, not on a timer.  A hello reruns MPR selection and
 route computation only when the topology state says an input changed.
+A node reuses its HELLO's neighbour tuple until a link or its MPR set
+changes, and a receiver that gets the very tuple it last heard from
+that sender only refreshes the link's timers.  A control packet to a
+dead neighbour is not scheduled at all (its latency is still drawn, so
+the random stream does not move): a node never comes back to life.
 A node whose held messages have no route parks its custody: it schedules
 no retry tick until its route table changes or a message arrives that
 it can send.  The node counts its sendable messages with one scan of its
@@ -25,11 +34,10 @@ for banks that hold both sendable and unroutable messages.
 Facts that cannot change are computed once.  Per run: the link model of
 each address pair (and each node's neighbours with their links), and the
 location estimate of each message source, since a passive query floods
-the static adjacency to the static known locations.  Per route table:
-whether a node reaches a station, set where a hello replaces the table.
-The codec is canonical, so a received message's wire bytes are its
-encoding: they size its queue entry and become its backup record, and a
-transmission encodes once for both the wire and an after-forward backup.
+the static adjacency to the static known locations.  The codec is
+canonical, so a received message's wire bytes are its encoding: they
+size its queue entry and become its backup record, and a transmission
+encodes once for both the wire and an after-forward backup.
 """
 
 from __future__ import annotations
@@ -80,7 +88,6 @@ from .power import (
     classify_roles,
     is_awake,
     low_battery_handoff,
-    station_route,
 )
 from .scenario import (
     BATTERY_INTERVALS,
@@ -111,6 +118,70 @@ CALIBRATION_POINTS = (
 )
 
 
+# Raw 64-bit Philox outputs fetched at a time by a node's draws.
+DRAW_BLOCK = 256
+
+
+class _Draws:
+    """A node's random draws: what np.random.Generator(Philox(key)) returns.
+
+    A scalar Generator call costs several microseconds; these read raw
+    Philox words from blocks fetched lazily (none at construction) and
+    apply numpy's own transforms, so every value and the stream's
+    position match the Generator's exactly.
+    """
+
+    __slots__ = ("_bits", "_words", "_spare")
+
+    def __init__(self, key: np.ndarray):
+        self._bits = np.random.Philox(key=key)
+        self._words: list[int] = []   # unread raw words, next one last
+        self._spare: Optional[int] = None   # high half of a split word
+
+    def _next64(self) -> int:
+        if not self._words:
+            self._words = self._bits.random_raw(DRAW_BLOCK).tolist()[::-1]
+        return self._words.pop()
+
+    def _next32(self) -> int:
+        """Philox hands out a word's low half and keeps the high half."""
+        spare = self._spare
+        if spare is not None:
+            self._spare = None
+            return spare
+        word = self._next64()
+        self._spare = word >> 32
+        return word & 0xFFFF_FFFF
+
+    def random(self) -> float:
+        """Generator.random(): the top 53 bits of a word, scaled to [0, 1)."""
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+    def integers(self, lo: int, hi: int) -> int:
+        """Generator.integers(lo, hi): Lemire's bounded draw on [lo, hi)."""
+        span = hi - lo
+        if span < 1:
+            raise ValueError("integers: hi must exceed lo")
+        if span == 1:
+            return lo
+        if span <= 1 << 32:
+            bits, draw = 32, self._next32
+        else:
+            bits, draw = 64, self._next64
+        if span == 1 << bits:
+            return lo + draw()
+        mask = (1 << bits) - 1
+        m = draw() * span
+        if m & mask < span:
+            threshold = (1 << bits) % span
+            while m & mask < threshold:
+                m = draw() * span
+        return lo + (m >> bits)
+
+
 @dataclass
 class _NodeRuntime:
     spec: object
@@ -119,12 +190,9 @@ class _NodeRuntime:
     bank: PriorityQueueBank
     store: BackupStore
     boot: BootController
-    rng: np.random.Generator
+    rng: _Draws
     battery: Optional[BatteryModel]
     routes: dict = field(default_factory=dict)
-    # Whether a station is this node or has a route under `routes`; set
-    # with `routes`, so a backup decision costs no table scan.
-    station_reachable: bool = False
     role: Optional[RoleAssignment] = None
     alive: bool = True
     clock: int = 0
@@ -167,12 +235,6 @@ class Simulator:
             a, b = link.a.address, link.b.address
             self._link_models[a, b] = self._link_models[b, a] = link.model
         self._loopback = LinkModel(LOOPBACK_LATENCY_MS)
-        # Each node's neighbours in address order, with the link to each.
-        self._out_links = {
-            node: [(nb, self._link_models[node.address, nb.address])
-                   for nb in sorted(neighbors, key=lambda n: n.address)]
-            for node, neighbors in self._static_adjacency.items()
-        }
         self._lossy = any(l.model.p_send_error > 0 for l in scenario.links)
         self._p_send = max((l.model.p_send_error for l in scenario.links),
                            default=0.0)
@@ -216,10 +278,17 @@ class Simulator:
                 bank=PriorityQueueBank(spec.node),
                 store=BackupStore(),
                 boot=BootController(),
-                rng=np.random.Generator(np.random.Philox(key=key)),
+                rng=_Draws(key),
                 battery=battery,
-                station_reachable=spec.node in self._station_kinds,
             )
+        # Each node's neighbours in address order, as (runtime, link model).
+        # Kept here rather than on the runtimes, which would then form
+        # reference cycles that only the cyclic garbage collector frees.
+        self._out_links = {
+            node: [(self.nodes[nb], self._link_models[node.address, nb.address])
+                   for nb in sorted(neighbors, key=lambda n: n.address)]
+            for node, neighbors in self._static_adjacency.items()
+        }
 
     # -- event plumbing -----------------------------------------------------
 
@@ -236,7 +305,7 @@ class Simulator:
         return rt.routable != 0 and (any(rt.bank.queues) or rt.bank.swap_store)
 
     def _latency(self, rt: _NodeRuntime, model: LinkModel) -> int:
-        jitter = float(rt.rng.uniform(-LATENCY_JITTER, LATENCY_JITTER))
+        jitter = rt.rng.uniform(-LATENCY_JITTER, LATENCY_JITTER)
         return max(1, int(round(model.base_latency_ms * (1.0 + jitter))))
 
     # -- battery ------------------------------------------------------------
@@ -387,8 +456,12 @@ class Simulator:
             self._drain_event(rt, Activity.CONTROL_PACKET, now)
             if not rt.alive:
                 return
-        for nb, model in self._out_links[rt.node]:
-            self._at(now + self._latency(rt, model), "ctl", nb, pkt)
+        for peer, model in self._out_links[rt.node]:
+            # Draw even for a dead neighbour, so the stream does not move;
+            # a node never revives, so no event for it is needed.
+            latency = self._latency(rt, model)
+            if peer.alive:
+                self._at(now + latency, "ctl", peer.node, pkt)
 
     def _on_hello(self, now: int, node: NodeId) -> None:
         rt = self.nodes[node]
@@ -408,9 +481,6 @@ class Simulator:
                 if routes != rt.routes:
                     rt.routes = routes
                     rt.routable = None
-                    rt.station_reachable = (
-                        node in self._station_kinds
-                        or station_route(routes) is not None)
                     if self._wants_tick(rt):
                         self._schedule_tick(rt, now)
             rt.hello_seq = (rt.hello_seq + 1) % (1 << 16)
@@ -452,8 +522,7 @@ class Simulator:
             return
         battery_pct = 100 if rt.battery is None else int(rt.battery.percent)
         cond = NodeCondition(battery_percent=max(0, min(100, battery_pct)),
-                             load_percent=self._load_percent(rt),
-                             station_reachable=rt.station_reachable)
+                             load_percent=self._load_percent(rt))
         decision = evaluate_policy(self._backup_options, msg, cond)
         if decision.action is BackupAction.BACKUP_ON_RECEIVE:
             self._persist(rt, msg, data)
@@ -562,7 +631,7 @@ class Simulator:
                 return
             p = acceptance_probability(rt.battery.percent,
                                        self.policies.handoff_threshold_pct)
-            if p < 1.0 and float(rt.rng.random()) >= p:
+            if p < 1.0 and rt.rng.random() >= p:
                 self.metrics.handoff_rejected += 1
                 return
         before = len(rt.bank.delivered_log)
@@ -618,8 +687,8 @@ class Simulator:
         rt.msg_counter += 1
         if self._lossy:
             self._msg_meta[msg.msg_id] = {
-                "send_err": float(rt.rng.random()) < self._p_send,
-                "recv_err": float(rt.rng.random()) < self._p_recv,
+                "send_err": rt.rng.random() < self._p_send,
+                "recv_err": rt.rng.random() < self._p_recv,
                 "send_counted": False,
                 "recv_counted": False,
             }
@@ -636,13 +705,13 @@ class Simulator:
             period = max(1, round(1.0 / spec.priority0_share))
             if i % period == 0:
                 return 0
-            return int(rt.rng.integers(1, 5))
-        return int(rt.rng.integers(0, 5))
+            return rt.rng.integers(1, 5)
+        return rt.rng.integers(0, 5)
 
     def _draw_size(self, rt: _NodeRuntime, spec) -> int:
         if spec.kind == "constant":
             return spec.lo
-        return int(rt.rng.integers(spec.lo, spec.hi + 1))
+        return rt.rng.integers(spec.lo, spec.hi + 1)
 
     # -- handoff, boot, roles -----------------------------------------------------
 
@@ -668,10 +737,10 @@ class Simulator:
         if not rt.alive:
             return
         observations = []
-        for nb, _ in self._out_links.get(node, ()):
-            peer = self.nodes[nb]
+        for peer, _ in self._out_links[node]:
             if not peer.alive:
                 continue
+            nb = peer.node
             if nb in self._station_kinds:
                 signature = Signature.TEMPORARY_STATION
             else:

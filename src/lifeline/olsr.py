@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -28,6 +28,7 @@ HELLO_INTERVAL_MS = 2_000
 TC_INTERVAL_MS = 5_000
 HOLD_TIME_MS = 6_000            # 3x HELLO
 TOPOLOGY_HOLD_MS = 15_000       # 3x TC; stale advertisements age out
+DUP_HOLD_MS = 30_000            # a TC's (origin, seq) counts as seen this long
 DEFAULT_TTL = 16
 
 SEQ_MOD = 1 << 16
@@ -59,6 +60,10 @@ class LinkRecord:
     status: LinkStatus
     last_heard: int
     expiry: int
+    # The neighbour tuple of the HELLO that set this record: a HELLO
+    # carrying the very same tuple says nothing new, so it only refreshes
+    # the timers.
+    heard: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,10 @@ class TopologyState:
         self.mpr_selectors: set[NodeId] = set()
         # origin -> (latest sequence, advertised neighbors, expiry)
         self.topology: dict[NodeId, tuple[int, frozenset[NodeId], int]] = {}
-        self.seen_tc: set[tuple[NodeId, int]] = set()
+        # (origin, sequence) -> arrival time, oldest first; entries older
+        # than DUP_HOLD_MS age out, so a wrapped sequence is fresh again
+        # (RFC 3626 section 3.4).
+        self.seen_tc: dict[tuple[NodeId, int], int] = {}
         self.routing_table: dict[NodeId, tuple[NodeId, int]] = {}
         self.stale_tc_dropped = 0
         self.duplicate_tc_dropped = 0
@@ -143,6 +151,9 @@ class TopologyState:
         # move an expiry, and mpr_selectors, leave it alone.  The caller
         # recomputes while it is set and then clears it (RFC 3626 section 10).
         self.dirty = False
+        # The neighbour tuple make_hello built, kept until a link appears,
+        # changes status or expires, or the MPR set changes.
+        self._hello_neighbors: Optional[tuple] = None
 
     # -- link sensing ---------------------------------------------------
 
@@ -156,14 +167,20 @@ class TopologyState:
         """Record/refresh the sender's link; idempotent for duplicates."""
         assert hello.kind is ControlKind.HELLO
         sender = hello.origin
+        old = self.links.get(sender)
+        if old is not None and hello.neighbors is old.heard:
+            old.last_heard = now
+            old.expiry = now + self.hold_time_ms
+            return
         if sender == self.self_id:
             return
         listed = dict(hello.neighbors)
         status = LinkStatus.SYMMETRIC if self.self_id in listed else LinkStatus.ASYMMETRIC
-        old = self.links.get(sender)
         if old is None or old.status is not status:
             self.dirty = True
-        self.links[sender] = LinkRecord(sender, status, now, now + self.hold_time_ms)
+            self._hello_neighbors = None
+        self.links[sender] = LinkRecord(sender, status, now,
+                                        now + self.hold_time_ms, hello.neighbors)
         two_hop = {
             n for n, st in listed.items()
             if st in (LinkStatus.SYMMETRIC, LinkStatus.MPR) and n != self.self_id
@@ -185,6 +202,7 @@ class TopologyState:
             self.mpr_set.discard(n)
             self.mpr_selectors.discard(n)
             self.dirty = True
+            self._hello_neighbors = None
         return gone
 
     def expire_topology(self, now: int) -> None:
@@ -192,6 +210,12 @@ class TopologyState:
         for o in dead:
             del self.topology[o]
             self.dirty = True
+        seen = self.seen_tc
+        while seen:   # oldest first
+            key, arrived = next(iter(seen.items()))
+            if arrived + DUP_HOLD_MS > now:
+                break
+            del seen[key]
 
     # -- MPR selection ----------------------------------------------------
 
@@ -230,21 +254,25 @@ class TopologyState:
             chosen.add(best)
             uncovered -= coverage[best]
 
+        if chosen != self.mpr_set:
+            self._hello_neighbors = None
         self.mpr_set = chosen
         return set(chosen)
 
     # -- control packet construction -------------------------------------
 
     def make_hello(self, sequence: int) -> ControlPacket:
-        entries = []
-        for n, rec in sorted(self.links.items(), key=lambda kv: kv[0].address):
-            if rec.status is LinkStatus.SYMMETRIC:
-                status = LinkStatus.MPR if n in self.mpr_set else LinkStatus.SYMMETRIC
-            else:
-                status = LinkStatus.ASYMMETRIC
-            entries.append((n, status))
+        if self._hello_neighbors is None:
+            entries = []
+            for n, rec in sorted(self.links.items(), key=lambda kv: kv[0].address):
+                if rec.status is LinkStatus.SYMMETRIC:
+                    status = LinkStatus.MPR if n in self.mpr_set else LinkStatus.SYMMETRIC
+                else:
+                    status = LinkStatus.ASYMMETRIC
+                entries.append((n, status))
+            self._hello_neighbors = tuple(entries)
         return ControlPacket(ControlKind.HELLO, self.self_id, sequence,
-                             tuple(entries), ttl=1, last_hop=self.self_id)
+                             self._hello_neighbors, ttl=1, last_hop=self.self_id)
 
     def make_tc(self, sequence: int, ttl: int = DEFAULT_TTL) -> ControlPacket:
         entries = tuple(
@@ -264,7 +292,7 @@ class TopologyState:
         if key in self.seen_tc:
             self.duplicate_tc_dropped += 1
             return False
-        self.seen_tc.add(key)
+        self.seen_tc[key] = now
 
         current = self.topology.get(tc.origin)
         if current is None or seq_newer(tc.sequence, current[0]):

@@ -10,11 +10,9 @@ from lifeline.engine import Simulator, run, run_battery_experiment
 from lifeline.forwarding import PriorityQueueBank, ReceiveResult
 from lifeline.locating import KnownLocation, estimate_position, passive_query
 from lifeline.messages import NodeId, encode_message, encoded_size
-from lifeline.power import station_route
 from lifeline.scenario import (
     LinkSpec,
     NodeSpec,
-    Policies,
     PrioritySpec,
     Scenario,
     TrafficSpec,
@@ -235,6 +233,27 @@ def test_dead_node_stops_participating():
     assert metrics.conservation_ok
 
 
+def test_no_control_packet_is_sent_to_a_dead_neighbour():
+    # After the relay dies at about 7 h its neighbours keep sending HELLOs
+    # and TCs for 9 h; none of them becomes an event.
+    sim = Simulator(build_battery_scenario("10s"))
+    to_dead = []
+    handled = []
+    on_ctl = sim._on_ctl
+
+    def counting(now, node, pkt):
+        handled.append(now)
+        if not sim.nodes[node].alive:
+            to_dead.append(now)
+        on_ctl(now, node, pkt)
+
+    sim._on_ctl = counting
+    metrics = sim.run()
+    assert metrics.deaths
+    assert to_dead == []
+    assert len(handled) <= 61_000
+
+
 # -- low battery handoff ------------------------------------------------------------
 
 
@@ -394,55 +413,6 @@ def test_location_estimate_is_queried_once_per_origin(monkeypatch):
     origins = {record.src for record in metrics.deliveries}
     assert len({str(r.estimate) for r in metrics.deliveries}) == len(origins) == 5
     assert sorted(map(str, queried)) == sorted(origins)
-
-
-def relay_that_dies():
-    """A laptop reaches the station only through a phone, which the
-    laptop's backlog kills at about 8 s; every node backs up under
-    option 1."""
-    laptop, phone, station = nid("10.0.2.1"), nid("10.0.1.1"), nid("255.255.255.1")
-    return Scenario(
-        name="relay-dies",
-        nodes=[NodeSpec(laptop, "laptop"),
-               NodeSpec(phone, "phone", battery_capacity=3e-3),
-               NodeSpec(station, "station")],
-        links=[LinkSpec(laptop, phone, 3.0), LinkSpec(phone, station, 3.0)],
-        traffic=[TrafficSpec(laptop, station, 300, interval_ms=100,
-                             start_ms=0)],
-        policies=Policies(backup_options=[{"option": 1}]),
-        duration_ms=40_000,
-    )
-
-
-def test_station_reachability_is_kept_per_route_table(monkeypatch):
-    scenario = relay_that_dies()
-    sim = Simulator(scenario)
-    decided = {}
-    maybe_backup = sim._maybe_backup
-
-    def checked(rt, msg, now, data=None):
-        fresh = (rt.spec.kind == "station"
-                 or station_route(rt.routes) is not None)
-        assert rt.station_reachable == fresh
-        flips = decided.setdefault(str(rt.node), [])
-        if not flips or flips[-1] != fresh:
-            flips.append(fresh)
-        maybe_backup(rt, msg, now, data)
-
-    sim._maybe_backup = checked
-    route_calls = []
-    monkeypatch.setattr(engine, "station_route",
-                        lambda table: (route_calls.append(1),
-                                       station_route(table))[1])
-    metrics = sim.run()
-    assert "10.0.1.1" in metrics.deaths
-    # The laptop decided before its route existed, while it held one,
-    # and after the relay's death took it away.
-    assert decided["10.0.2.1"] == [False, True, False]
-    assert decided["255.255.255.1"] == [True]
-    assert metrics.persisted
-    # One station_route per route-table change, not one per message.
-    assert 0 < len(route_calls) < 20
 
 
 def test_received_entries_are_sized_by_their_encoding(monkeypatch):

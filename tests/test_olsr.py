@@ -8,7 +8,9 @@ import pytest
 from lifeline.messages import NodeId
 from lifeline.olsr import (
     DEFAULT_TTL,
+    DUP_HOLD_MS,
     HOLD_TIME_MS,
+    SEQ_MOD,
     ControlKind,
     ControlPacket,
     LinkStatus,
@@ -262,6 +264,35 @@ def test_topology_entries_age_out():
     assert c in state.topology
     state.expire_topology(now=15_000)
     assert c not in state.topology
+
+
+def test_duplicate_set_ages_out_so_wrapped_sequences_stay_fresh():
+    # One origin's TCs every 5 s for longer than a full lap of the 16-bit
+    # sequence space: each arrival is fresh once the lap comes round.
+    a, b, c = nid(1), nid(2), nid(3)
+    state = TopologyState(a, topology_hold_ms=15_000)
+    tc_interval = 5_000
+    for i in range(SEQ_MOD + 9):
+        now = i * tc_interval
+        tc = ControlPacket(ControlKind.TC, c, (i + 1) % SEQ_MOD,
+                           ((b, LinkStatus.SYMMETRIC),), ttl=5, last_hop=b)
+        state.process_tc(tc, now)
+        state.expire_topology(now)
+    assert state.duplicate_tc_dropped == 0
+    assert c in state.topology
+    assert len(state.seen_tc) <= DUP_HOLD_MS // tc_interval
+
+
+def test_duplicate_held_until_dup_hold_time():
+    a, b, c = nid(1), nid(2), nid(3)
+    state = TopologyState(a)
+    tc = ControlPacket(ControlKind.TC, c, 7, (), ttl=5, last_hop=b)
+    state.process_tc(tc, now=1_000)
+    state.expire_topology(now=1_000 + DUP_HOLD_MS - 1)
+    state.process_tc(tc, now=1_000 + DUP_HOLD_MS - 1)
+    assert state.duplicate_tc_dropped == 1
+    state.expire_topology(now=1_000 + DUP_HOLD_MS)
+    assert state.seen_tc == {}
 
 
 # --- recompute on change ---------------------------------------------------

@@ -73,3 +73,86 @@ def test_clear_flag_means_cached_results_are_current(hold, topology_hold, ops):
             fresh = copy.deepcopy(state)
             assert fresh.select_mprs() == state.mpr_set
             assert fresh.compute_routes() == state.routing_table
+
+
+# -- an unchanged HELLO only refreshes timers ------------------------------------
+
+# ("hello", delay, sender, listed, resend): with resend set, the sender
+# repeats its previous neighbour tuple.
+resendable_hellos = st.tuples(
+    st.just("hello"), delays, st.sampled_from(PEERS),
+    st.dictionaries(st.sampled_from(NODES), st.sampled_from(list(LinkStatus)),
+                    max_size=len(NODES)),
+    st.booleans(),
+)
+twin_operations = st.lists(
+    st.one_of(resendable_hellos, resendable_hellos, tcs, expiries, recomputes),
+    max_size=40)
+
+
+def expected_hello(state: TopologyState) -> tuple:
+    """make_hello's neighbour list, built from the links and MPR set."""
+    entries = []
+    for n, rec in sorted(state.links.items(), key=lambda kv: kv[0].address):
+        if rec.status is not LinkStatus.SYMMETRIC:
+            entries.append((n, LinkStatus.ASYMMETRIC))
+        elif n in state.mpr_set:
+            entries.append((n, LinkStatus.MPR))
+        else:
+            entries.append((n, LinkStatus.SYMMETRIC))
+    return tuple(entries)
+
+
+def link_view(state: TopologyState) -> dict:
+    return {n: (rec.status, rec.last_heard, rec.expiry)
+            for n, rec in state.links.items()}
+
+
+def heard_view(heard: dict, hold: int) -> tuple:
+    """(links, two_hop, mpr_selectors) as each sender's last HELLO says."""
+    links, two_hop, selectors = {}, {}, set()
+    for sender, (listed, at) in heard.items():
+        status = (LinkStatus.SYMMETRIC if SELF in listed
+                  else LinkStatus.ASYMMETRIC)
+        links[sender] = (status, at, at + hold)
+        two_hop[sender] = {n for n, st in listed.items()
+                           if st is not LinkStatus.ASYMMETRIC and n != SELF}
+        if listed.get(SELF) is LinkStatus.MPR:
+            selectors.add(sender)
+    return links, two_hop, selectors
+
+
+@OLSR_SETTINGS
+@given(st.integers(2_000, 10_000), twin_operations)
+def test_reused_hello_tuples_end_like_fresh_ones(hold, ops):
+    reused = TopologyState(SELF, hold_time_ms=hold)
+    fresh = TopologyState(SELF, hold_time_ms=hold)
+    last_sent: dict = {}
+    heard: dict = {}   # sender -> (its last HELLO's neighbours, when)
+    now = 0
+    for op in ops:
+        now += op[1]
+        if op[0] == "hello":
+            _, _, sender, listed, resend = op
+            if not (resend and sender in last_sent):
+                last_sent[sender] = tuple(listed.items())
+            neighbors = last_sent[sender]
+            heard[sender] = (dict(neighbors), now)
+            for state, sent in ((reused, neighbors), (fresh, tuple(list(neighbors)))):
+                state.process_hello(ControlPacket(
+                    ControlKind.HELLO, sender, 0, sent, ttl=1,
+                    last_hop=sender), now)
+        else:
+            apply(reused, op, now)
+            apply(fresh, op, now)
+            if op[0] == "expire_links":
+                heard = {n: h for n, h in heard.items() if h[1] + hold > now}
+        assert link_view(reused) == link_view(fresh)
+        assert reused.two_hop == fresh.two_hop
+        assert reused.mpr_selectors == fresh.mpr_selectors
+        assert reused.dirty == fresh.dirty
+        assert reused.mpr_set == fresh.mpr_set
+        assert (link_view(reused), reused.two_hop,
+                reused.mpr_selectors) == heard_view(heard, hold)
+        hello = reused.make_hello(0).neighbors
+        assert hello == fresh.make_hello(0).neighbors == expected_hello(reused)
