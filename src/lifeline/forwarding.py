@@ -92,6 +92,8 @@ class PriorityQueueBank:
         # Terminal deliveries at this node, for the harness to collect.
         self.delivered_log: list[EmergencyMessage] = []
         # Disposition multisets over msg_id; conservation compares them.
+        # Nearly every increment is of a new id, so they go through get()
+        # rather than `+= 1`, which calls Counter.__missing__ in Python.
         self.accepted: Counter[int] = Counter()
         self.delivered: Counter[int] = Counter()
         self.dropped: Counter[int] = Counter()
@@ -122,7 +124,7 @@ class PriorityQueueBank:
             self.ignored_count += 1
             return ReceiveResult.IGNORED
         self.last_received = msg
-        self.accepted[msg.msg_id] += 1
+        self.accepted[msg.msg_id] = self.accepted.get(msg.msg_id, 0) + 1
         if self._is_local_destination(msg.dst):
             self._deliver_terminal(msg)
         elif msg.msg_id in self._delivered_ids:
@@ -134,7 +136,7 @@ class PriorityQueueBank:
     def inject(self, msg: EmergencyMessage) -> Optional[ForwardOutcome]:
         """Admit locally originated traffic; self-addressed messages still
         travel the loopback link rather than short-circuiting."""
-        self.accepted[msg.msg_id] += 1
+        self.accepted[msg.msg_id] = self.accepted.get(msg.msg_id, 0) + 1
         if msg.msg_id in self._delivered_ids:
             return self._drop(msg, DropReason.DUPLICATE)
         return self.enqueue(msg)
@@ -149,12 +151,12 @@ class PriorityQueueBank:
         if msg.msg_id in self._delivered_ids:
             self._drop(msg, DropReason.DUPLICATE)
             return
-        self.delivered[msg.msg_id] += 1
+        self.delivered[msg.msg_id] = self.delivered.get(msg.msg_id, 0) + 1
         self._remember_delivered(msg.msg_id)
         self.delivered_log.append(msg)
 
     def _drop(self, msg: EmergencyMessage, reason: DropReason) -> ForwardOutcome:
-        self.dropped[msg.msg_id] += 1
+        self.dropped[msg.msg_id] = self.dropped.get(msg.msg_id, 0) + 1
         self.drop_reasons[reason] += 1
         return ForwardOutcome(OutcomeKind.DROPPED, msg, reason=reason)
 
@@ -252,7 +254,7 @@ class PriorityQueueBank:
             self.on_send_failure(msg)
             return [ForwardOutcome(OutcomeKind.UNREACHABLE, msg)]
         msg.hop_count += 1
-        self.delivered[msg.msg_id] += 1
+        self.delivered[msg.msg_id] = self.delivered.get(msg.msg_id, 0) + 1
         if next_hop != self.self_id:
             # A loopback send comes straight back; remembering it here
             # would make the terminal receive look like a duplicate.
@@ -277,7 +279,7 @@ class PriorityQueueBank:
         """Remove everything queued or swapped, marking it backed up."""
         out = self._drain_entries()
         for msg in out:
-            self.backed_up[msg.msg_id] += 1
+            self.backed_up[msg.msg_id] = self.backed_up.get(msg.msg_id, 0) + 1
         return out
 
     def flush_to(self, next_hop: NodeId) -> list[EmergencyMessage]:
@@ -285,7 +287,7 @@ class PriorityQueueBank:
         out = self._drain_entries()
         for msg in out:
             msg.hop_count += 1
-            self.delivered[msg.msg_id] += 1
+            self.delivered[msg.msg_id] = self.delivered.get(msg.msg_id, 0) + 1
             self._remember_delivered(msg.msg_id)
         return out
 

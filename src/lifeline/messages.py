@@ -10,6 +10,8 @@ encoding of the message it decodes to.
 from __future__ import annotations
 
 import binascii
+import functools
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -42,18 +44,36 @@ class InvariantViolation(ValueError):
     """Document parsed but a field violates a message invariant."""
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Opaque 32-bit node address, rendered as dotted-quad text."""
+class NodeId(tuple):
+    """Opaque 32-bit node address, rendered as dotted-quad text.
 
-    address: int
+    A 1-tuple of the address, so hashing, equality and ordering run in C.
+    It hashes, compares and sorts exactly as a frozen dataclass with the
+    one field `address` would (`hash(NodeId(a)) == hash((a,))`), so sets
+    and dicts of node ids keep their iteration order.  Unlike such a
+    dataclass it compares equal to the plain tuple `(address,)`; no
+    container in the package holds both.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.address < ADDRESS_SPACE:
-            raise InvariantViolation(f"address out of range: {self.address}")
+    __slots__ = ()
+
+    def __new__(cls, address: int) -> "NodeId":
+        if not 0 <= address < ADDRESS_SPACE:
+            raise InvariantViolation(f"address out of range: {address}")
+        return tuple.__new__(cls, (address,))
+
+    def __getnewargs__(self) -> tuple[int]:
+        # What copy, deepcopy and pickle pass back to __new__.
+        return (self[0],)
+
+    address = property(operator.itemgetter(0),
+                       doc="The address as an integer in [0, 2**32).")
+
+    def __repr__(self) -> str:
+        return f"NodeId(address={self[0]})"
 
     def __str__(self) -> str:
-        a = self.address
+        a = self[0]
         return f"{(a >> 24) & 0xFF}.{(a >> 16) & 0xFF}.{(a >> 8) & 0xFF}.{a & 0xFF}"
 
     @classmethod
@@ -67,7 +87,7 @@ class NodeId:
 
     @property
     def is_station_address(self) -> bool:
-        return self.address >= STATION_RANGE_START
+        return self[0] >= STATION_RANGE_START
 
 
 def make_msg_id(src: NodeId, counter: int) -> int:
@@ -141,6 +161,11 @@ _DOCUMENT = re.compile(
     + re.escape(_TAIL.encode("ascii")))
 
 
+# NodeId from a 1-tuple, without the range check: four octets the grammar
+# matched always make an address in range.
+_grammar_node_id = functools.partial(tuple.__new__, NodeId)
+
+
 def encode_message(msg: EmergencyMessage) -> bytes:
     """Canonical wire encoding; equal messages yield identical bytes."""
     msg.validate()
@@ -183,8 +208,10 @@ def decode_message(data: bytes) -> EmergencyMessage:
     try:
         msg = EmergencyMessage(
             msg_id=int(msg_id),
-            src=NodeId((int(s0) << 24) | (int(s1) << 16) | (int(s2) << 8) | int(s3)),
-            dst=NodeId((int(d0) << 24) | (int(d1) << 16) | (int(d2) << 8) | int(d3)),
+            src=_grammar_node_id(
+                ((int(s0) << 24) | (int(s1) << 16) | (int(s2) << 8) | int(s3),)),
+            dst=_grammar_node_id(
+                ((int(d0) << 24) | (int(d1) << 16) | (int(d2) << 8) | int(d3),)),
             priority=int(priority),
             payload=payload,
             sender_load=int(sender_load),

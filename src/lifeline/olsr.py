@@ -14,7 +14,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .messages import (
     CONTROL_ROOT,
@@ -33,6 +34,8 @@ DEFAULT_TTL = 16
 
 SEQ_MOD = 1 << 16
 _SEQ_HALF = 1 << 15
+# Expiry bound of a state with nothing to expire.
+_NEVER = float("inf")
 
 
 def seq_newer(a: int, b: int) -> bool:
@@ -66,8 +69,7 @@ class LinkRecord:
     heard: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class ControlPacket:
+class ControlPacket(NamedTuple):
     kind: ControlKind
     origin: NodeId
     sequence: int
@@ -151,9 +153,16 @@ class TopologyState:
         # move an expiry, and mpr_selectors, leave it alone.  The caller
         # recomputes while it is set and then clears it (RFC 3626 section 10).
         self.dirty = False
-        # The neighbour tuple make_hello built, kept until a link appears,
-        # changes status or expires, or the MPR set changes.
-        self._hello_neighbors: Optional[tuple] = None
+        # The HELLO make_hello built, kept until a link appears, changes
+        # status or expires, or the MPR set changes.
+        self._hello: Optional[ControlPacket] = None
+        # Lower bounds on the earliest link expiry, and on the earliest
+        # time a topology entry or a duplicate-set key ages out.  Inserts
+        # lower them; refreshes only move expiries later (time never runs
+        # backwards), which leaves a bound early but still a bound.  The
+        # expiry scans return at once while `now` is below theirs.
+        self._links_due = _NEVER
+        self._topology_due = _NEVER
 
     # -- link sensing ---------------------------------------------------
 
@@ -178,9 +187,12 @@ class TopologyState:
         status = LinkStatus.SYMMETRIC if self.self_id in listed else LinkStatus.ASYMMETRIC
         if old is None or old.status is not status:
             self.dirty = True
-            self._hello_neighbors = None
-        self.links[sender] = LinkRecord(sender, status, now,
-                                        now + self.hold_time_ms, hello.neighbors)
+            self._hello = None
+        expiry = now + self.hold_time_ms
+        if expiry < self._links_due:
+            self._links_due = expiry
+        self.links[sender] = LinkRecord(sender, status, now, expiry,
+                                        hello.neighbors)
         two_hop = {
             n for n, st in listed.items()
             if st in (LinkStatus.SYMMETRIC, LinkStatus.MPR) and n != self.self_id
@@ -195,6 +207,8 @@ class TopologyState:
 
     def expire_links(self, now: int) -> list[NodeId]:
         """Drop links not refreshed within the hold time."""
+        if now < self._links_due:
+            return []
         gone = [n for n, rec in self.links.items() if rec.expiry <= now]
         for n in gone:
             del self.links[n]
@@ -202,10 +216,15 @@ class TopologyState:
             self.mpr_set.discard(n)
             self.mpr_selectors.discard(n)
             self.dirty = True
-            self._hello_neighbors = None
+            self._hello = None
+        self._links_due = min((rec.expiry for rec in self.links.values()),
+                              default=_NEVER)
         return gone
 
     def expire_topology(self, now: int) -> None:
+        """Drop stale advertised sets and aged-out duplicate-set keys."""
+        if now < self._topology_due:
+            return
         dead = [o for o, (_, _, expiry) in self.topology.items() if expiry <= now]
         for o in dead:
             del self.topology[o]
@@ -216,6 +235,11 @@ class TopologyState:
             if arrived + DUP_HOLD_MS > now:
                 break
             del seen[key]
+        due = min((expiry for _, _, expiry in self.topology.values()),
+                  default=_NEVER)
+        if seen:
+            due = min(due, next(iter(seen.values())) + DUP_HOLD_MS)
+        self._topology_due = due
 
     # -- MPR selection ----------------------------------------------------
 
@@ -255,14 +279,20 @@ class TopologyState:
             uncovered -= coverage[best]
 
         if chosen != self.mpr_set:
-            self._hello_neighbors = None
+            self._hello = None
         self.mpr_set = chosen
         return set(chosen)
 
     # -- control packet construction -------------------------------------
 
-    def make_hello(self, sequence: int) -> ControlPacket:
-        if self._hello_neighbors is None:
+    def make_hello(self) -> ControlPacket:
+        """This node's HELLO: one packet object per neighbour tuple.
+
+        HELLOs carry sequence 0.  They are never relayed and never cross
+        a link as bytes, and process_hello does not read the sequence, so
+        a counter would only stop the packet from being reused.
+        """
+        if self._hello is None:
             entries = []
             for n, rec in sorted(self.links.items(), key=lambda kv: kv[0].address):
                 if rec.status is LinkStatus.SYMMETRIC:
@@ -270,9 +300,10 @@ class TopologyState:
                 else:
                     status = LinkStatus.ASYMMETRIC
                 entries.append((n, status))
-            self._hello_neighbors = tuple(entries)
-        return ControlPacket(ControlKind.HELLO, self.self_id, sequence,
-                             self._hello_neighbors, ttl=1, last_hop=self.self_id)
+            self._hello = ControlPacket(ControlKind.HELLO, self.self_id, 0,
+                                        tuple(entries), ttl=1,
+                                        last_hop=self.self_id)
+        return self._hello
 
     def make_tc(self, sequence: int, ttl: int = DEFAULT_TTL) -> ControlPacket:
         entries = tuple(
@@ -293,15 +324,20 @@ class TopologyState:
             self.duplicate_tc_dropped += 1
             return False
         self.seen_tc[key] = now
+        due = now + DUP_HOLD_MS
 
         current = self.topology.get(tc.origin)
         if current is None or seq_newer(tc.sequence, current[0]):
-            advertised = frozenset(n for n, _ in tc.neighbors)
+            advertised = frozenset(map(itemgetter(0), tc.neighbors))
             if current is None or advertised != current[1]:
                 self.dirty = True
-            self.topology[tc.origin] = (tc.sequence, advertised, now + self.topology_hold_ms)
+            expiry = now + self.topology_hold_ms
+            self.topology[tc.origin] = (tc.sequence, advertised, expiry)
+            due = min(due, expiry)
         else:
             self.stale_tc_dropped += 1
+        if due < self._topology_due:
+            self._topology_due = due
 
         return (
             tc.last_hop is not None
@@ -387,8 +423,8 @@ def converge(adjacency: Adjacency, now: int = 0,
     """
     order = sorted(adjacency, key=lambda n: n.address)
     states = {n: TopologyState(n, hold_time_ms=hold_time_ms) for n in order}
-    for round_no in range(hello_rounds):
-        hellos = {n: states[n].make_hello(round_no) for n in order}
+    for _ in range(hello_rounds):
+        hellos = {n: states[n].make_hello() for n in order}
         for n in order:
             for nb in sorted(adjacency[n], key=lambda m: m.address):
                 states[nb].process_hello(hellos[n], now)

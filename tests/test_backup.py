@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifeline.backup import (
     BackupAction,
@@ -12,7 +14,9 @@ from lifeline.backup import (
     BackupStore,
     NodeCondition,
     StorageFull,
+    compile_policy,
     evaluate_policy,
+    reads_node_condition,
 )
 from lifeline.forwarding import PriorityQueueBank
 from lifeline.messages import (
@@ -149,6 +153,67 @@ def test_adding_weaker_options_never_unseats_winner():
                     continue
                 grown = evaluate_policy(set(subset) | {extra}, msg, EAGER_COND)
                 assert grown.winning_option == base.winning_option
+
+
+# --- the compiled policy -------------------------------------------------------
+
+def reference_policy(enabled, msg, cond):
+    """evaluate_policy as it was before policies were compiled."""
+    def triggers(option):
+        n, t = option.option_number, option.threshold
+        if n in (1, 2):
+            return True
+        if n == 3:
+            return cond.battery_percent < t
+        if n == 4:
+            return msg.priority <= t
+        if n == 5:
+            return cond.load_percent > t
+        return msg.sender_load > t
+
+    triggered = [opt for opt in enabled if triggers(opt)]
+    if not triggered:
+        return BackupDecision(BackupAction.NO_BACKUP)
+    winner = min(triggered, key=lambda o: (o.option_priority, o.option_number))
+    action = (BackupAction.BACKUP_AFTER_FORWARD if winner.option_number == 2
+              else BackupAction.BACKUP_ON_RECEIVE)
+    return BackupDecision(action, winner.option_number)
+
+
+THRESHOLDS = {1: st.none(), 2: st.none(), 3: st.integers(1, 100),
+              4: st.integers(0, 4), 5: st.integers(1, 99), 6: st.integers(1, 99)}
+options = st.sampled_from(sorted(THRESHOLDS)).flatmap(
+    lambda n: THRESHOLDS[n].map(lambda t: BackupOption(n, t)))
+percents = st.integers(0, 100)
+
+
+@settings(max_examples=2_000, deadline=None, database=None)
+@given(st.sets(options, max_size=8), st.integers(0, 4), percents, percents,
+       percents)
+def test_compiled_policy_decides_like_the_reference(enabled, priority,
+                                                    sender_load, battery, load):
+    msg = make_msg(priority=priority, sender_load=sender_load)
+    cond = NodeCondition(battery_percent=battery, load_percent=load)
+    expected = reference_policy(enabled, msg, cond)
+    assert compile_policy(enabled)(msg, battery, load) == expected
+    assert evaluate_policy(enabled, msg, cond) == expected
+    if not reads_node_condition(enabled):
+        assert compile_policy(enabled)(msg, 0, 0) == expected
+
+
+def test_compiled_policy_covers_every_subset_of_options():
+    # Thresholds at which each conditional option fires for the message
+    # below, and ones at which it does not.
+    msg = make_msg(priority=2, sender_load=50)
+    firing = {3: 60, 4: 2, 5: 40, 6: 49}
+    quiet = {3: 50, 4: 1, 5: 50, 6: 50}
+    for r in range(7):
+        for numbers in itertools.combinations(range(1, 7), r):
+            for thresholds in (firing, quiet):
+                enabled = {BackupOption(n, thresholds.get(n)) for n in numbers}
+                cond = NodeCondition(battery_percent=50, load_percent=45)
+                assert (compile_policy(enabled)(msg, 50, 45)
+                        == reference_policy(enabled, msg, cond)), enabled
 
 
 # --- persistence -------------------------------------------------------------

@@ -94,6 +94,43 @@ def test_lossy_links_retry_instead_of_dropping():
     assert sum(metrics.dropped.values()) == 0
 
 
+def b_with_an_extra_long_link(destination_beyond_it: bool,
+                              messages: int = 1000) -> Scenario:
+    """Setup B plus a router hung off its far end by a 60 m lossy link."""
+    scenario = build_setup("B", messages=messages)
+    spare = nid("10.0.0.9")
+    scenario.nodes.append(NodeSpec(spare, "router"))
+    scenario.links.append(LinkSpec(scenario.nodes[3].node, spare, 60.0))
+    if destination_beyond_it:
+        scenario.traffic[0].destination = spare
+    scenario.validate()
+    return scenario
+
+
+def test_link_errors_are_not_charged_on_short_links():
+    # Every message crosses short links only; the long link carries none.
+    metrics = run(b_with_an_extra_long_link(destination_beyond_it=False))
+    assert metrics.delivered == 1000
+    assert (metrics.send_errors, metrics.recv_errors) == (0, 0)
+
+
+def test_receive_errors_are_charged_on_a_long_final_hop():
+    # Each message's first hop is short and its final hop long.
+    metrics = run(b_with_an_extra_long_link(destination_beyond_it=True,
+                                            messages=3000))
+    assert metrics.delivered == 3000
+    assert metrics.send_errors == 0
+    assert metrics.recv_errors > 0
+
+
+def test_loopback_sends_never_err_in_a_lossy_network():
+    scenario = build_setup("D", messages=1000)
+    scenario.traffic[0].destination = scenario.traffic[0].source
+    metrics = run(scenario)
+    assert metrics.delivered == 1000
+    assert (metrics.send_errors, metrics.recv_errors) == (0, 0)
+
+
 def test_delivery_records_carry_priorities():
     metrics = run(build_setup("C", messages=200, seed=2))
     priorities = {d.priority for d in metrics.deliveries}
@@ -159,6 +196,27 @@ def test_messages_sent_at_the_hello_that_creates_their_route():
     assert first % hello_ms < 10
 
 
+# -- streamed injects ---------------------------------------------------------------
+
+
+def test_every_inject_event_runs_even_after_its_source_dies():
+    scenario = build_setup("B", messages=1000)
+    source = scenario.nodes[1]
+    source.battery_capacity = 2.96e-4  # dies at about 16 s
+    scenario.traffic.append(TrafficSpec(source.node, scenario.nodes[3].node,
+                                        100, interval_ms=500))
+    sim = Simulator(scenario)
+    handled = []
+    on_inject = sim._on_inject
+    sim._on_inject = lambda now, *args: (handled.append(now),
+                                         on_inject(now, *args))
+    metrics = sim.run()
+    assert str(source.node) in metrics.deaths
+    assert len(handled) == 1100
+    assert handled == sorted(handled)
+    assert metrics.injected < 1100
+
+
 # -- backup experiments ------------------------------------------------------------
 
 
@@ -170,6 +228,18 @@ def test_option_1_persists_every_message():
 def test_option_4_persists_only_priority_0():
     metrics = run(build_setup("E", messages=50, backup_option=4))
     assert sum(metrics.persisted.values()) == 10
+
+
+def test_option_3_reads_mains_nodes_as_full_batteries():
+    # Mains nodes count as 100%, which is never below a threshold of 100.
+    assert not run(build_setup("E", messages=50, backup_option=3,
+                               backup_threshold=100)).persisted
+
+
+def test_option_5_stays_quiet_under_light_load():
+    # A queued 255-byte message is far below 1% of a bank's budget.
+    assert not run(build_setup("E", messages=50, backup_option=5,
+                               backup_threshold=1)).persisted
 
 
 def test_each_received_hop_is_decoded_once(monkeypatch):
@@ -241,11 +311,11 @@ def test_no_control_packet_is_sent_to_a_dead_neighbour():
     handled = []
     on_ctl = sim._on_ctl
 
-    def counting(now, node, pkt):
+    def counting(now, rt, pkt):
         handled.append(now)
-        if not sim.nodes[node].alive:
+        if not rt.alive:
             to_dead.append(now)
-        on_ctl(now, node, pkt)
+        on_ctl(now, rt, pkt)
 
     sim._on_ctl = counting
     metrics = sim.run()

@@ -1,19 +1,44 @@
-"""Canonical metrics bytes of setups A-G and of one 16 h run, pinned by digest.
+"""Canonical metrics bytes of pinned runs, by digest.
 
 A behaviour-preserving change keeps `metrics.to_json()` byte-identical
-for setups A-G at 1k messages, and for the 16 h battery run of the 10 s
-profile: its relay dies at about 7 h and its network then runs for hours
-in a steady state that setups A-G never reach.  These digests change
-only together with a CHANGES.md entry that says why the bytes moved and
-shows that the acceptance criteria still pass.
+for:
+
+- setups A-G at 1k messages;
+- the 16 h battery run of the 10 s profile: its relay dies at about 7 h
+  and its network then runs for hours in a steady state that setups A-G
+  never reach;
+- the benchmark's gateway-surge workload (seed 1), the one pinned run
+  that swaps, backs up under a threshold option, drains phone batteries
+  and locates sources;
+- five traffic specs whose injects land on the same milliseconds as each
+  other and as HELLOs and TCs, which pins the order of same-time events.
+
+These digests change only together with a CHANGES.md entry that says why
+the bytes moved and shows that the acceptance criteria still pass.
 """
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
 from lifeline.engine import run
-from lifeline.scenario import SETUP_IDS, build_battery_scenario, build_setup
+from lifeline.messages import NodeId
+from lifeline.scenario import (
+    SETUP_IDS,
+    LinkSpec,
+    NodeSpec,
+    PrioritySpec,
+    Scenario,
+    SizeSpec,
+    TrafficSpec,
+    build_battery_scenario,
+    build_setup,
+)
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 GOLDEN_SHA256 = {
     "A": "057683266ca4363b9af46eb3497153038db122ad2e963552f7b547eb0e4b4bcb",
@@ -25,6 +50,8 @@ GOLDEN_SHA256 = {
     "G": "d950d32502ce74cb7be8ae6c7479ea51d73047a9e4d93067e2209b9b167721b1",
 }
 RELAY_16H_SHA256 = "00f45d49c1cb408e91f47502c3940357b1387725771cd1c9933dd819d6983657"
+GATEWAY_SURGE_SHA256 = "552ed5af45ab593824e0a5011eefb9f86ab279a97058016851298d4584c0cea8"
+COLLIDING_INJECTS_SHA256 = "23b68203cdade7a30cdc037cca6eec4804a484ab4a88b2723b2c6fedecbe3caa"
 
 
 def digest(doc: str) -> str:
@@ -44,3 +71,48 @@ def test_metrics_bytes_match_golden_digest(setup_id):
 def test_relay_16h_metrics_bytes_match_golden_digest():
     doc = run(build_battery_scenario("10s", seed=1)).to_json()
     assert digest(doc) == RELAY_16H_SHA256
+
+
+def test_gateway_surge_metrics_bytes_match_golden_digest():
+    # Loaded by path: perfbench/ is not a package.  Its dataclasses need
+    # the module registered while it runs.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    doc = run(workloads.gateway_surge(1)).to_json()
+    assert digest(doc) == GATEWAY_SURGE_SHA256
+
+
+def colliding_injects() -> Scenario:
+    """Five traffic specs over short links, their injects on shared
+    milliseconds: 0 and 2,000 ms hold both HELLOs and injects of several
+    specs, and 2,500 ms a TC and injects."""
+    r = [NodeId.parse(f"10.0.0.{n}") for n in range(1, 5)]
+    station = NodeId.parse("255.255.255.1")
+    links = [LinkSpec(r[i], r[i + 1], 3.0) for i in range(3)]
+    links.append(LinkSpec(r[3], station, 3.0))
+    return Scenario(
+        name="colliding-injects",
+        nodes=[NodeSpec(n, "router") for n in r] + [NodeSpec(station, "station")],
+        links=links,
+        traffic=[
+            TrafficSpec(r[0], station, 40, interval_ms=500, start_ms=0,
+                        size=SizeSpec.uniform(10, 60)),
+            TrafficSpec(r[3], r[0], 40, interval_ms=500, start_ms=0,
+                        priority=PrioritySpec.stratified(0.25)),
+            TrafficSpec(r[1], r[1], 25, interval_ms=250, start_ms=2_000),
+            TrafficSpec(r[2], r[0], 30, interval_ms=625, start_ms=2_500,
+                        size=SizeSpec.uniform(100, 200)),
+            TrafficSpec(r[0], r[3], 1, start_ms=10_000),
+        ],
+        seed=3,
+        duration_ms=45_000,
+    )
+
+
+def test_colliding_injects_metrics_bytes_match_golden_digest():
+    metrics = run(colliding_injects())
+    assert metrics.injected == metrics.delivered == 136
+    assert digest(metrics.to_json()) == COLLIDING_INJECTS_SHA256

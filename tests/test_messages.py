@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -53,6 +56,67 @@ def test_node_id_round_trip():
     assert not n.is_station_address
     assert NodeId(STATION_RANGE_START).is_station_address
     assert str(NodeId(STATION_RANGE_START)) == "255.255.255.0"
+
+
+@dataclass(frozen=True, order=True)
+class DataclassNodeId:
+    """NodeId as it was: a frozen, ordered dataclass of the address."""
+
+    address: int
+
+
+ADDRESS_SAMPLE = [0, 1, 2, 255, 256, 0x0A000001, 0x0A000002, 0xC0A80001,
+                  STATION_RANGE_START, STATION_RANGE_START + 1, (1 << 32) - 1]
+
+
+def test_node_id_hashes_compares_and_prints_like_the_dataclass():
+    rng = random.Random(0x1D)
+    addresses = ADDRESS_SAMPLE + [rng.randrange(1 << 32) for _ in range(200)]
+    for a in addresses:
+        n, old = NodeId(a), DataclassNodeId(a)
+        assert hash(n) == hash(old) == hash((a,))
+        assert n.address == a
+        assert repr(n) == repr(old).replace("DataclassNodeId", "NodeId")
+        assert str(n) == "{}.{}.{}.{}".format(*a.to_bytes(4, "big"))
+        assert NodeId.parse(str(n)) == n
+    for a, b in zip(addresses, addresses[1:]):
+        assert (NodeId(a) == NodeId(b)) == (a == b)
+        assert (NodeId(a) < NodeId(b)) == (a < b)
+        assert (NodeId(a) >= NodeId(b)) == (a >= b)
+    # Equal hashes and equality give sets and dicts the same order.
+    assert [n.address for n in set(map(NodeId, addresses))] == [
+        n.address for n in set(map(DataclassNodeId, addresses))]
+    assert sorted(map(NodeId, addresses)) == [NodeId(a) for a in sorted(addresses)]
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy,
+    copy.deepcopy,
+    lambda n: pickle.loads(pickle.dumps(n)),
+    lambda n: pickle.loads(pickle.dumps(n, protocol=0)),
+])
+def test_node_id_copies_and_pickles_round_trip(clone):
+    for a in ADDRESS_SAMPLE:
+        twin = clone(NodeId(a))
+        assert type(twin) is NodeId
+        assert twin == NodeId(a) and twin.address == a
+    nested = clone({NodeId(3): [NodeId(4)]})
+    assert nested == {NodeId(3): [NodeId(4)]}
+    assert type(next(iter(nested))) is NodeId
+
+
+@pytest.mark.parametrize("address", [-1, 1 << 32, 1 << 40])
+def test_node_id_rejects_out_of_range_addresses(address):
+    with pytest.raises(InvariantViolation):
+        NodeId(address)
+
+
+def test_node_id_is_immutable():
+    n = NodeId(7)
+    with pytest.raises(AttributeError):
+        n.address = 8
+    with pytest.raises(AttributeError):
+        n.other = 1
 
 
 NON_CANONICAL_ADDRESSES = [

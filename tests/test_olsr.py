@@ -238,6 +238,17 @@ def test_stale_tc_sequence_is_counted_not_applied():
     assert state.stale_tc_dropped == 1
 
 
+def test_fresh_tcs_are_never_counted_as_stale():
+    a, b, c = nid(1), nid(2), nid(3)
+    state = TopologyState(a)
+    for seq in range(1, 6):
+        state.process_tc(ControlPacket(ControlKind.TC, c, seq,
+                                       ((b, LinkStatus.SYMMETRIC),),
+                                       ttl=5, last_hop=b), now=seq * 1_000)
+    assert state.topology[c][0] == 5
+    assert state.stale_tc_dropped == 0
+
+
 def test_tc_from_non_selector_not_forwarded():
     a, b, c = nid(1), nid(2), nid(3)
     state = TopologyState(a)
@@ -463,3 +474,42 @@ def test_control_packet_round_trip():
 def test_control_packet_without_last_hop_round_trips():
     pkt = ControlPacket(ControlKind.HELLO, nid(9), 1, (), ttl=1, last_hop=None)
     assert decode_control(encode_control(pkt)) == pkt
+
+
+@pytest.mark.parametrize("field", ["kind", "origin", "sequence", "neighbors",
+                                   "ttl", "last_hop"])
+def test_control_packet_fields_cannot_be_assigned(field):
+    pkt = hello_from(nid(1), [(nid(2), LinkStatus.SYMMETRIC)])
+    with pytest.raises(AttributeError):
+        setattr(pkt, field, None)
+
+
+def test_relayed_packet_keeps_its_content_and_spends_one_ttl():
+    tc = ControlPacket(ControlKind.TC, nid(3), 7,
+                       ((nid(2), LinkStatus.SYMMETRIC),), ttl=5, last_hop=nid(3))
+    relayed = tc.relayed_by(nid(2))
+    assert relayed == ControlPacket(ControlKind.TC, nid(3), 7, tc.neighbors,
+                                    ttl=4, last_hop=nid(2))
+    assert type(relayed) is ControlPacket
+
+
+# --- one HELLO packet per neighbour tuple ------------------------------------
+
+def test_hello_packet_is_reused_until_its_neighbours_change():
+    a = TopologyState(nid(1))
+    first = a.make_hello()
+    assert first.sequence == 0 and first.neighbors == ()
+    assert a.make_hello() is first
+    a.process_hello(hello_from(nid(2), []), now=0)
+    second = a.make_hello()
+    assert second is not first
+    assert second.neighbors == ((nid(2), LinkStatus.ASYMMETRIC),)
+    # A refresh moves only timers; the packet stays.
+    a.process_hello(hello_from(nid(2), []), now=1_000)
+    assert a.make_hello() is second
+    a.process_hello(hello_from(nid(2), [(nid(1), LinkStatus.SYMMETRIC)]),
+                    now=1_500)
+    a.select_mprs()
+    assert a.make_hello().neighbors == ((nid(2), LinkStatus.SYMMETRIC),)
+    a.expire_links(1_500 + HOLD_TIME_MS)
+    assert a.make_hello().neighbors == ()

@@ -7,7 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lifeline.messages import NodeId
-from lifeline.olsr import ControlKind, ControlPacket, LinkStatus, TopologyState
+from lifeline.olsr import (
+    DUP_HOLD_MS,
+    ControlKind,
+    ControlPacket,
+    LinkStatus,
+    TopologyState,
+)
 
 SELF = NodeId(1)
 # Few nodes, so that sequences revisit a link or an origin; node 4 sends
@@ -73,6 +79,36 @@ def test_clear_flag_means_cached_results_are_current(hold, topology_hold, ops):
             fresh = copy.deepcopy(state)
             assert fresh.select_mprs() == state.mpr_set
             assert fresh.compute_routes() == state.routing_table
+
+
+# -- expiry scans run only when due ----------------------------------------------
+
+
+def assert_bounds_hold(state: TopologyState) -> None:
+    """Each expiry bound is at or below every expiry it covers."""
+    for rec in state.links.values():
+        assert state._links_due <= rec.expiry
+    for _, _, expiry in state.topology.values():
+        assert state._topology_due <= expiry
+    for arrived in state.seen_tc.values():
+        assert state._topology_due <= arrived + DUP_HOLD_MS
+
+
+@OLSR_SETTINGS
+@given(st.integers(2_000, 10_000), st.integers(500, 5_000), operations)
+def test_expiry_bounds_never_pass_a_live_expiry(hold, topology_hold, ops):
+    state = TopologyState(SELF, hold_time_ms=hold, topology_hold_ms=topology_hold)
+    now = 0
+    for op in ops:
+        now += op[1]
+        apply(state, op, now)
+        assert_bounds_hold(state)
+        if op[0] == "expire_links":
+            assert all(rec.expiry > now for rec in state.links.values())
+        elif op[0] == "expire_topology":
+            assert all(expiry > now for _, _, expiry in state.topology.values())
+            assert all(arrived + DUP_HOLD_MS > now
+                       for arrived in state.seen_tc.values())
 
 
 # -- an unchanged HELLO only refreshes timers ------------------------------------
@@ -154,5 +190,5 @@ def test_reused_hello_tuples_end_like_fresh_ones(hold, ops):
         assert reused.mpr_set == fresh.mpr_set
         assert (link_view(reused), reused.two_hop,
                 reused.mpr_selectors) == heard_view(heard, hold)
-        hello = reused.make_hello(0).neighbors
-        assert hello == fresh.make_hello(0).neighbors == expected_hello(reused)
+        hello = reused.make_hello().neighbors
+        assert hello == fresh.make_hello().neighbors == expected_hello(reused)
