@@ -13,9 +13,9 @@ cost of a scalar Generator call.
 
 Emergency messages cross links as real wire bytes through each bank's
 receive path, which decodes each received hop exactly once; the backup
-policy reuses that decoded message.  Control packets are handed to the
-topology states by value, since their codec is exercised separately and
-the volume of hello traffic dominates long runs.
+policy reuses that decoded message.  Control packets have no wire form:
+the topology states pass them to each other by value, and a packet costs
+only its link latency and, when a scenario sets one, its energy.
 
 Work is done on change, not on a timer.  A hello reruns MPR selection and
 route computation only when the topology state says an input changed.
@@ -68,7 +68,6 @@ import numpy as np
 
 from .backup import (
     BackupAction,
-    BackupOption,
     BackupStore,
     StorageFull,
     compile_policy,
@@ -278,10 +277,7 @@ class Simulator:
         self._lossy = any(l.model.p_send_error > 0 or l.model.p_recv_error > 0
                           for l in scenario.links)
 
-        backup_options = {
-            BackupOption(opt["option"], opt.get("threshold"))
-            for opt in self.policies.backup_options
-        }
+        backup_options = self.policies.enabled_backup_options()
         self._policy = compile_policy(backup_options) if backup_options else None
         self._policy_reads_node = reads_node_condition(backup_options)
         self._known_locations = {

@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Optional
 
 from .messages import (
-    CONTROL_MAGIC,
     PRIORITY_LEVELS,
     EmergencyMessage,
     InvariantViolation,
@@ -63,7 +62,6 @@ class _Entry:
     msg: EmergencyMessage
     size: int
     seq: int
-    swapped_priority: Optional[int] = None
 
 
 def resolve_next_hop(routing_table: dict[NodeId, tuple[NodeId, int]],
@@ -115,9 +113,6 @@ class PriorityQueueBank:
         queue entry is sized by the received bytes themselves.
         """
         self.last_received = None
-        if data.startswith(CONTROL_MAGIC):
-            self.ignored_count += 1
-            return ReceiveResult.IGNORED
         try:
             msg = decode_message(data)
         except (MalformedDocument, InvariantViolation):
@@ -191,7 +186,6 @@ class PriorityQueueBank:
                 break
             victim = self.queues[evictable].pop()  # newest first
             self.ram_used -= victim.size
-            victim.swapped_priority = victim.msg.priority
             bisect.insort(self.swap_store, victim, key=lambda e: e.seq)
         if self.ram_used > self.ram_budget:
             tail = self.queues[msg.priority].pop()
@@ -208,11 +202,6 @@ class PriorityQueueBank:
                 return entry, level
         return None
 
-    def on_send_failure(self, msg: EmergencyMessage) -> None:
-        """Demote a just-dequeued message one level (saturating) and requeue."""
-        msg.priority = min(msg.priority + 1, LOWEST_PRIORITY)
-        self.enqueue(msg)
-
     def promote_queues(self) -> None:
         """Shift every queue one level up, rewriting priorities; FIFO kept."""
         for level in range(1, PRIORITY_LEVELS):
@@ -226,13 +215,14 @@ class PriorityQueueBank:
         """Re-admit swapped messages once queues 0 and 1 are both empty.
 
         Processes one snapshot of the store per call; re-eviction under
-        pressure lands messages back in the store without looping.
+        pressure lands messages back in the store without looping.  A held
+        message does not change, so its entry's size still holds.
         """
         if self.queues[0] or self.queues[1] or not self.swap_store:
             return 0
         batch, self.swap_store = self.swap_store, []
         for entry in batch:
-            self.enqueue(entry.msg)
+            self.enqueue(entry.msg, entry.size)
         return len(batch)
 
     # -- the per-tick pipeline ---------------------------------------------
@@ -251,7 +241,10 @@ class PriorityQueueBank:
         else:
             next_hop = resolve_next_hop(routing_table, msg.dst)
         if next_hop is None:
-            self.on_send_failure(msg)
+            # Demote one level (saturating) and requeue.  Priority is one
+            # digit at every level, so the encoded size is unchanged.
+            msg.priority = min(msg.priority + 1, LOWEST_PRIORITY)
+            self.enqueue(msg, entry.size)
             return [ForwardOutcome(OutcomeKind.UNREACHABLE, msg)]
         msg.hop_count += 1
         self.delivered[msg.msg_id] = self.delivered.get(msg.msg_id, 0) + 1

@@ -11,7 +11,6 @@ network is quiet.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -22,25 +21,12 @@ DEFAULT_QUERY_HOPS = 3
 
 Adjacency = dict[NodeId, set[NodeId]]
 
-_query_ids = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class KnownLocation:
     node: NodeId
     coordinates: tuple[float, float]
     label: str = ""
-
-
-@dataclass(frozen=True)
-class LocationQuery:
-    origin: NodeId
-    n_hops: int
-    query_id: int
-
-    def __post_init__(self) -> None:
-        if self.n_hops < 1:
-            raise InvariantViolation(f"query hop budget must be >= 1: {self.n_hops}")
 
 
 @dataclass(frozen=True)
@@ -77,14 +63,14 @@ UNKNOWN_ESTIMATE = LocationEstimate(None)
 def flood_reach(adjacency: Adjacency, origin: NodeId, n_hops: int) -> dict[NodeId, int]:
     """Nodes a TTL-n flood from origin reaches, with first-arrival hops.
 
-    The origin itself is not part of the result; duplicate suppression is
-    per node by query id, so each node forwards once and the TTL bounds
-    propagation at n hops.
+    The origin itself is not part of the result; each node forwards a
+    query once, and the TTL bounds propagation at n hops.
     """
-    query = LocationQuery(origin, n_hops, next(_query_ids))
+    if n_hops < 1:
+        raise InvariantViolation(f"query hop budget must be >= 1: {n_hops}")
     seen = {origin}
     reached: dict[NodeId, int] = {}
-    frontier: deque[tuple[NodeId, int]] = deque([(origin, query.n_hops)])
+    frontier: deque[tuple[NodeId, int]] = deque([(origin, n_hops)])
     while frontier:
         node, ttl = frontier.popleft()
         if ttl <= 0:
@@ -93,7 +79,7 @@ def flood_reach(adjacency: Adjacency, origin: NodeId, n_hops: int) -> dict[NodeI
             if neighbor in seen:
                 continue
             seen.add(neighbor)
-            reached[neighbor] = query.n_hops - ttl + 1
+            reached[neighbor] = n_hops - ttl + 1
             frontier.append((neighbor, ttl - 1))
     return reached
 
@@ -123,22 +109,6 @@ def estimate_position(replies: Sequence[LocationReply]) -> LocationEstimate:
     x = sum(r.coordinates[0] for r in nearest) / len(nearest)
     y = sum(r.coordinates[1] for r in nearest) / len(nearest)
     return LocationEstimate((x, y), source_count=len(nearest), hop_distance=best_hop)
-
-
-def active_push(adjacency: Adjacency, known_locations: dict[NodeId, KnownLocation],
-                newly_joined: Iterable[NodeId],
-                n_hops: int = DEFAULT_QUERY_HOPS) -> list[tuple[NodeId, KnownLocation]]:
-    """Coordinates pushed from every configured node to each new arrival."""
-    joined = set(newly_joined)
-    pushes: list[tuple[NodeId, KnownLocation]] = []
-    for router in sorted(known_locations, key=lambda v: v.address):
-        if router not in adjacency:
-            continue
-        reached = flood_reach(adjacency, router, n_hops)
-        for target in sorted(joined, key=lambda v: v.address):
-            if target in reached:
-                pushes.append((target, known_locations[router]))
-    return pushes
 
 
 class LocationDirectory:

@@ -18,9 +18,6 @@ from enum import Enum
 
 WIRE_VERSION = "1"
 MESSAGE_ROOT = "lifeline-msg"
-CONTROL_ROOT = "lifeline-ctl"
-# Magic prefix carried by every encoded control packet (HELLO/TC).
-CONTROL_MAGIC = b"<lifeline-ctl "
 
 MAX_PAYLOAD_BYTES = 255
 PRIORITY_LEVELS = 5
@@ -97,7 +94,6 @@ def make_msg_id(src: NodeId, counter: int) -> int:
 
 class PacketKind(Enum):
     EMERGENCY = "emergency"
-    CONTROL = "control"
     OTHER = "other"
 
 
@@ -226,8 +222,6 @@ def decode_message(data: bytes) -> EmergencyMessage:
 
 def classify_packet(data: bytes) -> PacketKind:
     """Total classification of arbitrary bytes; never raises."""
-    if data.startswith(CONTROL_MAGIC):
-        return PacketKind.CONTROL
     try:
         decode_message(data)
     except (MalformedDocument, InvariantViolation):

@@ -174,8 +174,12 @@ def _csv_num(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def validate_metrics_json(doc: dict) -> None:
-    """Check the serialized metrics document against the v1 schema."""
+def validate_metrics_json(doc) -> None:
+    """Check a serialized metrics document against the v1 schema.
+
+    Raises ValueError naming the path of the first problem, and nothing
+    else, whatever the document holds.
+    """
     def fail(path, why):
         raise ValueError(f"{path}: {why}")
 
@@ -183,33 +187,52 @@ def validate_metrics_json(doc: dict) -> None:
         if not isinstance(value, kinds):
             fail(path, f"expected {kinds}, got {type(value).__name__}")
 
+    def expect_keys(path, value, keys):
+        expect(path, value, dict)
+        for key in keys:
+            if key not in value:
+                fail(f"{path}.{key}", "missing")
+
+    expect("document", doc, dict)
     if doc.get("schema") != METRICS_SCHEMA:
         fail("schema", f"expected {METRICS_SCHEMA!r}")
+    # Every top-level key to_json_dict writes.
     for key, kinds in (
         ("scenario", str), ("seed", int), ("duration_ms", int),
         ("injected", int), ("delivered", int), ("delivery_ratio", (int, float)),
+        ("mean_latency_ms", (int, float, type(None))),
+        ("latency_by_priority", dict),
         ("dropped", dict), ("ignored", int), ("send_errors", int),
         ("recv_errors", int), ("backed_up", dict), ("persisted", dict),
-        ("handoff", dict), ("boot_decisions", list), ("roles", dict),
-        ("deaths", dict),
+        ("handoff", dict), ("lost_to_dead_node", int),
+        ("boot_decisions", list), ("roles", dict), ("deaths", dict),
         ("energy", dict), ("battery_percent", dict),
         ("conservation_ok", bool), ("deliveries", list), ("snapshots", list),
     ):
         if key not in doc:
             fail(key, "missing")
         expect(key, doc[key], kinds)
-    if doc["mean_latency_ms"] is not None:
-        expect("mean_latency_ms", doc["mean_latency_ms"], (int, float))
     for i, d in enumerate(doc["deliveries"]):
-        for key in ("msg_id", "src", "dst", "priority", "created_at",
-                    "delivered_at", "latency_ms", "hop_count",
-                    "deliver_node", "estimate"):
-            if key not in d:
-                fail(f"deliveries[{i}].{key}", "missing")
+        expect_keys(f"deliveries[{i}]", d,
+                    ("msg_id", "src", "dst", "priority", "created_at",
+                     "delivered_at", "latency_ms", "hop_count",
+                     "deliver_node", "estimate"))
+    # What export_topology reads of each snapshot.
     for i, snap in enumerate(doc["snapshots"]):
-        for key in ("t", "nodes", "links", "mpr"):
-            if key not in snap:
-                fail(f"snapshots[{i}].{key}", "missing")
+        path = f"snapshots[{i}]"
+        expect_keys(path, snap, ("t", "nodes", "links", "mpr"))
+        expect(f"{path}.t", snap["t"], int)
+        expect(f"{path}.nodes", snap["nodes"], list)
+        for j, node in enumerate(snap["nodes"]):
+            expect_keys(f"{path}.nodes[{j}]", node, ("node", "kind"))
+        expect(f"{path}.links", snap["links"], list)
+        for j, pair in enumerate(snap["links"]):
+            expect(f"{path}.links[{j}]", pair, list)
+            if len(pair) != 2:
+                fail(f"{path}.links[{j}]", "expected a pair of nodes")
+        expect(f"{path}.mpr", snap["mpr"], dict)
+        for node, relays in snap["mpr"].items():
+            expect(f"{path}.mpr[{node!r}]", relays, list)
 
 
 def export_topology(metrics: RunMetrics, t: int) -> str:

@@ -17,13 +17,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .messages import (
-    CONTROL_ROOT,
-    WIRE_VERSION,
-    MalformedDocument,
-    NodeId,
-)
-from xml.etree import ElementTree
+from .messages import NodeId
 
 HELLO_INTERVAL_MS = 2_000
 TC_INTERVAL_MS = 5_000
@@ -81,49 +75,6 @@ class ControlPacket(NamedTuple):
     def relayed_by(self, node: NodeId) -> "ControlPacket":
         return ControlPacket(self.kind, self.origin, self.sequence,
                              self.neighbors, self.ttl - 1, node)
-
-
-def encode_control(pkt: ControlPacket) -> bytes:
-    """Control packets share the message codec's framing, with kind tags."""
-    entries = sorted(pkt.neighbors, key=lambda e: e[0].address)
-    body = "".join(
-        f'<n status="{status.value}">{node}</n>' for node, status in entries
-    )
-    parts = [
-        f'<{CONTROL_ROOT} v="{WIRE_VERSION}">',
-        f"<kind>{pkt.kind.value}</kind>",
-        f"<origin>{pkt.origin}</origin>",
-        f"<seq>{pkt.sequence}</seq>",
-        f"<ttl>{pkt.ttl}</ttl>",
-        f"<last_hop>{pkt.last_hop if pkt.last_hop is not None else ''}</last_hop>",
-        f"<neighbors>{body}</neighbors>",
-        f"</{CONTROL_ROOT}>",
-    ]
-    return "".join(parts).encode("ascii")
-
-
-def decode_control(data: bytes) -> ControlPacket:
-    try:
-        root = ElementTree.fromstring(data)
-    except ElementTree.ParseError as exc:
-        raise MalformedDocument(f"unparseable control packet: {exc}") from None
-    if root.tag != CONTROL_ROOT or root.get("v") != WIRE_VERSION:
-        raise MalformedDocument("not a v1 control packet")
-    fields = {child.tag: child for child in root}
-    try:
-        kind = ControlKind(fields["kind"].text)
-        origin = NodeId.parse(fields["origin"].text or "")
-        sequence = int(fields["seq"].text or "")
-        ttl = int(fields["ttl"].text or "")
-        last_hop_text = fields["last_hop"].text or ""
-        last_hop = NodeId.parse(last_hop_text) if last_hop_text else None
-        neighbors = tuple(
-            (NodeId.parse(n.text or ""), LinkStatus(n.get("status")))
-            for n in fields["neighbors"]
-        )
-    except (KeyError, ValueError) as exc:
-        raise MalformedDocument(f"bad control field: {exc}") from None
-    return ControlPacket(kind, origin, sequence, neighbors, ttl, last_hop)
 
 
 class TopologyState:

@@ -10,11 +10,18 @@ experiments.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .backup import OPTION_PRIORITY, BackupOption
 from .locating import KnownLocation
-from .messages import MAX_PAYLOAD_BYTES, PRIORITY_LEVELS, NodeId
+from .messages import (
+    MAX_PAYLOAD_BYTES,
+    PRIORITY_LEVELS,
+    InvariantViolation,
+    NodeId,
+)
 from .olsr import (
     HELLO_INTERVAL_MS,
     HOLD_TIME_MS,
@@ -233,6 +240,26 @@ class Policies:
             doc["location_query_hops"] = self.location_query_hops
         return doc
 
+    def enabled_backup_options(self) -> set[BackupOption]:
+        """The backup_options rows as policy options.
+
+        BackupOption states the rules; a row that breaks one raises
+        MalformedScenario naming the row and its field.
+        """
+        enabled = set()
+        for i, opt in enumerate(self.backup_options):
+            path = f"policies.backup_options[{i}]"
+            number = _want(opt, "option", int, path)
+            threshold = opt.get("threshold")
+            if threshold is not None:
+                threshold = _want(opt, "threshold", float, path)
+            try:
+                enabled.add(BackupOption(number, threshold))
+            except InvariantViolation as exc:
+                bad = "option" if number not in OPTION_PRIORITY else "threshold"
+                raise MalformedScenario(f"{path}.{bad}: {exc}") from None
+        return enabled
+
 
 @dataclass
 class Scenario:
@@ -296,6 +323,19 @@ class Scenario:
             if spec.end_ms() >= self.duration_ms:
                 raise MalformedScenario(
                     "duration_ms: run ends before all traffic is injected")
+        policies = self.policies
+        # A zero or negative timer reschedules itself at the same instant
+        # forever (or divides by zero, for the wake window).
+        for name in ("hello_interval_ms", "tc_interval_ms", "wake_window_ms"):
+            if getattr(policies, name) < 1:
+                raise MalformedScenario(f"policies.{name}: must be >= 1")
+        for node, at in policies.scan_schedule.items():
+            path = f"policies.scan_schedule[{str(node)!r}]"
+            if node not in known:
+                raise MalformedScenario(f"{path}: unknown node {node}")
+            if isinstance(at, bool) or not isinstance(at, int) or at < 0:
+                raise MalformedScenario(f"{path}: expected an int >= 0")
+        policies.enabled_backup_options()
 
     # -- serialization ----------------------------------------------------
 
@@ -425,17 +465,9 @@ def _parse_policies(doc, path) -> Policies:
         return policies
     if not isinstance(doc, dict):
         raise MalformedScenario(f"{path}: expected an object")
-    options = _want(doc, "backup_options", list, path, default=[])
-    for i, opt in enumerate(options):
-        number = _want(opt, "option", int, f"{path}.backup_options[{i}]")
-        if not 1 <= number <= 6:
-            raise MalformedScenario(
-                f"{path}.backup_options[{i}].option: expected 1..6")
-        if number >= 3 and "threshold" not in opt:
-            raise MalformedScenario(
-                f"{path}.backup_options[{i}].threshold: missing "
-                f"required field")
-    policies.backup_options = [dict(opt) for opt in options]
+    # Checked by Policies.enabled_backup_options when the scenario validates.
+    policies.backup_options = copy.deepcopy(
+        _want(doc, "backup_options", list, path, default=[]))
     policies.handoff_threshold_pct = float(_want(
         doc, "handoff_threshold_pct", float, path,
         default=HANDOFF_THRESHOLD_PCT))

@@ -1,5 +1,6 @@
 """State-machine test of the queue bank: conservation, FIFO within a level,
-the swap-in gate and saturating demotion over random operation sequences."""
+the swap-in gate, saturating demotion and entry sizes over random
+operation sequences."""
 
 from collections import Counter
 
@@ -21,6 +22,7 @@ from lifeline.messages import (
     EmergencyMessage,
     NodeId,
     encode_message,
+    encoded_size,
     make_msg_id,
 )
 
@@ -54,6 +56,8 @@ class BankMachine(RuleBasedStateMachine):
         self.last_layout = layout(self.bank)
         # A message popped and requeued by the last step may change place.
         self.requeued = None
+        # Priority of each swapped entry (by seq) after the last step.
+        self.store_priority: dict[int, int] = {}
 
     def fresh(self, priority, dst, size) -> EmergencyMessage:
         self.counter += 1
@@ -127,12 +131,21 @@ class BankMachine(RuleBasedStateMachine):
         for level, queue in enumerate(bank.queues):
             assert all(e.msg.priority == level for e in queue)
         assert all(e.msg.priority in SWAPPABLE_PRIORITIES
-                   and e.swapped_priority == e.msg.priority
                    for e in bank.swap_store)
         seqs = [e.seq for e in bank.swap_store]
         assert seqs == sorted(seqs)
         assert bank.ram_used == sum(e.size for q in bank.queues for e in q)
         assert bank.ram_used <= bank.ram_budget
+
+    @invariant()
+    def held_messages_keep_their_size_and_stored_priority(self):
+        # swap_in and demotion re-admit an entry with its stored size.
+        bank = self.bank
+        held = [e for q in bank.queues for e in q] + bank.swap_store
+        assert all(e.size == encoded_size(e.msg) for e in held)
+        assert all(e.msg.priority == self.store_priority[e.seq]
+                   for e in bank.swap_store if e.seq in self.store_priority)
+        self.store_priority = {e.seq: e.msg.priority for e in bank.swap_store}
 
     @invariant()
     def fifo_within_a_level(self):

@@ -8,6 +8,7 @@ from lifeline.backup import BackupStore
 from lifeline.cli import main
 from lifeline.messages import EmergencyMessage
 from lifeline.metrics import validate_metrics_json
+from lifeline.scenario import MalformedScenario, Scenario, build_setup
 
 
 def test_setup_emit_then_run(tmp_path, capsys):
@@ -69,6 +70,33 @@ def test_malformed_scenario_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policies,path", [
+    ({"scan_schedule": {"10.9.9.9": 5}}, "policies.scan_schedule"),
+    ({"scan_schedule": {"10.0.0.1": "soon"}}, "policies.scan_schedule"),
+    ({"hello_interval_ms": 0}, "policies.hello_interval_ms"),
+    ({"tc_interval_ms": -5}, "policies.tc_interval_ms"),
+    ({"wake_window_ms": 0, "duty_cycle_enabled": True},
+     "policies.wake_window_ms"),
+    ({"backup_options": [{"option": 3, "threshold": 500}]},
+     "policies.backup_options[0]"),
+    ({"backup_options": [{"option": 3, "threshold": "x"}]},
+     "policies.backup_options[0]"),
+], ids=["scan-unknown-node", "scan-time-text", "hello-0", "tc-negative",
+        "wake-window-0", "option-3-threshold-500", "threshold-text"])
+def test_bad_policies_exit_2_with_the_field_path(tmp_path, capsys, policies,
+                                                  path):
+    doc = build_setup("B", messages=20).to_json_dict()
+    doc["policies"] = policies
+    # Rejected before any run starts: some of these never finish one.
+    with pytest.raises(MalformedScenario):
+        Scenario.from_json_dict(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}")
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -99,6 +127,26 @@ def test_topo_before_first_snapshot_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["topo", "--run", str(tmp_path / "run"), "--at", "3"]) == 1
     assert "no topology snapshot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["drop-mean-latency", "not-an-object"])
+def test_topo_on_a_bad_metrics_document_exits_1(tmp_path, capsys, damage):
+    scenario_file = tmp_path / "b.json"
+    main(["setup", "B", "--messages", "20", "--emit-scenario", str(scenario_file)])
+    run_dir = tmp_path / "run"
+    main(["run", "--scenario", str(scenario_file), "--out", str(run_dir)])
+    doc = json.loads((run_dir / "metrics.json").read_text())
+    if damage == "drop-mean-latency":
+        del doc["mean_latency_ms"]
+    else:
+        doc = []
+    (run_dir / "metrics.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["topo", "--run", str(run_dir), "--at", "20000"]) == 1
+    err = capsys.readouterr().err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_battery_reports_hours(capsys):

@@ -69,6 +69,15 @@ def test_junk_bytes_ignored():
     assert bank.ignored_count == 1
 
 
+def test_control_document_bytes_ignored():
+    # Control packets travel by value; bytes shaped like one are junk.
+    bank = PriorityQueueBank(SELF)
+    data = b'<lifeline-ctl v="1"><kind>tc</kind></lifeline-ctl>'
+    assert bank.receive(data) is ReceiveResult.IGNORED
+    assert bank.ignored_count == 1
+    assert bank.last_received is None
+
+
 def test_interleaved_valid_and_junk_accept_count():
     bank = PriorityQueueBank(SELF)
     rng = random.Random(0xACC)
@@ -127,7 +136,7 @@ def test_overflowing_priority4_message_swaps_out():
         bank.enqueue(make_msg(priority=4))
     assert bank.enqueue(make_msg(priority=4)) is None
     assert len(bank.swap_store) == 1
-    assert bank.swap_store[0].swapped_priority == 4
+    assert bank.swap_store[0].msg.priority == 4
     assert bank.ram_used <= bank.ram_budget
 
 
@@ -156,7 +165,6 @@ def test_uniform_fill_swaps_only_low_priorities():
     for _ in range(500):
         bank.inject(make_msg(priority=rng.randrange(5)))
     assert bank.swap_store, "expected memory pressure"
-    assert all(e.swapped_priority in (3, 4) for e in bank.swap_store)
     assert all(e.msg.priority in (3, 4) for e in bank.swap_store)
     assert bank.ram_used <= bank.ram_budget
     assert bank.conservation_holds()

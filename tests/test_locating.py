@@ -1,4 +1,4 @@
-"""Location queries, estimation, and active cache pushes."""
+"""Location queries, estimation, and directory cache pushes."""
 
 import random
 from collections import deque
@@ -9,10 +9,8 @@ from lifeline.locating import (
     KnownLocation,
     LocationDirectory,
     LocationEstimate,
-    LocationQuery,
     LocationReply,
     UNKNOWN_ESTIMATE,
-    active_push,
     estimate_position,
     flood_reach,
     passive_query,
@@ -83,8 +81,11 @@ def test_no_configured_node_in_range_yields_empty():
 
 
 def test_query_hop_budget_validated():
-    with pytest.raises(InvariantViolation):
-        LocationQuery(nid(1), 0, query_id=1)
+    nodes, adj = line(2)
+    for n_hops in (0, -1):
+        with pytest.raises(InvariantViolation):
+            flood_reach(adj, nodes[0], n_hops)
+    assert flood_reach(adj, nodes[0], 1) == {nodes[1]: 1}
 
 
 def test_replies_match_bfs_oracle_on_random_graphs():
@@ -170,26 +171,31 @@ def test_estimate_json_shape():
     assert est.to_json() == {"x": 3.0, "y": 4.0, "hop_distance": 1, "source_count": 1}
 
 
-# --- active push -----------------------------------------------------------------
+# --- directory pushes ------------------------------------------------------------
 
 def test_new_phone_next_to_router_gets_coordinates():
     nodes, adj = line(3)
     router_loc = loc(nodes[1], 5, 5, "router")
-    pushes = active_push(adj, {nodes[1]: router_loc}, [nodes[0]], n_hops=2)
-    assert pushes == [(nodes[0], router_loc)]
+    directory = LocationDirectory({nodes[1]: router_loc}, n_hops=2)
+    assert directory.on_change(adj, joined=[nodes[0]]) == [(nodes[0], router_loc)]
 
 
 def test_phone_beyond_budget_gets_nothing():
     nodes, adj = line(5)
     router_loc = loc(nodes[4], 5, 5)
-    assert active_push(adj, {nodes[4]: router_loc}, [nodes[0]], n_hops=3) == []
+    directory = LocationDirectory({nodes[4]: router_loc}, n_hops=3)
+    assert directory.on_change(adj, joined=[nodes[0]]) == []
+    assert directory.cache_of(nodes[0]) == {}
 
 
 def test_push_targets_only_new_arrivals():
     nodes, adj = line(3)
     router_loc = loc(nodes[1], 5, 5)
-    pushes = active_push(adj, {nodes[1]: router_loc}, [nodes[2]], n_hops=2)
+    directory = LocationDirectory({nodes[1]: router_loc}, n_hops=2)
+    pushes = directory.on_change(adj, joined=[nodes[2]])
     assert [t for t, _ in pushes] == [nodes[2]]
+    # The other neighbour's cache is refreshed all the same.
+    assert directory.cache_of(nodes[0]) == {nodes[1]: router_loc}
 
 
 def test_directory_cache_follows_join():

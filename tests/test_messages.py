@@ -225,12 +225,6 @@ def test_classify_emergency():
     assert classify_packet(encode_message(make_msg())) is PacketKind.EMERGENCY
 
 
-def test_classify_control():
-    from lifeline.olsr import ControlKind, ControlPacket, encode_control
-    tc = ControlPacket(ControlKind.TC, NodeId(1), 3, ())
-    assert classify_packet(encode_control(tc)) is PacketKind.CONTROL
-
-
 def test_classify_random_bytes_is_other():
     rng = random.Random(99)
     hits = sum(

@@ -127,6 +127,54 @@ def test_schema_validator_rejects_wrong_type():
         validate_metrics_json(doc)
 
 
+@pytest.mark.parametrize("key", ["mean_latency_ms", "latency_by_priority",
+                                 "lost_to_dead_node"])
+def test_schema_validator_requires_every_written_key(key):
+    doc = small_run().to_json_dict()
+    del doc[key]
+    with pytest.raises(ValueError, match=f"{key}: missing"):
+        validate_metrics_json(doc)
+
+
+def test_schema_validator_rejects_non_object_document():
+    for doc in ([], "metrics", None, 3):
+        with pytest.raises(ValueError, match="document"):
+            validate_metrics_json(doc)
+
+
+def test_schema_validator_raises_only_value_error():
+    # Each top-level value and each nested part export_topology reads,
+    # swapped for values of the wrong shape.
+    good = small_run().to_json_dict()
+    assert good["deliveries"] and good["snapshots"]
+    damages = []
+    for key in good:
+        for junk in (None, [], {}, "x", 1.5, [1]):
+            damages.append(lambda d, key=key, junk=junk: d.__setitem__(key, junk))
+    for part in ("deliveries", "snapshots"):
+        for junk in (None, [], "x", 7):
+            damages.append(lambda d, part=part, junk=junk:
+                           d[part].__setitem__(0, junk))
+    for field in ("t", "nodes", "links", "mpr"):
+        for junk in (None, "x", [[1]], {"a": 1}):
+            damages.append(lambda d, field=field, junk=junk:
+                           d["snapshots"][0].__setitem__(field, junk))
+    for damage in damages:
+        doc = json.loads(json.dumps(good))
+        damage(doc)
+        try:
+            validate_metrics_json(doc)
+        except ValueError:
+            continue
+        # Accepted: then the topology export must work on it.
+        metrics = RunMetrics("x", 0, 1)
+        metrics.snapshots = doc["snapshots"]
+        try:
+            export_topology(metrics, 2 ** 62)
+        except NoSnapshot:
+            pass
+
+
 # -- topology export -------------------------------------------------------------
 
 

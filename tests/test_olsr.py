@@ -7,7 +7,6 @@ import pytest
 
 from lifeline.messages import NodeId
 from lifeline.olsr import (
-    DEFAULT_TTL,
     DUP_HOLD_MS,
     HOLD_TIME_MS,
     SEQ_MOD,
@@ -16,8 +15,6 @@ from lifeline.olsr import (
     LinkStatus,
     TopologyState,
     converge,
-    decode_control,
-    encode_control,
     flood_tc,
     seq_newer,
 )
@@ -460,21 +457,7 @@ def test_routes_match_bfs_on_random_graphs():
                 assert dist[v] == 1 + bfs_distances(adj, next_hop)[v]
 
 
-# --- codec ----------------------------------------------------------------
-
-def test_control_packet_round_trip():
-    pkt = ControlPacket(
-        ControlKind.TC, nid(9), 42,
-        ((nid(3), LinkStatus.SYMMETRIC), (nid(5), LinkStatus.MPR)),
-        ttl=DEFAULT_TTL, last_hop=nid(4),
-    )
-    assert decode_control(encode_control(pkt)) == pkt
-
-
-def test_control_packet_without_last_hop_round_trips():
-    pkt = ControlPacket(ControlKind.HELLO, nid(9), 1, (), ttl=1, last_hop=None)
-    assert decode_control(encode_control(pkt)) == pkt
-
+# --- control packets --------------------------------------------------------
 
 @pytest.mark.parametrize("field", ["kind", "origin", "sequence", "neighbors",
                                    "ttl", "last_hop"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from lifeline.backup import BackupOption
 from lifeline.engine import Simulator
 from lifeline.messages import NodeId
 from lifeline.scenario import (
@@ -344,3 +345,76 @@ def test_boot_and_duty_round_trip():
                      build_duty_cycle_scenario(False)):
         doc = scenario.to_json_dict()
         assert Scenario.from_json_dict(doc).to_json_dict() == doc
+
+
+# -- policies -------------------------------------------------------------------
+
+
+def test_scan_of_unknown_node_rejected():
+    doc = doc_for("B")
+    doc["policies"] = {"scan_schedule": {"10.9.9.9": 5}}
+    with pytest.raises(MalformedScenario,
+                       match=r"policies.scan_schedule\['10.9.9.9'\]: unknown node"):
+        Scenario.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("at", ["soon", -1, 1.5, True, None])
+def test_scan_time_must_be_a_non_negative_int(at):
+    doc = doc_for("B")
+    doc["policies"] = {"scan_schedule": {"10.0.0.1": at}}
+    with pytest.raises(MalformedScenario,
+                       match=r"policies.scan_schedule\['10.0.0.1'\]"):
+        Scenario.from_json_dict(doc)
+
+
+def test_scan_schedule_checked_on_built_scenarios_too():
+    scenario = build_boot_scenario()
+    scenario.policies.scan_schedule[NodeId.parse("10.9.9.9")] = 0
+    with pytest.raises(MalformedScenario, match="policies.scan_schedule"):
+        scenario.validate()
+
+
+# Unchecked, each of these makes run() loop forever or divide by zero.
+BAD_TIMERS = [
+    {"hello_interval_ms": 0},
+    {"tc_interval_ms": -5},
+    {"wake_window_ms": 0, "duty_cycle_enabled": True},
+]
+
+
+@pytest.mark.parametrize("policies", BAD_TIMERS,
+                         ids=lambda p: next(iter(p)))
+def test_timers_below_one_ms_rejected(policies):
+    doc = doc_for("B")
+    doc["policies"] = policies
+    name = next(iter(policies))
+    with pytest.raises(MalformedScenario, match=f"policies.{name}: must be >= 1"):
+        Scenario.from_json_dict(doc)
+    scenario = build_setup("B", messages=20)
+    setattr(scenario.policies, name, policies[name])
+    with pytest.raises(MalformedScenario, match=f"policies.{name}"):
+        scenario.validate()
+
+
+@pytest.mark.parametrize("option,why", [
+    ({"option": 3, "threshold": 500}, r"\[0\].threshold: option 3 threshold"),
+    ({"option": 3, "threshold": "x"}, r"\[0\].threshold: expected float"),
+    ({"option": 4, "threshold": True}, r"\[0\].threshold: expected float"),
+    ({"option": 1, "threshold": 2}, r"\[0\].threshold: option 1 takes no"),
+    ({"option": 0}, r"\[0\].option: unknown backup option"),
+    ("4", r"\[0\]: expected an object"),
+])
+def test_backup_option_rules_name_the_row(option, why):
+    doc = doc_for("B")
+    doc["policies"] = {"backup_options": [option]}
+    with pytest.raises(MalformedScenario, match=r"policies.backup_options" + why):
+        Scenario.from_json_dict(doc)
+
+
+def test_backup_rows_become_options_and_a_bad_row_stops_a_run():
+    scenario = build_setup("E", messages=10, backup_option=4, backup_threshold=2)
+    assert scenario.policies.enabled_backup_options() == {BackupOption(4, 2)}
+    scenario.policies.backup_options.append({"option": 5, "threshold": 100})
+    with pytest.raises(MalformedScenario,
+                       match=r"policies.backup_options\[1\].threshold"):
+        Simulator(scenario)
