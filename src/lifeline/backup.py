@@ -204,15 +204,17 @@ class BackupStore:
             return False
         if payload is None:
             payload = encode_message(msg)
-        record = _RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        if self._size + len(record) > self.limit_bytes:
-            raise StorageFull(f"backup log at {self._size} bytes cannot take {len(record)} more")
+        size = _RECORD_HEADER.size + len(payload)
+        if self._size + size > self.limit_bytes:
+            raise StorageFull(f"backup log at {self._size} bytes cannot take {size} more")
         if self._path is not None:
+            # Only a file is ever replayed, so only it needs the framing.
             with self._path.open("ab") as fh:
-                fh.write(record)
+                fh.write(_RECORD_HEADER.pack(len(payload), zlib.crc32(payload))
+                         + payload)
         self._payloads.append(payload)
         self._ids.add(msg.msg_id)
-        self._size += len(record)
+        self._size += size
         return True
 
     def __len__(self) -> int:

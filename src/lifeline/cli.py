@@ -143,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=(1, 2, 3, 4, 5, 6),
                          help="backup option for set-ups E/F/G")
     p_setup.add_argument("--backup-threshold", type=int, default=None,
-                         help="priority threshold for options 3 and 4")
+                         help="threshold for option 3 (battery percent), "
+                              "4 (priority 0-4, default 0), 5 (load "
+                              "percent) or 6 (sender load percent)")
     p_setup.add_argument("--emit-scenario", default=None, metavar="FILE",
                          help="write the scenario JSON instead of running "
                               "('-' for stdout)")

@@ -13,7 +13,9 @@ cost of a scalar Generator call.
 
 Emergency messages cross links as real wire bytes through each bank's
 receive path, which decodes each received hop exactly once; the backup
-policy reuses that decoded message.  Control packets have no wire form:
+policy reuses that decoded message.  A message is encoded once, at
+inject; every later hop sends its held bytes with the new priority and
+hop count spliced in.  Control packets have no wire form:
 the topology states pass them to each other by value, and a packet costs
 only its link latency and, when a scenario sets one, its energy.
 
@@ -36,10 +38,13 @@ each address pair (and each node's neighbours with their links), the
 backup policy, compiled into one decision function that reads a node's
 battery and load only when an enabled option does, and the location
 estimate of each message source, since a passive query floods the
-static adjacency to the static known locations.  The codec is
-canonical, so a received message's wire bytes are its encoding: they
-size its queue entry and become its backup record, and a transmission
-encodes once for both the wire and an after-forward backup.
+static adjacency to the static known locations.  Per run, too, each
+node's dotted-quad name and each source's location estimate as JSON,
+which every delivery record reuses.  The codec is canonical, so a
+message's bytes are its encoding: the inject-time encoding and each
+received hop's bytes are held in its queue entry, size it and become
+its backup record, and a transmission's spliced bytes serve both the
+wire and an after-forward backup.
 
 An event costs little beyond its modelling work.  A heap entry is
 (time, sequence, handler, arguments): the handler is the bound
@@ -83,7 +88,7 @@ from .forwarding import (
     ReceiveResult,
     resolve_next_hop,
 )
-from .locating import LocationEstimate, estimate_position, passive_query
+from .locating import estimate_position, passive_query
 from .messages import (
     EmergencyMessage,
     NodeId,
@@ -286,10 +291,11 @@ class Simulator:
         }
         self._station_kinds = {spec.node for spec in scenario.nodes
                                if spec.kind == "station"}
-        # Location estimate by origin address.  A passive query floods the
-        # static adjacency to the static known locations, so within a run
-        # its answer depends on the message's source alone.
-        self._estimates: dict[int, LocationEstimate] = {}
+        # Location estimate, as delivery-record JSON, by origin address.  A
+        # passive query floods the static adjacency to the static known
+        # locations, so within a run its answer depends on the message's
+        # source alone.
+        self._estimates: dict[int, dict] = {}
 
         self.nodes: dict[NodeId, _NodeRuntime] = {}
         for spec in sorted(scenario.nodes, key=lambda s: s.node.address):
@@ -464,6 +470,9 @@ class Simulator:
     def run(self) -> RunMetrics:
         duration = self.scenario.duration_ms
         self._bind_handlers()
+        # Built here rather than in __init__, which stays as cheap as a
+        # scenario's set-up.
+        self._names = {node: str(node) for node in self.nodes}
         for rt in self.nodes.values():
             self._at(0, self._do_hello, rt)
             self._at(FIRST_TC_MS, self._do_tc, rt)
@@ -595,7 +604,9 @@ class Simulator:
                 self.metrics.dropped.get("backup_full", 0) + 1)
 
     def _transmit(self, rt: _NodeRuntime, msg: EmergencyMessage,
-                  next_hop: NodeId, now: int) -> None:
+                  next_hop: NodeId, now: int,
+                  data: Optional[bytes] = None) -> None:
+        """Send msg to next_hop; data is msg's encoding, if held."""
         model = self._link_models.get((rt.node.address, next_hop.address),
                                       self._loopback)
         latency = self._latency(rt, model)
@@ -615,7 +626,8 @@ class Simulator:
                     latency += model.base_latency_ms
                 del self._error_draws[msg.msg_id]  # both draws are spent
         self._drain_event(rt, Activity.FORWARD_MESSAGE, now)
-        data = encode_message(msg)
+        if data is None:
+            data = encode_message(msg)
         if msg.msg_id in rt.pending_after_forward:
             rt.pending_after_forward.discard(msg.msg_id)
             self._persist(rt, msg, data)
@@ -636,7 +648,8 @@ class Simulator:
             if outcome.kind is OutcomeKind.DELIVERED:
                 if rt.routable:
                     rt.routable -= 1
-                self._transmit(rt, outcome.message, outcome.next_hop, now)
+                self._transmit(rt, outcome.message, outcome.next_hop, now,
+                               outcome.data)
                 if not rt.alive:
                     return
             elif outcome.kind is OutcomeKind.UNREACHABLE:
@@ -692,37 +705,41 @@ class Simulator:
             if p < 1.0 and rt.rng.random() >= p:
                 self.metrics.handoff_rejected += 1
                 return
-        before = len(rt.bank.delivered_log)
         held = self._held(rt)
         if rt.bank.receive(data) is ReceiveResult.IGNORED:
             self.metrics.ignored += 1
             return
         # The codec is canonical, so data is the received message's encoding.
         self._maybe_backup(rt, rt.bank.last_received, now, data)
-        for msg in rt.bank.delivered_log[before:]:
+        # Take the terminal deliveries out of the bank once recorded, so a
+        # run does not keep every delivered message alive.
+        log = rt.bank.delivered_log
+        for msg in log:
             self._record_delivery(rt, msg, now)
+        log.clear()
         self._admitted(rt, rt.bank.last_received, held, now)
 
     def _record_delivery(self, rt: _NodeRuntime, msg: EmergencyMessage,
                          now: int) -> None:
         estimate = "unknown"
         if rt.node in self._station_kinds and self._known_locations:
-            located = self._estimates.get(msg.src.address)
-            if located is None:
-                located = self._estimates[msg.src.address] = estimate_position(
+            # One JSON dict per source, shared by its delivery records.
+            estimate = self._estimates.get(msg.src.address)
+            if estimate is None:
+                estimate = self._estimates[msg.src.address] = estimate_position(
                     passive_query(msg.src, self.policies.location_query_hops,
                                   self._static_adjacency,
-                                  self._known_locations))
-            estimate = located.to_json()
+                                  self._known_locations)).to_json()
+        names = self._names
         self.metrics.deliveries.append(DeliveryRecord(
             msg_id=msg.msg_id,
-            src=str(msg.src),
-            dst=str(msg.dst),
+            src=names.get(msg.src) or str(msg.src),
+            dst=names.get(msg.dst) or str(msg.dst),
             priority=msg.priority,
             created_at=msg.created_at,
             delivered_at=now,
             hop_count=msg.hop_count,
-            deliver_node=str(rt.node),
+            deliver_node=names[rt.node],
             estimate=estimate,
         ))
 
@@ -751,9 +768,12 @@ class Simulator:
             send = rt.rng.random()
             self._error_draws[msg.msg_id] = _ErrorDraws(send, rt.rng.random())
         self.metrics.injected += 1
-        self._maybe_backup(rt, msg, now)
+        # The one encoding of this message: its queue entry holds it and an
+        # inject-time backup records it.
+        data = encode_message(msg)
+        self._maybe_backup(rt, msg, now, data)
         held = self._held(rt)
-        rt.bank.inject(msg)
+        rt.bank.inject(msg, data)
         self._admitted(rt, msg, held, now)
 
     def _draw_priority(self, rt: _NodeRuntime, spec, i: int) -> int:

@@ -6,15 +6,21 @@ store; failures demote; a delivery that drains the head queue promotes
 every queue one level.  Every message instance a bank accepts is tracked
 through to a terminal disposition so multiset conservation is checkable
 at any step.
+
+A held message keeps the canonical bytes it entered custody with (the
+received bytes, or its encoding at inject), and its entry is sized by
+them.  Swapping, demotion and promotion leave the bytes alone; a send
+splices the message's current priority and hop count into them.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .messages import (
     PRIORITY_LEVELS,
@@ -23,7 +29,8 @@ from .messages import (
     MalformedDocument,
     NodeId,
     decode_message,
-    encoded_size,
+    encode_message,
+    splice_hop,
 )
 
 DEFAULT_RAM_BUDGET = 2 * 1024 * 1024
@@ -49,18 +56,26 @@ class DropReason(Enum):
     DUPLICATE = "duplicate"
 
 
-@dataclass(frozen=True)
-class ForwardOutcome:
+class ForwardOutcome(NamedTuple):
+    """One result of admission or a forward tick; built for every hop, so
+    a tuple rather than a frozen dataclass, which costs several times as
+    much to construct."""
+
     kind: OutcomeKind
     message: EmergencyMessage
     next_hop: Optional[NodeId] = None
     reason: Optional[DropReason] = None
+    # A delivery's wire bytes: the encoding of `message` as sent.
+    data: Optional[bytes] = None
 
 
 @dataclass
 class _Entry:
     msg: EmergencyMessage
-    size: int
+    # msg's encoding as it entered custody.  Custody changes only
+    # msg.priority, one digit for another, so the bytes still size the
+    # entry; a send splices the current priority and hop count into them.
+    data: bytes
     seq: int
 
 
@@ -110,7 +125,8 @@ class PriorityQueueBank:
         node is one) terminates here instead of re-entering the queues.
         The bytes are decoded once; an accepted message is left in
         `last_received` for the caller.  The codec is canonical, so the
-        queue entry is sized by the received bytes themselves.
+        received bytes are the message's encoding and its queue entry
+        holds them.
         """
         self.last_received = None
         try:
@@ -125,16 +141,20 @@ class PriorityQueueBank:
         elif msg.msg_id in self._delivered_ids:
             self._drop(msg, DropReason.DUPLICATE)
         else:
-            self.enqueue(msg, len(data))
+            self.enqueue(msg, data)
         return ReceiveResult.ACCEPTED
 
-    def inject(self, msg: EmergencyMessage) -> Optional[ForwardOutcome]:
+    def inject(self, msg: EmergencyMessage,
+               data: Optional[bytes] = None) -> Optional[ForwardOutcome]:
         """Admit locally originated traffic; self-addressed messages still
-        travel the loopback link rather than short-circuiting."""
+        travel the loopback link rather than short-circuiting.
+
+        `data` is msg's encoding when the caller already holds it.
+        """
         self.accepted[msg.msg_id] = self.accepted.get(msg.msg_id, 0) + 1
         if msg.msg_id in self._delivered_ids:
             return self._drop(msg, DropReason.DUPLICATE)
-        return self.enqueue(msg)
+        return self.enqueue(msg, data)
 
     def _is_local_destination(self, dst: NodeId) -> bool:
         if dst == self.self_id:
@@ -164,20 +184,20 @@ class PriorityQueueBank:
     # -- queue discipline ---------------------------------------------------
 
     def enqueue(self, msg: EmergencyMessage,
-                size: Optional[int] = None) -> Optional[ForwardOutcome]:
+                data: Optional[bytes] = None) -> Optional[ForwardOutcome]:
         """FIFO insert at msg.priority, evicting 4-then-3 tails on pressure.
 
-        `size` is msg's encoded size when the caller already knows it.
-        Returns None when the message is queued (or swapped), or a
-        Dropped(RamExhausted) outcome when queues 0-2 alone exceed the
-        budget and nothing swappable remains.
+        `data` is msg's encoding when the caller already holds it; the
+        entry keeps it and is sized by it.  Returns None when the message
+        is queued (or swapped), or a Dropped(RamExhausted) outcome when
+        queues 0-2 alone exceed the budget and nothing swappable remains.
         """
-        if size is None:
-            size = encoded_size(msg)
-        entry = _Entry(msg, size, self._seq)
+        if data is None:
+            data = encode_message(msg)
+        entry = _Entry(msg, data, self._seq)
         self._seq += 1
         self.queues[msg.priority].append(entry)
-        self.ram_used += entry.size
+        self.ram_used += len(data)
         while self.ram_used > self.ram_budget:
             evictable = next(
                 (p for p in reversed(SWAPPABLE_PRIORITIES) if self.queues[p]), None
@@ -185,12 +205,12 @@ class PriorityQueueBank:
             if evictable is None:
                 break
             victim = self.queues[evictable].pop()  # newest first
-            self.ram_used -= victim.size
+            self.ram_used -= len(victim.data)
             bisect.insort(self.swap_store, victim, key=lambda e: e.seq)
         if self.ram_used > self.ram_budget:
             tail = self.queues[msg.priority].pop()
             assert tail is entry
-            self.ram_used -= entry.size
+            self.ram_used -= len(data)
             return self._drop(msg, DropReason.RAM_EXHAUSTED)
         return None
 
@@ -198,7 +218,7 @@ class PriorityQueueBank:
         for level, queue in enumerate(self.queues):
             if queue:
                 entry = queue.popleft()
-                self.ram_used -= entry.size
+                self.ram_used -= len(entry.data)
                 return entry, level
         return None
 
@@ -215,21 +235,25 @@ class PriorityQueueBank:
         """Re-admit swapped messages once queues 0 and 1 are both empty.
 
         Processes one snapshot of the store per call; re-eviction under
-        pressure lands messages back in the store without looping.  A held
-        message does not change, so its entry's size still holds.
+        pressure lands messages back in the store without looping.  An
+        entry is re-admitted with its held bytes.
         """
         if self.queues[0] or self.queues[1] or not self.swap_store:
             return 0
         batch, self.swap_store = self.swap_store, []
         for entry in batch:
-            self.enqueue(entry.msg, entry.size)
+            self.enqueue(entry.msg, entry.data)
         return len(batch)
 
     # -- the per-tick pipeline ---------------------------------------------
 
     def forward_tick(self, routing_table: dict[NodeId, tuple[NodeId, int]],
                      now: int = 0) -> list[ForwardOutcome]:
-        """Swap in if eligible, then attempt to send one message."""
+        """Swap in if eligible, then attempt to send one message.
+
+        A delivery carries the message's wire bytes: its held bytes with
+        the current priority and the new hop count spliced in.
+        """
         self.swap_in()
         popped = self._pop_entry()
         if popped is None:
@@ -241,12 +265,12 @@ class PriorityQueueBank:
         else:
             next_hop = resolve_next_hop(routing_table, msg.dst)
         if next_hop is None:
-            # Demote one level (saturating) and requeue.  Priority is one
-            # digit at every level, so the encoded size is unchanged.
+            # Demote one level (saturating) and requeue with the held bytes.
             msg.priority = min(msg.priority + 1, LOWEST_PRIORITY)
-            self.enqueue(msg, entry.size)
+            self.enqueue(msg, entry.data)
             return [ForwardOutcome(OutcomeKind.UNREACHABLE, msg)]
         msg.hop_count += 1
+        data = splice_hop(entry.data, msg.priority, msg.hop_count)
         self.delivered[msg.msg_id] = self.delivered.get(msg.msg_id, 0) + 1
         if next_hop != self.self_id:
             # A loopback send comes straight back; remembering it here
@@ -254,7 +278,8 @@ class PriorityQueueBank:
             self._remember_delivered(msg.msg_id)
         if not self.queues[level]:
             self.promote_queues()
-        return [ForwardOutcome(OutcomeKind.DELIVERED, msg, next_hop=next_hop)]
+        return [ForwardOutcome(OutcomeKind.DELIVERED, msg, next_hop=next_hop,
+                               data=data)]
 
     # -- handoff and introspection -------------------------------------------
 
@@ -284,19 +309,17 @@ class PriorityQueueBank:
             self._remember_delivered(msg.msg_id)
         return out
 
-    def queued_ids(self) -> Counter:
-        live: Counter[int] = Counter(
-            e.msg.msg_id for q in self.queues for e in q
-        )
-        return live
-
-    def swapped_ids(self) -> Counter:
-        return Counter(e.msg.msg_id for e in self.swap_store)
-
     def conservation_holds(self) -> bool:
-        """accepted = delivered + queued + swapped + backed-up + dropped."""
-        live = self.queued_ids() + self.swapped_ids()
-        return self.accepted == self.delivered + self.dropped + self.backed_up + live
+        """accepted = delivered + queued + swapped + backed-up + dropped.
+
+        Compared as sorted lists of ids, which builds no Counter sums.
+        """
+        disposed = sorted(itertools.chain(
+            self.delivered.elements(), self.dropped.elements(),
+            self.backed_up.elements(),
+            (e.msg.msg_id for q in self.queues for e in q),
+            (e.msg.msg_id for e in self.swap_store)))
+        return sorted(self.accepted.elements()) == disposed
 
     def snapshot(self) -> dict:
         return {

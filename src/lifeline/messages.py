@@ -5,6 +5,12 @@ element set in a fixed order with no optional whitespace, so that equal
 messages always encode to identical bytes.  Decoding rejects every
 document that is not canonical, so each accepted document is exactly the
 encoding of the message it decodes to.
+
+In custody only a message's priority and hop count change, so a node
+that holds a message's encoding re-encodes it for the next hop by
+splicing those two fields into the held bytes (`splice_hop`) instead of
+formatting the whole document.  Decoding maps each address's text to its
+`NodeId` through a bounded cache, since a run carries few addresses.
 """
 
 from __future__ import annotations
@@ -76,10 +82,9 @@ class NodeId(tuple):
     @classmethod
     def parse(cls, text: str) -> "NodeId":
         """Inverse of str(): only the canonical dotted quad parses."""
-        match = _ADDRESS_TEXT.fullmatch(text)
-        if match is None:
+        if _ADDRESS_TEXT.fullmatch(text) is None:
             raise MalformedDocument(f"not a canonical dotted-quad address: {text!r}")
-        a, b, c, d = map(int, match.groups())
+        a, b, c, d = map(int, text.split("."))
         return cls((a << 24) | (b << 16) | (c << 8) | d)
 
     @property
@@ -134,21 +139,21 @@ class EmergencyMessage:
 # leading zeros, and octets 0-255.  Base64 is only matched by alphabet here;
 # decode checks it is canonical (padding, zero unused bits) by re-encoding.
 _INT = rb"(0|[1-9][0-9]*)"
-_OCTET = rb"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_OCTET = rb"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _ADDRESS = rb"\.".join([_OCTET] * 4)
 # NodeId.parse accepts exactly the address text this grammar accepts.
 _ADDRESS_TEXT = re.compile(_ADDRESS.decode("ascii"))
 _BASE64 = rb"([A-Za-z0-9+/]*={0,2})"
+# An address is one group, so decode reads its text whole.
 _FIELD_GRAMMAR = {
-    "msg_id": _INT, "src": _ADDRESS, "dst": _ADDRESS, "priority": _INT,
-    "payload": _BASE64, "sender_load": _INT, "hop_count": _INT,
-    "created_at": _INT,
+    "msg_id": _INT, "src": b"(%s)" % _ADDRESS, "dst": b"(%s)" % _ADDRESS,
+    "priority": _INT, "payload": _BASE64, "sender_load": _INT,
+    "hop_count": _INT, "created_at": _INT,
 }
 _HEAD = f'<{MESSAGE_ROOT} v="{WIRE_VERSION}">'
 _TAIL = f"</{MESSAGE_ROOT}>"
 # The one canonical layout; encode fills it, decode matches nothing else.
 _TEMPLATE = _HEAD + "".join(f"<{f}>{{}}</{f}>" for f in _MESSAGE_FIELDS) + _TAIL
-_FIXED_SIZE = len(_TEMPLATE.format(*[""] * len(_MESSAGE_FIELDS)))
 _DOCUMENT = re.compile(
     re.escape(_HEAD.encode("ascii"))
     + b"".join(b"<%s>%s</%s>" % (f.encode("ascii"), _FIELD_GRAMMAR[f],
@@ -161,6 +166,17 @@ _DOCUMENT = re.compile(
 # matched always make an address in range.
 _grammar_node_id = functools.partial(tuple.__new__, NodeId)
 
+# Address texts whose NodeId decode remembers.  A run's messages name only
+# its own nodes and station addresses, far fewer than this.
+ADDRESS_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
+def _address_node_id(text: bytes) -> NodeId:
+    """The NodeId of address text the document grammar matched."""
+    a, b, c, d = map(int, text.split(b"."))
+    return _grammar_node_id(((a << 24) | (b << 16) | (c << 8) | d,))
+
 
 def encode_message(msg: EmergencyMessage) -> bytes:
     """Canonical wire encoding; equal messages yield identical bytes."""
@@ -172,14 +188,27 @@ def encode_message(msg: EmergencyMessage) -> bytes:
     ).encode("ascii")
 
 
-def encoded_size(msg: EmergencyMessage) -> int:
-    """len(encode_message(msg)), computed without building the document."""
-    msg.validate()
-    return (_FIXED_SIZE + 4 * ((len(msg.payload) + 2) // 3)
-            + len(str(msg.src)) + len(str(msg.dst))
-            + len(str(msg.msg_id)) + len(str(msg.priority))
-            + len(str(msg.sender_load)) + len(str(msg.hop_count))
-            + len(str(msg.created_at)))
+_PRIORITY_OPEN = b"<priority>"
+_HOP_OPEN = b"<hop_count>"
+_HOP_CLOSE = b"</hop_count>"
+
+
+def splice_hop(data: bytes, priority: int, hop_count: int) -> bytes:
+    """encode_message of data's message with priority and hop_count replaced.
+
+    data must be a canonical encoding, as decode_message accepts or
+    encode_message returns.  Only the two fields' digits are rewritten:
+    no field text holds a '<', so each tag is found by a plain search,
+    and a canonical priority is always one digit.
+    """
+    if not 0 <= priority < PRIORITY_LEVELS:
+        raise InvariantViolation(f"priority out of range: {priority}")
+    if hop_count < 0:
+        raise InvariantViolation(f"negative hop_count: {hop_count}")
+    p = data.index(_PRIORITY_OPEN) + len(_PRIORITY_OPEN)
+    h = data.index(_HOP_OPEN, p) + len(_HOP_OPEN)
+    return b"%b%d%b%d%b" % (data[:p], priority, data[p + 1:h], hop_count,
+                            data[data.index(_HOP_CLOSE, h):])
 
 
 def decode_message(data: bytes) -> EmergencyMessage:
@@ -193,7 +222,7 @@ def decode_message(data: bytes) -> EmergencyMessage:
     match = _DOCUMENT.fullmatch(data)
     if match is None:
         raise MalformedDocument("not a canonical v1 message document")
-    (msg_id, s0, s1, s2, s3, d0, d1, d2, d3, priority, payload_b64,
+    (msg_id, src, dst, priority, payload_b64,
      sender_load, hop_count, created_at) = match.groups()
     try:
         payload = binascii.a2b_base64(payload_b64)
@@ -202,18 +231,11 @@ def decode_message(data: bytes) -> EmergencyMessage:
     if binascii.b2a_base64(payload, newline=False) != payload_b64:
         raise MalformedDocument("payload is not canonical base64")
     try:
+        # Fields in _MESSAGE_FIELDS order.
         msg = EmergencyMessage(
-            msg_id=int(msg_id),
-            src=_grammar_node_id(
-                ((int(s0) << 24) | (int(s1) << 16) | (int(s2) << 8) | int(s3),)),
-            dst=_grammar_node_id(
-                ((int(d0) << 24) | (int(d1) << 16) | (int(d2) << 8) | int(d3),)),
-            priority=int(priority),
-            payload=payload,
-            sender_load=int(sender_load),
-            hop_count=int(hop_count),
-            created_at=int(created_at),
-        )
+            int(msg_id), _address_node_id(src), _address_node_id(dst),
+            int(priority), payload, int(sender_load), int(hop_count),
+            int(created_at))
     except ValueError:  # more digits than int() converts
         raise MalformedDocument("integer field too long") from None
     msg.validate()

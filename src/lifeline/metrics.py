@@ -149,20 +149,25 @@ class RunMetrics:
     def to_csv(self) -> str:
         """Aggregate numbers in a flat metric,key,value table."""
         rows = [("metric", "key", "value")]
-        doc = self.to_json_dict()
-        for name in ("injected", "delivered", "delivery_ratio",
-                     "mean_latency_ms", "ignored", "send_errors",
-                     "recv_errors", "lost_to_dead_node"):
-            rows.append((name, "", _csv_num(doc[name])))
-        for p, stats in sorted(self.latency_by_priority().items()):
+        for name, value in (
+                ("injected", self.injected), ("delivered", self.delivered),
+                ("delivery_ratio", self.delivery_ratio()),
+                ("mean_latency_ms", self.mean_latency_ms()),
+                ("ignored", self.ignored), ("send_errors", self.send_errors),
+                ("recv_errors", self.recv_errors),
+                ("lost_to_dead_node", self.lost_to_dead_node)):
+            rows.append((name, "", _csv_num(value)))
+        for p, stats in self.latency_by_priority().items():
             for stat_name in ("count", "mean_ms", "min_ms", "max_ms"):
                 rows.append((f"latency_p{p}", stat_name, _csv_num(stats[stat_name])))
         for reason, count in sorted(self.dropped.items()):
             rows.append(("dropped", reason, str(count)))
         for node, count in sorted(self.persisted.items()):
             rows.append(("persisted", node, str(count)))
-        for name in ("flushed", "persisted", "rejected"):
-            rows.append(("handoff", name, str(doc["handoff"][name])))
+        for name, count in (("flushed", self.handoff_flushed),
+                            ("persisted", self.handoff_persisted),
+                            ("rejected", self.handoff_rejected)):
+            rows.append(("handoff", name, str(count)))
         for node, at in sorted(self.deaths.items()):
             rows.append(("death_ms", node, str(at)))
         return "\n".join(",".join(row) for row in rows) + "\n"

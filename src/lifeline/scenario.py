@@ -556,6 +556,15 @@ def _run_duration(traffic: list[TrafficSpec], margin_ms: int = 60_000) -> int:
     return max(spec.end_ms() for spec in traffic) + margin_ms
 
 
+# Backup options whose threshold has no usable default, with its range.
+# Option 4's threshold is a priority and defaults to 0.
+_REQUIRED_THRESHOLDS = {
+    3: "a battery percentage in (0, 100]",
+    5: "a load percentage in (0, 100)",
+    6: "a sender load percentage in (0, 100)",
+}
+
+
 def build_setup(setup_id: str, messages: int = 1000, seed: int = 0,
                 backup_option: int = 1,
                 backup_threshold: Optional[float] = None) -> Scenario:
@@ -567,7 +576,8 @@ def build_setup(setup_id: str, messages: int = 1000, seed: int = 0,
     and C topologies as backup experiments: stratified priorities with
     an exact 20% share of priority 0, and the chosen backup option
     (option 1 by default, option 4 with a threshold for the selective
-    variant) enabled on every node.
+    variant) enabled on every node.  Options 3, 5 and 6 need
+    backup_threshold; option 4's defaults to priority 0.
     """
     setup_id = setup_id.upper()
     if setup_id not in SETUP_IDS:
@@ -575,6 +585,11 @@ def build_setup(setup_id: str, messages: int = 1000, seed: int = 0,
             f"setup: expected one of {'/'.join(SETUP_IDS)}, got {setup_id!r}")
     if messages < 1:
         raise MalformedScenario("messages: must be >= 1")
+    if (setup_id not in "ABCD" and backup_threshold is None
+            and backup_option in _REQUIRED_THRESHOLDS):
+        raise MalformedScenario(
+            f"backup_threshold: option {backup_option} needs "
+            f"{_REQUIRED_THRESHOLDS[backup_option]}")
 
     routers = [_router(n) for n in range(1, 5)]
     base = setup_id if setup_id in "ABCD" else {"E": "A", "F": "B", "G": "C"}[setup_id]

@@ -23,6 +23,7 @@ from lifeline.messages import (
     EmergencyMessage,
     InvariantViolation,
     NodeId,
+    encode_message,
     make_msg_id,
 )
 
@@ -307,6 +308,26 @@ def test_storage_limit_refuses_writes():
         for _ in range(10):
             store.persist(make_msg())
     assert store.size_bytes <= 600
+
+
+@pytest.mark.parametrize("slack", [0, -1])
+def test_byte_limit_boundary_is_the_same_in_memory_and_on_file(tmp_path, slack):
+    a, b = make_msg(), make_msg()
+    # A record is an 8-byte header and the message's encoding.
+    limit = 16 + len(encode_message(a)) + len(encode_message(b)) + slack
+    outcomes = []
+    for path in (None, tmp_path / "backup.log"):
+        store = BackupStore(path, limit_bytes=limit)
+        stored = []
+        for msg in (a, b):
+            try:
+                stored.append(store.persist(msg))
+            except StorageFull:
+                stored.append("full")
+        outcomes.append((stored, store.size_bytes, len(store)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == ([True, True] if slack == 0 else [True, "full"])
+    assert (tmp_path / "backup.log").stat().st_size == outcomes[1][1]
 
 
 def test_new_writes_after_replay_continue_the_log(tmp_path):

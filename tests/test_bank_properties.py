@@ -1,5 +1,5 @@
 """State-machine test of the queue bank: conservation, FIFO within a level,
-the swap-in gate, saturating demotion and entry sizes over random
+the swap-in gate, saturating demotion and held wire bytes over random
 operation sequences."""
 
 from collections import Counter
@@ -22,8 +22,8 @@ from lifeline.messages import (
     EmergencyMessage,
     NodeId,
     encode_message,
-    encoded_size,
     make_msg_id,
+    splice_hop,
 )
 
 SELF = NodeId(1)
@@ -110,6 +110,7 @@ class BankMachine(RuleBasedStateMachine):
         else:
             assert outcome.kind is OutcomeKind.DELIVERED
             assert outcome.next_hop == (SELF if msg.dst == SELF else PEER)
+            assert outcome.data == encode_message(msg)
 
     @rule(to_peer=st.booleans())
     def flush(self, to_peer):
@@ -134,15 +135,18 @@ class BankMachine(RuleBasedStateMachine):
                    for e in bank.swap_store)
         seqs = [e.seq for e in bank.swap_store]
         assert seqs == sorted(seqs)
-        assert bank.ram_used == sum(e.size for q in bank.queues for e in q)
+        assert bank.ram_used == sum(len(e.data) for q in bank.queues for e in q)
         assert bank.ram_used <= bank.ram_budget
 
     @invariant()
-    def held_messages_keep_their_size_and_stored_priority(self):
-        # swap_in and demotion re-admit an entry with its stored size.
+    def held_bytes_splice_to_the_message_and_stored_priority_holds(self):
+        # An entry keeps the bytes it was admitted with; only priority and
+        # hop count may have moved since, and splicing them in gives the
+        # message's encoding.
         bank = self.bank
         held = [e for q in bank.queues for e in q] + bank.swap_store
-        assert all(e.size == encoded_size(e.msg) for e in held)
+        assert all(splice_hop(e.data, e.msg.priority, e.msg.hop_count)
+                   == encode_message(e.msg) for e in held)
         assert all(e.msg.priority == self.store_priority[e.seq]
                    for e in bank.swap_store if e.seq in self.store_priority)
         self.store_priority = {e.seq: e.msg.priority for e in bank.swap_store}

@@ -97,6 +97,16 @@ def test_bad_policies_exit_2_with_the_field_path(tmp_path, capsys, policies,
     assert line.startswith(f"error: {path}")
 
 
+@pytest.mark.parametrize("option", [3, 5, 6])
+def test_setup_option_without_its_threshold_exits_2(tmp_path, capsys, option):
+    emitted = tmp_path / "scenario.json"
+    assert main(["setup", "G", "--backup-option", str(option),
+                 "--emit-scenario", str(emitted)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: backup_threshold: option {option} needs ")
+    assert not emitted.exists()
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -1,6 +1,8 @@
-"""Property tests of the message codec: totality, canonicity and sizing."""
+"""Property tests of the message codec: totality, canonicity and splicing."""
 
-from hypothesis import HealthCheck, given, settings
+import dataclasses
+
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lifeline.messages import (
@@ -12,7 +14,7 @@ from lifeline.messages import (
     NodeId,
     decode_message,
     encode_message,
-    encoded_size,
+    splice_hop,
 )
 
 CODEC_SETTINGS = settings(max_examples=300, deadline=None, database=None,
@@ -86,7 +88,20 @@ def test_round_trip(msg):
     assert decode_message(encode_message(msg)) == msg
 
 
+def held(hop_count: int, priority: int = 2) -> EmergencyMessage:
+    return EmergencyMessage(7, NodeId(1), NodeId(2), priority, b"x", 0,
+                            hop_count, 0)
+
+
 @CODEC_SETTINGS
-@given(messages)
-def test_encoded_size_matches_encoding(msg):
-    assert encoded_size(msg) == len(encode_message(msg))
+@given(messages, st.integers(0, PRIORITY_LEVELS - 1), digit_boundaries(10 ** 40))
+@example(held(9), 0, 10)
+@example(held(10, priority=4), 1, 9)
+@example(held(99), 2, 100)
+@example(held(0), 4, 0)
+def test_splice_hop_matches_encoding(msg, priority, hop_count):
+    # The spliced hop count may gain or lose a digit (9 -> 10, 10 -> 9):
+    # the examples pin such pairs, and both counts are drawn at digit
+    # boundaries.
+    moved = dataclasses.replace(msg, priority=priority, hop_count=hop_count)
+    assert splice_hop(encode_message(msg), priority, hop_count) == encode_message(moved)

@@ -1,5 +1,6 @@
 """End-to-end simulator behaviour on the canned scenarios."""
 
+import hashlib
 import sys
 
 import pytest
@@ -9,7 +10,7 @@ from lifeline.backup import BackupStore
 from lifeline.engine import Simulator, run, run_battery_experiment
 from lifeline.forwarding import PriorityQueueBank, ReceiveResult
 from lifeline.locating import KnownLocation, estimate_position, passive_query
-from lifeline.messages import NodeId, encode_message, encoded_size
+from lifeline.messages import NodeId, decode_message, encode_message, splice_hop
 from lifeline.scenario import (
     LinkSpec,
     NodeSpec,
@@ -242,31 +243,78 @@ def test_option_5_stays_quiet_under_light_load():
                                backup_threshold=1)).persisted
 
 
-def test_each_received_hop_is_decoded_once(monkeypatch):
-    calls = {"decode": 0, "accepted": 0}
-    original_decode = messages.decode_message
-    original_receive = PriorityQueueBank.receive
+def count_calls(monkeypatch, original):
+    """Replace original at every binding site in the package with a
+    counting wrapper; returns the list the wrapper appends to."""
+    calls = []
 
-    def counting_decode(data):
-        calls["decode"] += 1
-        return original_decode(data)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    def counting_receive(self, data):
-        result = original_receive(self, data)
-        calls["accepted"] += result is ReceiveResult.ACCEPTED
-        return result
-
-    # Modules bind decode_message by name, so replace it everywhere.
+    # Modules bind codec functions by name, so replace them everywhere.
     for name, module in list(sys.modules.items()):
         if name == "lifeline" or name.startswith("lifeline."):
             for attr, value in list(vars(module).items()):
-                if value is original_decode:
-                    monkeypatch.setattr(module, attr, counting_decode)
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_each_message_is_encoded_once_at_inject(monkeypatch):
+    encodes = count_calls(monkeypatch, messages.encode_message)
+    metrics = run(build_setup("G", messages=40))
+    # Every node backs up every message it handles (option 1), from the
+    # bytes it holds; each hop sends spliced bytes.
+    assert sum(metrics.persisted.values()) == 6 * 40
+    assert len(encodes) == metrics.injected == 40
+
+
+def test_after_forward_records_are_the_forwarded_bytes(monkeypatch):
+    persist = BackupStore.persist
+    on_msg = Simulator._on_msg
+    sent = set()
+    records = []
+
+    def recording_on_msg(sim, now, rt, data):
+        sent.add(data)
+        on_msg(sim, now, rt, data)
+
+    def recording_persist(store, msg, payload=None):
+        if persist(store, msg, payload):
+            records.append((msg.hop_count, store._payloads[-1]))
+            return True
+        return False
+
+    monkeypatch.setattr(Simulator, "_on_msg", recording_on_msg)
+    monkeypatch.setattr(BackupStore, "persist", recording_persist)
+    metrics = run(build_setup("G", messages=40, backup_option=2))
+    assert len(records) == sum(metrics.persisted.values()) > 0
+    for hop_count, record in records:
+        decoded = decode_message(record)
+        assert encode_message(decoded) == record
+        assert decoded.hop_count == hop_count
+        assert record in sent
+    # Option 2 backs up at every node that forwards: hops 1 to 5.
+    assert sorted({hop for hop, _ in records}) == [1, 2, 3, 4, 5]
+
+
+def test_each_received_hop_is_decoded_once(monkeypatch):
+    accepted = []
+    original_receive = PriorityQueueBank.receive
+
+    def counting_receive(self, data):
+        result = original_receive(self, data)
+        if result is ReceiveResult.ACCEPTED:
+            accepted.append(data)
+        return result
+
+    decodes = count_calls(monkeypatch, messages.decode_message)
     monkeypatch.setattr(PriorityQueueBank, "receive", counting_receive)
     metrics = run(build_setup("G", messages=40))
     assert metrics.persisted  # the backup policy ran on received hops
-    assert calls["accepted"] > 0
-    assert calls["decode"] == calls["accepted"]
+    assert accepted
+    assert len(decodes) == len(accepted)
 
 
 def test_backup_happens_on_the_relay_path():
@@ -327,13 +375,18 @@ def test_no_control_packet_is_sent_to_a_dead_neighbour():
 # -- low battery handoff ------------------------------------------------------------
 
 
-def test_low_battery_hands_queued_messages_off():
+# Digest of the handoff run's metrics bytes.  Its flush transmits messages
+# the bank holds without spliced bytes, a path no golden run takes.
+HANDOFF_SHA256 = "59709e584db6de180ee4abd6a69c41eb403ef1d360b0c1af1d62527e9561bcb4"
+
+
+def handoff_scenario():
     phone, station = nid("10.0.1.1"), nid("255.255.255.1")
     stranded = nid("10.0.1.99")
     # The phone queues messages for an unreachable peer; once idle drain
     # pulls it under the threshold, a beacon round hands them all to the
     # adjacent station.
-    scenario = Scenario(
+    return Scenario(
         name="handoff",
         nodes=[NodeSpec(phone, "phone", battery_capacity=0.002),
                NodeSpec(station, "station"),
@@ -343,10 +396,18 @@ def test_low_battery_hands_queued_messages_off():
                              priority=PrioritySpec.uniform())],
         duration_ms=120_000,
     )
-    metrics = run(scenario)
+
+
+def test_low_battery_hands_queued_messages_off():
+    metrics = run(handoff_scenario())
     assert metrics.handoff_flushed == 50
     assert "10.0.1.1" in metrics.deaths
     assert metrics.conservation_ok
+
+
+def test_low_battery_handoff_metrics_bytes_match_pinned_digest():
+    doc = run(handoff_scenario()).to_json()
+    assert hashlib.sha256(doc.encode()).hexdigest() == HANDOFF_SHA256
 
 
 # -- boot trace ----------------------------------------------------------------------
@@ -493,8 +554,10 @@ def test_received_entries_are_sized_by_their_encoding(monkeypatch):
         result = receive(bank, data)
         for queue in bank.queues + [bank.swap_store]:
             for entry in queue:
-                assert entry.size == encoded_size(entry.msg)
-                checked.append(entry.size)
+                assert (splice_hop(entry.data, entry.msg.priority,
+                                   entry.msg.hop_count)
+                        == encode_message(entry.msg))
+                checked.append(len(entry.data))
         return result
 
     monkeypatch.setattr(PriorityQueueBank, "receive", checking_receive)

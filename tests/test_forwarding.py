@@ -3,6 +3,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 from lifeline.forwarding import (
     DropReason,
     ForwardOutcome,
@@ -478,3 +480,29 @@ def test_snapshot_shape():
     assert snap["swap_depth"] == 0
     assert snap["ram_used"] > 0
     assert snap["accepted"] == 1
+
+
+# --- the conservation check itself -------------------------------------------
+
+def one_held_one_sent():
+    """A conserving bank: one message delivered onward, one still held."""
+    bank = PriorityQueueBank(SELF)
+    sent, held = make_msg(priority=0), make_msg(priority=2)
+    bank.inject(sent)
+    bank.inject(held)
+    assert tick_once(bank, ROUTES).kind is OutcomeKind.DELIVERED
+    return bank, sent.msg_id, held.msg_id
+
+
+@pytest.mark.parametrize("break_it", [
+    lambda bank, sent, held: bank.delivered.update([sent]),
+    lambda bank, sent, held: bank.delivered.update([held]),
+    lambda bank, sent, held: bank.accepted.update([held + 1]),
+    lambda bank, sent, held: bank.dropped.update([held + 1]),
+], ids=["extra-delivered", "held-and-delivered", "accepted-undisposed",
+        "dropped-never-accepted"])
+def test_conservation_check_catches_each_imbalance(break_it):
+    bank, sent, held = one_held_one_sent()
+    assert bank.conservation_holds()
+    break_it(bank, sent, held)
+    assert not bank.conservation_holds()

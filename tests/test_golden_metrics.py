@@ -14,7 +14,8 @@ for:
   other and as HELLOs and TCs, which pins the order of same-time events.
 
 These digests change only together with a CHANGES.md entry that says why
-the bytes moved and shows that the acceptance criteria still pass.
+the bytes moved and shows that the acceptance criteria still pass.  The
+CSV views of setup G and gateway-surge are pinned the same way.
 """
 
 import hashlib
@@ -116,3 +117,25 @@ def test_colliding_injects_metrics_bytes_match_golden_digest():
     metrics = run(colliding_injects())
     assert metrics.injected == metrics.delivered == 136
     assert digest(metrics.to_json()) == COLLIDING_INJECTS_SHA256
+
+
+CSV_SHA256 = {
+    "setup-G": "3970649d1cf6ba5bbb3098fc50c9a72cd7b9308f8c17c2c4a69319c287ace898",
+    "gateway-surge": "5b677868474c2b83bca79513186c7729bd3cde219c9c6d8a8e4e585ff283b5bb",
+}
+
+
+def gateway_surge_scenario() -> Scenario:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads.gateway_surge(1)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_csv_text_matches_golden_digest(name):
+    scenario = (build_setup("G", messages=1000, seed=0) if name == "setup-G"
+                else gateway_surge_scenario())
+    assert digest(run(scenario).to_csv()) == CSV_SHA256[name]

@@ -5,7 +5,9 @@ from dataclasses import dataclass
 
 import pytest
 
+from lifeline import messages
 from lifeline.messages import (
+    ADDRESS_CACHE_SIZE,
     MAX_PAYLOAD_BYTES,
     STATION_RANGE_START,
     EmergencyMessage,
@@ -232,6 +234,20 @@ def test_classify_random_bytes_is_other():
         for _ in range(1000)
     )
     assert hits == 0
+
+
+def test_decode_beyond_the_address_cache_stays_correct_and_bounded():
+    # Twice as many distinct addresses as the cache holds, then the
+    # first ones again after they have been evicted.
+    addresses = [NodeId(a * 65_537 + 3) for a in range(2 * ADDRESS_CACHE_SIZE)]
+    for src, dst in [*zip(addresses[::2], addresses[1::2]),
+                     (addresses[0], addresses[1])]:
+        decoded = decode_message(encode_message(make_msg(src=src, dst=dst)))
+        assert (decoded.src, decoded.dst) == (src, dst)
+        assert type(decoded.src) is type(decoded.dst) is NodeId
+    cache = messages._address_node_id.cache_info()
+    assert cache.maxsize == ADDRESS_CACHE_SIZE
+    assert cache.currsize <= ADDRESS_CACHE_SIZE
 
 
 def test_decode_never_crashes_on_fuzz():

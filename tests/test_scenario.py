@@ -94,6 +94,20 @@ def test_backup_setup_option_4_gets_a_threshold():
     assert scenario.policies.backup_options == [{"option": 4, "threshold": 0}]
 
 
+@pytest.mark.parametrize("option,needs", [
+    (3, "a battery percentage in (0, 100]"),
+    (5, "a load percentage in (0, 100)"),
+    (6, "a sender load percentage in (0, 100)"),
+])
+def test_backup_setup_threshold_options_need_a_threshold(option, needs):
+    for setup_id in "EFG":
+        with pytest.raises(MalformedScenario) as exc:
+            build_setup(setup_id, messages=10, backup_option=option)
+        assert str(exc.value) == f"backup_threshold: option {option} needs {needs}"
+    # Set-ups A-D enable no backup option and take none.
+    assert build_setup("B", messages=10, backup_option=option).policies.backup_options == []
+
+
 def test_unknown_setup_rejected():
     with pytest.raises(MalformedScenario, match="setup"):
         build_setup("Z")
