@@ -114,7 +114,10 @@ def _cmd_dump_log(args: argparse.Namespace) -> int:
     path = Path(args.log)
     if not path.exists():
         raise FileNotFoundError(f"no such log file: {path}")
-    store = BackupStore(path)
+    try:
+        store = BackupStore(path)
+    except OSError as exc:
+        raise FileNotFoundError(f"cannot read backup log: {exc}") from exc
     print(json.dumps(store.to_json(), indent=2, sort_keys=True))
     return 0
 

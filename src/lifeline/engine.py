@@ -26,12 +26,8 @@ changes, and a receiver that gets the very tuple it last heard from
 that sender only refreshes the link's timers.  A control packet to a
 dead neighbour is not scheduled at all (its latency is still drawn, so
 the random stream does not move): a node never comes back to life.
-A node whose held messages have no route parks its custody: it schedules
-no retry tick until its route table changes or a message arrives that
-it can send.  The node counts its sendable messages with one scan of its
-bank per route table and then keeps the count as messages arrive and
-leave, so deciding to park costs no further scan.  Retry ticks remain
-for banks that hold both sendable and unroutable messages.
+A node schedules a forward tick only when its queue bank wants one; a
+bank holding only unroutable messages parks (see `forwarding`).
 
 Facts that cannot change are computed once.  Per run: the link model of
 each address pair (and each node's neighbours with their links), the
@@ -86,7 +82,7 @@ from .forwarding import (
     OutcomeKind,
     PriorityQueueBank,
     ReceiveResult,
-    resolve_next_hop,
+    terminates_at,
 )
 from .locating import estimate_position, passive_query
 from .messages import (
@@ -222,17 +218,12 @@ class _NodeRuntime:
     boot: BootController
     rng: _Draws
     battery: Optional[BatteryModel]
-    routes: dict = field(default_factory=dict)
     role: Optional[RoleAssignment] = None
     alive: bool = True
     clock: int = 0
     tc_seq: int = 0
     msg_counter: int = 0
     tick_scheduled: bool = False
-    # Held messages (queued or swapped) that resolve under `routes`, or
-    # None until a failed send counts them.  At 0 custody is parked: no
-    # tick runs until the routes change or a message that resolves arrives.
-    routable: Optional[int] = None
     next_power_at: Optional[int] = None
     pending_after_forward: set = field(default_factory=set)
 
@@ -357,10 +348,6 @@ class Simulator:
         if not rt.tick_scheduled:
             rt.tick_scheduled = True
             self._at(t, self._do_tick, rt)
-
-    def _wants_tick(self, rt: _NodeRuntime) -> bool:
-        """The bank holds messages and custody is not parked."""
-        return rt.routable != 0 and (any(rt.bank.queues) or rt.bank.swap_store)
 
     def _latency(self, rt: _NodeRuntime, model: LinkModel) -> int:
         jitter = rt.rng.uniform(-LATENCY_JITTER, LATENCY_JITTER)
@@ -542,10 +529,9 @@ class Simulator:
                 topo.dirty = False
                 topo.select_mprs()
                 routes = topo.compute_routes()
-                if routes != rt.routes:
-                    rt.routes = routes
-                    rt.routable = None
-                    if self._wants_tick(rt):
+                if routes != rt.bank.routes:
+                    rt.bank.set_routes(routes)
+                    if rt.bank.wants_tick:
                         self._schedule_tick(rt, now)
             self._broadcast(rt, topo.make_hello(), now)
             if rt.battery is not None:
@@ -617,10 +603,7 @@ class Simulator:
                     self.metrics.send_errors += 1
                     latency += model.base_latency_ms
                 draws.send = None
-            if draws.recv is not None and (
-                    next_hop == msg.dst
-                    or (msg.dst.is_station_address
-                        and next_hop.is_station_address)):
+            if draws.recv is not None and terminates_at(next_hop, msg.dst):
                 if draws.recv < model.p_recv_error:
                     self.metrics.recv_errors += 1
                     latency += model.base_latency_ms
@@ -642,49 +625,18 @@ class Simulator:
             if wake > now:
                 self._schedule_tick(rt, wake)
                 return
-        outcomes = rt.bank.forward_tick(rt.routes, now)
         retry = False
-        for outcome in outcomes:
+        for outcome in rt.bank.forward_tick():
             if outcome.kind is OutcomeKind.DELIVERED:
-                if rt.routable:
-                    rt.routable -= 1
                 self._transmit(rt, outcome.message, outcome.next_hop, now,
                                outcome.data)
                 if not rt.alive:
                     return
             elif outcome.kind is OutcomeKind.UNREACHABLE:
                 retry = True
-        if retry and rt.routable is None:
-            rt.routable = self._count_routable(rt)
-        if self._wants_tick(rt):
+        if rt.bank.wants_tick:
             self._schedule_tick(rt, now + (RETRY_TICK_MS if retry
                                            else FORWARD_TICK_MS))
-
-    def _resolves(self, rt: _NodeRuntime, dst: NodeId) -> bool:
-        """Whether forward_tick would send toward dst rather than demote."""
-        return (rt.bank._is_local_destination(dst)
-                or resolve_next_hop(rt.routes, dst) is not None)
-
-    def _count_routable(self, rt: _NodeRuntime) -> int:
-        """Held messages that resolve under rt.routes, by one bank scan."""
-        bank = rt.bank
-        return sum(1 for entry in itertools.chain(*bank.queues, bank.swap_store)
-                   if self._resolves(rt, entry.msg.dst))
-
-    def _held(self, rt: _NodeRuntime) -> Optional[int]:
-        """Messages in custody, while the routable count is being kept."""
-        if rt.routable is None:
-            return None
-        return sum(map(len, rt.bank.queues)) + len(rt.bank.swap_store)
-
-    def _admitted(self, rt: _NodeRuntime, msg: EmergencyMessage,
-                  held_before: Optional[int], now: int) -> None:
-        """Count a message the bank just took into custody, then wake it."""
-        if (held_before is not None and self._held(rt) > held_before
-                and self._resolves(rt, msg.dst)):
-            rt.routable += 1
-        if self._wants_tick(rt):
-            self._schedule_tick(rt, now)
 
     def _on_msg(self, now: int, rt: _NodeRuntime, data: bytes) -> None:
         if not rt.alive:
@@ -705,7 +657,6 @@ class Simulator:
             if p < 1.0 and rt.rng.random() >= p:
                 self.metrics.handoff_rejected += 1
                 return
-        held = self._held(rt)
         if rt.bank.receive(data) is ReceiveResult.IGNORED:
             self.metrics.ignored += 1
             return
@@ -717,7 +668,8 @@ class Simulator:
         for msg in log:
             self._record_delivery(rt, msg, now)
         log.clear()
-        self._admitted(rt, rt.bank.last_received, held, now)
+        if rt.bank.wants_tick:
+            self._schedule_tick(rt, now)
 
     def _record_delivery(self, rt: _NodeRuntime, msg: EmergencyMessage,
                          now: int) -> None:
@@ -772,9 +724,9 @@ class Simulator:
         # inject-time backup records it.
         data = encode_message(msg)
         self._maybe_backup(rt, msg, now, data)
-        held = self._held(rt)
         rt.bank.inject(msg, data)
-        self._admitted(rt, msg, held, now)
+        if rt.bank.wants_tick:
+            self._schedule_tick(rt, now)
 
     def _draw_priority(self, rt: _NodeRuntime, spec, i: int) -> int:
         if spec.kind == "fixed":
@@ -798,10 +750,8 @@ class Simulator:
             return
         if rt.battery.percent >= self.policies.handoff_threshold_pct:
             return
-        actions = low_battery_handoff(rt.bank, rt.routes, rt.battery.percent,
+        actions = low_battery_handoff(rt.bank, rt.bank.routes, rt.battery.percent,
                                       self.policies.handoff_threshold_pct)
-        if actions:
-            rt.routable = 0  # the bank is empty now
         for action in actions:
             if action.kind is HandoffKind.FLUSH:
                 self.metrics.handoff_flushed += 1

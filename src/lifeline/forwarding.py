@@ -11,6 +11,14 @@ A held message keeps the canonical bytes it entered custody with (the
 received bytes, or its encoding at inject), and its entry is sized by
 them.  Swapping, demotion and promotion leave the bytes alone; a send
 splices the message's current priority and hop count into them.
+
+A bank holds its node's routes (`set_routes`) and says whether the node
+needs a forward tick (`wants_tick`).  A bank none of whose held messages
+has a route parks: it wants no tick until its routes change or a message
+arrives that it can send.  It counts its sendable messages with one scan
+per route table, at the first tick that cannot send, then keeps the
+count as messages arrive and leave.  Retry ticks remain for banks that
+hold both sendable and unroutable messages.
 """
 
 from __future__ import annotations
@@ -79,6 +87,11 @@ class _Entry:
     seq: int
 
 
+def terminates_at(node: NodeId, dst: NodeId) -> bool:
+    """Whether dst is node, or a station-range address and node a station."""
+    return dst == node or (dst.is_station_address and node.is_station_address)
+
+
 def resolve_next_hop(routing_table: dict[NodeId, tuple[NodeId, int]],
                      dst: NodeId) -> Optional[NodeId]:
     """Exact-match route, else any station for a station-range destination."""
@@ -115,6 +128,12 @@ class PriorityQueueBank:
         # The message the latest accepted receive decoded, else None.
         self.last_received: Optional[EmergencyMessage] = None
         self.drop_reasons: Counter[DropReason] = Counter()
+        # The route table forward_tick sends by; replaced by set_routes.
+        self.routes: dict[NodeId, tuple[NodeId, int]] = {}
+        # Held messages (queued or swapped) that resolve under `routes`, or
+        # None until a tick that cannot send counts them.  At 0 custody is
+        # parked until the routes change or a message that resolves arrives.
+        self.routable: Optional[int] = None
 
     # -- admission --------------------------------------------------------
 
@@ -136,12 +155,10 @@ class PriorityQueueBank:
             return ReceiveResult.IGNORED
         self.last_received = msg
         self.accepted[msg.msg_id] = self.accepted.get(msg.msg_id, 0) + 1
-        if self._is_local_destination(msg.dst):
+        if terminates_at(self.self_id, msg.dst):
             self._deliver_terminal(msg)
-        elif msg.msg_id in self._delivered_ids:
-            self._drop(msg, DropReason.DUPLICATE)
         else:
-            self.enqueue(msg, data)
+            self._admit(msg, data)
         return ReceiveResult.ACCEPTED
 
     def inject(self, msg: EmergencyMessage,
@@ -152,15 +169,18 @@ class PriorityQueueBank:
         `data` is msg's encoding when the caller already holds it.
         """
         self.accepted[msg.msg_id] = self.accepted.get(msg.msg_id, 0) + 1
+        return self._admit(msg, data)
+
+    def _admit(self, msg: EmergencyMessage,
+               data: Optional[bytes]) -> Optional[ForwardOutcome]:
+        """Drop a duplicate, else enqueue; count it if held and it resolves."""
         if msg.msg_id in self._delivered_ids:
             return self._drop(msg, DropReason.DUPLICATE)
-        return self.enqueue(msg, data)
-
-    def _is_local_destination(self, dst: NodeId) -> bool:
-        if dst == self.self_id:
-            return True
-        # Any station satisfies a message addressed into the reserved range.
-        return dst.is_station_address and self.self_id.is_station_address
+        outcome = self.enqueue(msg, data)
+        if (outcome is None and self.routable is not None
+                and self._next_hop(msg.dst) is not None):
+            self.routable += 1
+        return outcome
 
     def _deliver_terminal(self, msg: EmergencyMessage) -> None:
         if msg.msg_id in self._delivered_ids:
@@ -245,10 +265,24 @@ class PriorityQueueBank:
             self.enqueue(entry.msg, entry.data)
         return len(batch)
 
-    # -- the per-tick pipeline ---------------------------------------------
+    # -- routes and the per-tick pipeline -------------------------------------
 
-    def forward_tick(self, routing_table: dict[NodeId, tuple[NodeId, int]],
-                     now: int = 0) -> list[ForwardOutcome]:
+    def set_routes(self, routes: dict[NodeId, tuple[NodeId, int]]) -> None:
+        """Send by routes from now on; the routable count starts over."""
+        self.routes = routes
+        self.routable = None
+
+    @property
+    def wants_tick(self) -> bool:
+        """The bank holds messages and custody is not parked."""
+        return self.routable != 0 and bool(any(self.queues) or self.swap_store)
+
+    def _next_hop(self, dst: NodeId) -> Optional[NodeId]:
+        if terminates_at(self.self_id, dst):
+            return self.self_id  # goes out over the loopback link
+        return resolve_next_hop(self.routes, dst)
+
+    def forward_tick(self) -> list[ForwardOutcome]:
         """Swap in if eligible, then attempt to send one message.
 
         A delivery carries the message's wire bytes: its held bytes with
@@ -260,15 +294,18 @@ class PriorityQueueBank:
             return []
         entry, level = popped
         msg = entry.msg
-        if self._is_local_destination(msg.dst):
-            next_hop = self.self_id  # goes out over the loopback link
-        else:
-            next_hop = resolve_next_hop(routing_table, msg.dst)
+        next_hop = self._next_hop(msg.dst)
         if next_hop is None:
             # Demote one level (saturating) and requeue with the held bytes.
             msg.priority = min(msg.priority + 1, LOWEST_PRIORITY)
             self.enqueue(msg, entry.data)
+            if self.routable is None:
+                self.routable = sum(
+                    1 for e in itertools.chain(*self.queues, self.swap_store)
+                    if self._next_hop(e.msg.dst) is not None)
             return [ForwardOutcome(OutcomeKind.UNREACHABLE, msg)]
+        if self.routable:
+            self.routable -= 1
         msg.hop_count += 1
         data = splice_hop(entry.data, msg.priority, msg.hop_count)
         self.delivered[msg.msg_id] = self.delivered.get(msg.msg_id, 0) + 1
@@ -291,6 +328,10 @@ class PriorityQueueBank:
         out.extend(entry.msg for entry in self.swap_store)
         self.swap_store = []
         self.ram_used = 0
+        if out:
+            # Only when something left: a count started on an empty bank
+            # would park the next unroutable arrival before its demotion.
+            self.routable = 0
         return out
 
     def drain_for_backup(self) -> list[EmergencyMessage]:

@@ -293,6 +293,9 @@ class Scenario:
                 raise MalformedScenario(
                     f"nodes[{i}].address: station must use a reserved "
                     f"station-range address, got {spec.node}")
+            if spec.battery_capacity is not None and spec.battery_capacity <= 0:
+                raise MalformedScenario(
+                    f"nodes[{i}].battery_capacity: must be > 0")
         for i, link in enumerate(self.links):
             for end, node in (("a", link.a), ("b", link.b)):
                 if node not in known:
@@ -317,6 +320,21 @@ class Scenario:
             if spec.interval_ms < 1:
                 raise MalformedScenario(
                     f"traffic[{i}].interval_ms: must be >= 1")
+            size, path = spec.size, f"traffic[{i}].size"
+            if size.kind == "constant":
+                if not 1 <= size.lo <= MAX_PAYLOAD_BYTES:
+                    raise MalformedScenario(
+                        f"{path}.bytes: expected 1..{MAX_PAYLOAD_BYTES}")
+            elif not 1 <= size.lo <= size.hi <= MAX_PAYLOAD_BYTES:
+                raise MalformedScenario(
+                    f"{path}: expected 1 <= lo <= hi <= {MAX_PAYLOAD_BYTES}")
+            prio, path = spec.priority, f"traffic[{i}].priority"
+            if prio.kind == "fixed" and not 0 <= prio.value < PRIORITY_LEVELS:
+                raise MalformedScenario(
+                    f"{path}.value: expected 0..{PRIORITY_LEVELS - 1}")
+            if prio.kind == "stratified" and not 0 < prio.priority0_share <= 1:
+                raise MalformedScenario(
+                    f"{path}.priority0_share: expected a share in (0, 1]")
         if self.duration_ms < 1:
             raise MalformedScenario("duration_ms: must be >= 1")
         for spec in self.traffic:
@@ -329,6 +347,12 @@ class Scenario:
         for name in ("hello_interval_ms", "tc_interval_ms", "wake_window_ms"):
             if getattr(policies, name) < 1:
                 raise MalformedScenario(f"policies.{name}: must be >= 1")
+        # Read at role assignment even with duty cycling off.
+        if not 0 < policies.duty_cycle <= 1:
+            raise MalformedScenario(
+                "policies.duty_cycle: expected a value in (0, 1]")
+        if policies.location_query_hops < 1:
+            raise MalformedScenario("policies.location_query_hops: must be >= 1")
         for node, at in policies.scan_schedule.items():
             path = f"policies.scan_schedule[{str(node)!r}]"
             if node not in known:
@@ -359,6 +383,7 @@ class Scenario:
 
 
 # -- parsing with field-path diagnostics ----------------------------------
+# Parsers check shapes and types; Scenario.validate checks every range.
 
 _MISSING = object()
 
@@ -393,8 +418,6 @@ def _parse_node(doc, path) -> NodeSpec:
         raise MalformedScenario(
             f"{path}.kind: expected one of {NODE_KINDS}, got {kind!r}")
     capacity = _want(doc, "battery_capacity", float, path, default=None)
-    if capacity is not None and capacity <= 0:
-        raise MalformedScenario(f"{path}.battery_capacity: must be > 0")
     screen_on = _want(doc, "screen_on", bool, path, default=False)
     location = None
     if doc.get("location") is not None:
@@ -409,37 +432,23 @@ def _parse_node(doc, path) -> NodeSpec:
 def _parse_size(doc, path) -> SizeSpec:
     kind = _want(doc, "kind", str, path)
     if kind == "constant":
-        n = _want(doc, "bytes", int, path)
-        if not 1 <= n <= MAX_PAYLOAD_BYTES:
-            raise MalformedScenario(
-                f"{path}.bytes: expected 1..{MAX_PAYLOAD_BYTES}")
-        return SizeSpec.constant(n)
+        return SizeSpec.constant(_want(doc, "bytes", int, path))
     if kind == "uniform":
-        lo = _want(doc, "lo", int, path, default=10)
-        hi = _want(doc, "hi", int, path, default=MAX_PAYLOAD_BYTES)
-        if not 1 <= lo <= hi <= MAX_PAYLOAD_BYTES:
-            raise MalformedScenario(
-                f"{path}: expected 1 <= lo <= hi <= {MAX_PAYLOAD_BYTES}")
-        return SizeSpec.uniform(lo, hi)
+        return SizeSpec.uniform(
+            _want(doc, "lo", int, path, default=10),
+            _want(doc, "hi", int, path, default=MAX_PAYLOAD_BYTES))
     raise MalformedScenario(f"{path}.kind: expected 'constant' or 'uniform'")
 
 
 def _parse_priority(doc, path) -> PrioritySpec:
     kind = _want(doc, "kind", str, path)
     if kind == "fixed":
-        value = _want(doc, "value", int, path)
-        if not 0 <= value < PRIORITY_LEVELS:
-            raise MalformedScenario(
-                f"{path}.value: expected 0..{PRIORITY_LEVELS - 1}")
-        return PrioritySpec.fixed(value)
+        return PrioritySpec.fixed(_want(doc, "value", int, path))
     if kind == "uniform":
         return PrioritySpec.uniform()
     if kind == "stratified":
-        share = _want(doc, "priority0_share", float, path, default=0.2)
-        if not 0 < share <= 1:
-            raise MalformedScenario(
-                f"{path}.priority0_share: expected a share in (0, 1]")
-        return PrioritySpec.stratified(float(share))
+        return PrioritySpec.stratified(float(
+            _want(doc, "priority0_share", float, path, default=0.2)))
     raise MalformedScenario(
         f"{path}.kind: expected 'fixed', 'uniform', or 'stratified'")
 
@@ -475,8 +484,6 @@ def _parse_policies(doc, path) -> Policies:
         doc, "duty_cycle_enabled", bool, path, default=False)
     policies.duty_cycle = float(_want(
         doc, "duty_cycle", float, path, default=DEFAULT_DUTY_CYCLE))
-    if not 0 < policies.duty_cycle <= 1:
-        raise MalformedScenario(f"{path}.duty_cycle: expected a value in (0, 1]")
     policies.wake_window_ms = _want(
         doc, "wake_window_ms", int, path, default=WAKE_WINDOW_MS)
     policies.energy_per_control = float(_want(
@@ -496,8 +503,6 @@ def _parse_policies(doc, path) -> Policies:
     }
     policies.location_query_hops = _want(
         doc, "location_query_hops", int, path, default=3)
-    if policies.location_query_hops < 1:
-        raise MalformedScenario(f"{path}.location_query_hops: must be >= 1")
     return policies
 
 

@@ -272,7 +272,8 @@ def test_criterion_7_queue_discipline_trace():
 
     def tick(routes_up: bool) -> None:
         nonlocal ordered_checks
-        outcomes = bank.forward_tick(full_table if routes_up else {})
+        bank.set_routes(full_table if routes_up else {})
+        outcomes = bank.forward_tick()
         head = head_after_swap[0]
         if head is None:
             if outcomes:

@@ -1,6 +1,6 @@
 """State-machine test of the queue bank: conservation, FIFO within a level,
-the swap-in gate, saturating demotion and held wire bytes over random
-operation sequences."""
+the swap-in gate, saturating demotion, held wire bytes and the routable
+count behind parked custody over random operation sequences."""
 
 from collections import Counter
 
@@ -14,6 +14,8 @@ from lifeline.forwarding import (
     OutcomeKind,
     PriorityQueueBank,
     ReceiveResult,
+    resolve_next_hop,
+    terminates_at,
 )
 from lifeline.messages import (
     MAX_PAYLOAD_BYTES,
@@ -82,7 +84,13 @@ class BankMachine(RuleBasedStateMachine):
         assert self.bank.receive(junk) is ReceiveResult.IGNORED
 
     @rule(routed=st.booleans())
-    def forward_tick(self, routed):
+    def set_routes(self, routed):
+        self.bank.set_routes(ROUTES if routed else {})
+
+    @rule()
+    def forward_tick(self):
+        # Ticks under the routes the last set_routes left, so the routable
+        # count lives across ticks, arrivals and sends.
         bank = self.bank
         before = layout(bank)
         priority = {e.msg.msg_id: e.msg.priority for q in bank.queues for e in q}
@@ -90,7 +98,7 @@ class BankMachine(RuleBasedStateMachine):
         swapped = [e.msg.msg_id for e in bank.swap_store]
         gate_open = not before[0] and not before[1]
 
-        outcomes = bank.forward_tick(ROUTES if routed else {})
+        outcomes = bank.forward_tick()
 
         if not any(before) and not swapped:
             assert outcomes == []
@@ -125,6 +133,17 @@ class BankMachine(RuleBasedStateMachine):
     def conserved(self):
         assert self.bank.accepted == self.admitted
         assert self.bank.conservation_holds()
+
+    @invariant()
+    def routable_count_matches_a_scan(self):
+        bank = self.bank
+        held = [e for q in bank.queues for e in q] + bank.swap_store
+        if bank.routable is not None:
+            assert bank.routable == sum(
+                1 for e in held
+                if terminates_at(SELF, e.msg.dst)
+                or resolve_next_hop(bank.routes, e.msg.dst) is not None)
+        assert bank.wants_tick == (bank.routable != 0 and bool(held))
 
     @invariant()
     def levels_and_ram_consistent(self):

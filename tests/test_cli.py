@@ -189,3 +189,14 @@ def test_dump_log_round_trip(tmp_path, capsys):
 def test_dump_log_missing_file_exits_1(tmp_path, capsys):
     assert main(["dump-log", str(tmp_path / "absent.log")]) == 1
     assert "no such log" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,why", [("absent.log", "no such log file"),
+                                      (".", "cannot read backup log")])
+def test_dump_log_unreadable_path_is_one_error_line(tmp_path, capsys,
+                                                    name, why):
+    assert main(["dump-log", str(tmp_path / name)]) == 1
+    err = capsys.readouterr().err
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {why}")
+    assert "Traceback" not in err

@@ -51,7 +51,8 @@ ROUTES = {FAR: (PEER, 2)}
 
 
 def tick_once(bank, table):
-    (outcome,) = bank.forward_tick(table)
+    bank.set_routes(table)
+    (outcome,) = bank.forward_tick()
     return outcome
 
 
@@ -199,7 +200,8 @@ def test_dequeue_prefers_lowest_index_queue():
 
 def test_dequeue_empty_bank_returns_none():
     bank = PriorityQueueBank(SELF)
-    assert bank.forward_tick(ROUTES) == []
+    bank.set_routes(ROUTES)
+    assert bank.forward_tick() == []
 
 
 def test_full_drain_priorities_non_decreasing():
@@ -209,8 +211,9 @@ def test_full_drain_priorities_non_decreasing():
     original = {m.msg_id: m.priority for m in sent}
     for m in sent:
         bank.enqueue(m)
+    bank.set_routes(ROUTES)
     drained = []
-    while outcomes := bank.forward_tick(ROUTES):
+    while outcomes := bank.forward_tick():
         drained.append(outcomes[0].message.msg_id)
     # Promotion shifts whole queues, so sends follow the enqueue-time
     # priority, FIFO within a level.
@@ -342,7 +345,8 @@ def test_swap_churn_conserves_multiset():
             injected[msg.msg_id] += 1
             bank.inject(msg)
         else:
-            bank.forward_tick(table if rng.random() < 0.7 else {})
+            bank.set_routes(table if rng.random() < 0.7 else {})
+            bank.forward_tick()
         if step % 1000 == 0:
             assert bank.conservation_holds()
     assert bank.conservation_holds()
@@ -355,7 +359,8 @@ def test_tick_delivers_over_existing_route():
     bank = PriorityQueueBank(SELF)
     msg = make_msg(priority=0, dst=FAR)
     bank.inject(msg)
-    outcomes = bank.forward_tick({FAR: (PEER, 2)})
+    bank.set_routes({FAR: (PEER, 2)})
+    outcomes = bank.forward_tick()
     assert len(outcomes) == 1
     out = outcomes[0]
     assert out.kind is OutcomeKind.DELIVERED
@@ -368,7 +373,8 @@ def test_tick_without_route_demotes():
     bank = PriorityQueueBank(SELF)
     msg = make_msg(priority=0, dst=FAR)
     bank.inject(msg)
-    outcomes = bank.forward_tick({})
+    bank.set_routes({})
+    outcomes = bank.forward_tick()
     assert outcomes[0].kind is OutcomeKind.UNREACHABLE
     assert msg.priority == 1
     assert len(bank.queues[1]) == 1
@@ -377,14 +383,16 @@ def test_tick_without_route_demotes():
 
 def test_tick_on_empty_bank_is_quiet():
     bank = PriorityQueueBank(SELF)
-    assert bank.forward_tick({}) == []
+    bank.set_routes({})
+    assert bank.forward_tick() == []
 
 
 def test_tick_routes_station_range_destination_via_any_station():
     bank = PriorityQueueBank(SELF)
     other_station = NodeId(STATION_RANGE_START + 3)
     bank.inject(make_msg(dst=STATION))
-    outcomes = bank.forward_tick({other_station: (PEER, 1)})
+    bank.set_routes({other_station: (PEER, 1)})
+    outcomes = bank.forward_tick()
     assert outcomes[0].kind is OutcomeKind.DELIVERED
     assert outcomes[0].next_hop == PEER
 
@@ -392,7 +400,8 @@ def test_tick_routes_station_range_destination_via_any_station():
 def test_tick_to_self_goes_out_on_loopback():
     bank = PriorityQueueBank(SELF)
     bank.inject(make_msg(dst=SELF, src=SELF))
-    outcomes = bank.forward_tick({})
+    bank.set_routes({})
+    outcomes = bank.forward_tick()
     assert outcomes[0].kind is OutcomeKind.DELIVERED
     assert outcomes[0].next_hop == SELF
 
@@ -401,7 +410,8 @@ def test_loopback_round_trip_delivers_terminally():
     bank = PriorityQueueBank(SELF)
     msg = make_msg(dst=SELF, src=SELF)
     bank.inject(msg)
-    (outcome,) = bank.forward_tick({})
+    bank.set_routes({})
+    (outcome,) = bank.forward_tick()
     assert bank.receive(encode_message(outcome.message)) is ReceiveResult.ACCEPTED
     assert [m.msg_id for m in bank.delivered_log] == [msg.msg_id]
     assert bank.drop_reasons[DropReason.DUPLICATE] == 0
@@ -414,7 +424,8 @@ def test_delivery_that_empties_head_queue_promotes():
     waiting = make_msg(priority=2)
     bank.inject(urgent)
     bank.inject(waiting)
-    bank.forward_tick({FAR: (PEER, 2)})
+    bank.set_routes({FAR: (PEER, 2)})
+    bank.forward_tick()
     assert waiting.priority == 1
     assert [e.msg for e in bank.queues[1]] == [waiting]
 
@@ -426,7 +437,8 @@ def test_delivery_with_nonempty_head_queue_does_not_promote():
     waiting = make_msg(priority=2)
     for m in (first, second, waiting):
         bank.inject(m)
-    bank.forward_tick({FAR: (PEER, 2)})
+    bank.set_routes({FAR: (PEER, 2)})
+    bank.forward_tick()
     assert waiting.priority == 2
 
 
@@ -443,9 +455,11 @@ def test_line_of_banks_counts_hops_like_bfs():
     sent = [make_msg(src=nodes[0], dst=nodes[3], priority=i % 5) for i in range(40)]
     for m in sent:
         banks[nodes[0]].inject(m)
+    for n in nodes:
+        banks[n].set_routes(tables[n])
     for _ in range(400):
         for n in nodes:
-            for out in banks[n].forward_tick(tables[n]):
+            for out in banks[n].forward_tick():
                 if out.kind is OutcomeKind.DELIVERED and out.next_hop != n:
                     banks[out.next_hop].receive(encode_message(out.message))
     arrived = banks[nodes[3]].delivered_log

@@ -12,7 +12,9 @@ from lifeline.scenario import (
     SETUP_IDS,
     LinkModel,
     MalformedScenario,
+    PrioritySpec,
     Scenario,
+    SizeSpec,
     build_battery_scenario,
     build_boot_scenario,
     build_duty_cycle_scenario,
@@ -330,6 +332,67 @@ def test_duty_cycle_range_diagnostic():
     doc["policies"] = {"duty_cycle": 0.0}
     with pytest.raises(MalformedScenario, match="policies.duty_cycle"):
         Scenario.from_json_dict(doc)
+
+
+def _node(field, value):
+    return lambda scenario: setattr(scenario.nodes[0], field, value)
+
+
+def _traffic(field, value):
+    return lambda scenario: setattr(scenario.traffic[0], field, value)
+
+
+def _policy(field, value):
+    return lambda scenario: setattr(scenario.policies, field, value)
+
+
+# Unchecked, each of these stops a run midway (a division by zero or an
+# invalid message) or runs it outside the model's ranges.
+OUT_OF_RANGE = [
+    pytest.param(_node("battery_capacity", 0.0),
+                 "nodes[0].battery_capacity: must be > 0",
+                 id="capacity=0"),
+    pytest.param(_traffic("size", SizeSpec.constant(0)),
+                 "traffic[0].size.bytes: expected 1..255",
+                 id="bytes=0"),
+    pytest.param(_traffic("size", SizeSpec.constant(256)),
+                 "traffic[0].size.bytes: expected 1..255",
+                 id="bytes=256"),
+    pytest.param(_traffic("size", SizeSpec.uniform(0, 10)),
+                 "traffic[0].size: expected 1 <= lo <= hi <= 255",
+                 id="lo=0"),
+    pytest.param(_traffic("size", SizeSpec.uniform(50, 20)),
+                 "traffic[0].size: expected 1 <= lo <= hi <= 255",
+                 id="lo>hi"),
+    pytest.param(_traffic("priority", PrioritySpec.fixed(7)),
+                 "traffic[0].priority.value: expected 0..4",
+                 id="fixed=7"),
+    pytest.param(_traffic("priority", PrioritySpec.fixed(-1)),
+                 "traffic[0].priority.value: expected 0..4",
+                 id="fixed=-1"),
+    pytest.param(_traffic("priority", PrioritySpec.stratified(0.0)),
+                 "traffic[0].priority.priority0_share: expected a share in (0, 1]",
+                 id="share=0"),
+    pytest.param(_traffic("priority", PrioritySpec.stratified(1.5)),
+                 "traffic[0].priority.priority0_share: expected a share in (0, 1]",
+                 id="share=1.5"),
+    pytest.param(_policy("duty_cycle", 0.0),
+                 "policies.duty_cycle: expected a value in (0, 1]",
+                 id="duty_cycle=0"),
+    pytest.param(_policy("location_query_hops", 0),
+                 "policies.location_query_hops: must be >= 1",
+                 id="hops=0"),
+]
+
+
+@pytest.mark.parametrize("setup_id", ["B", "C"])
+@pytest.mark.parametrize("mutate,error", OUT_OF_RANGE)
+def test_range_rules_hold_for_built_scenarios(setup_id, mutate, error):
+    scenario = build_setup(setup_id, messages=20)
+    mutate(scenario)
+    with pytest.raises(MalformedScenario) as info:
+        Simulator(scenario)
+    assert str(info.value) == error
 
 
 def test_non_object_document_rejected():
