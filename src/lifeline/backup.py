@@ -5,7 +5,7 @@ Six configurable backup options carry fixed priorities (1,2 -> 1;
 the smallest (priority, option number) pair wins and the rest are
 discarded.  Authorized messages land in an append-only log of
 length-prefixed, CRC-checked records so a crash mid-write costs at most
-the torn tail.
+the torn tail, which the next append cuts off.
 """
 
 from __future__ import annotations
@@ -157,42 +157,51 @@ def evaluate_policy(enabled: set[BackupOption], msg: EmergencyMessage,
                                    cond.load_percent)
 
 
+def _read_log(data: bytes) -> tuple[list[EmergencyMessage], int]:
+    """The messages of a log's valid prefix, and that prefix's length."""
+    messages: list[EmergencyMessage] = []
+    offset = 0
+    while offset + _RECORD_HEADER.size <= len(data):
+        length, crc = _RECORD_HEADER.unpack_from(data, offset)
+        start = offset + _RECORD_HEADER.size
+        payload = data[start:start + length]
+        if len(payload) < length or zlib.crc32(payload) != crc:
+            break
+        try:
+            messages.append(decode_message(payload))
+        except MalformedDocument:
+            break
+        offset = start + length
+    return messages, offset
+
+
 class BackupStore:
     """Append-only message log, replayable after restart.
 
     Records are (length, CRC-32, encoded message).  Replay stops at the
     first record that fails framing or checksum, keeping the valid
-    prefix; the discarded byte count is reported for diagnostics.
+    prefix; the discarded byte count is reported for diagnostics, and
+    the first append cuts those bytes off the file.  Opening never writes.
+
+    The store keeps ids, a record count and the size, not the records:
+    only a log file is read back, by the parser that replays it.
     """
 
     def __init__(self, path: Union[str, Path, None] = None,
                  limit_bytes: int = STORE_LIMIT_BYTES):
         self._path = Path(path) if path is not None else None
         self.limit_bytes = limit_bytes
-        self._payloads: list[bytes] = []
         self._ids: set[int] = set()
+        self._count = 0
         self._size = 0
+        # Bytes after the valid prefix at open; 0 once an append cut them.
         self.corrupt_tail_bytes = 0
         if self._path is not None and self._path.exists():
-            self._replay(self._path.read_bytes())
-
-    def _replay(self, data: bytes) -> None:
-        offset = 0
-        while offset + _RECORD_HEADER.size <= len(data):
-            length, crc = _RECORD_HEADER.unpack_from(data, offset)
-            start = offset + _RECORD_HEADER.size
-            payload = data[start:start + length]
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                break
-            try:
-                msg = decode_message(payload)
-            except MalformedDocument:
-                break
-            self._payloads.append(payload)
-            self._ids.add(msg.msg_id)
-            offset = start + length
-        self._size = offset
-        self.corrupt_tail_bytes = len(data) - offset
+            data = self._path.read_bytes()
+            messages, self._size = _read_log(data)
+            self._ids = {msg.msg_id for msg in messages}
+            self._count = len(messages)
+            self.corrupt_tail_bytes = len(data) - self._size
 
     def persist(self, msg: EmergencyMessage,
                 payload: Optional[bytes] = None) -> bool:
@@ -210,15 +219,18 @@ class BackupStore:
         if self._path is not None:
             # Only a file is ever replayed, so only it needs the framing.
             with self._path.open("ab") as fh:
+                if self.corrupt_tail_bytes:
+                    fh.truncate(self._size)
+                    self.corrupt_tail_bytes = 0
                 fh.write(_RECORD_HEADER.pack(len(payload), zlib.crc32(payload))
                          + payload)
-        self._payloads.append(payload)
         self._ids.add(msg.msg_id)
+        self._count += 1
         self._size += size
         return True
 
     def __len__(self) -> int:
-        return len(self._payloads)
+        return self._count
 
     @property
     def size_bytes(self) -> int:
@@ -228,8 +240,12 @@ class BackupStore:
         return msg_id in self._ids
 
     def messages(self) -> list[EmergencyMessage]:
-        """Fresh decoded copies, in persisted order."""
-        return [decode_message(p) for p in self._payloads]
+        """The log file's messages, freshly decoded, in persisted order."""
+        if self._path is None:
+            raise ValueError("a backup store without a log file keeps no records")
+        if not self._path.exists():
+            return []
+        return _read_log(self._path.read_bytes())[0]
 
     def restore_into(self, bank: PriorityQueueBank) -> int:
         """Re-admit persisted messages the bank has not delivered yet."""

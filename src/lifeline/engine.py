@@ -13,9 +13,10 @@ cost of a scalar Generator call.
 
 Emergency messages cross links as real wire bytes through each bank's
 receive path, which decodes each received hop exactly once; the backup
-policy reuses that decoded message.  A message is encoded once, at
-inject; every later hop sends its held bytes with the new priority and
-hop count spliced in.  Control packets have no wire form:
+policy reuses that decoded message.  Only `_on_inject` encodes a
+message: every later hop, and a low-battery handoff, sends or persists
+its held bytes with the current priority and hop count spliced in.
+Control packets have no wire form:
 the topology states pass them to each other by value, and a packet costs
 only its link latency and, when a scenario sets one, its energy.
 
@@ -101,13 +102,12 @@ from .power import (
     BatteryDead,
     BatteryModel,
     CalibrationPoint,
-    HandoffKind,
     RoleAssignment,
     acceptance_probability,
     calibrate,
     classify_roles,
     is_awake,
-    low_battery_handoff,
+    station_route,
 )
 from .scenario import (
     BATTERY_INTERVALS,
@@ -566,8 +566,8 @@ class Simulator:
         return min(100, round(100 * rt.bank.ram_used / rt.bank.ram_budget))
 
     def _maybe_backup(self, rt: _NodeRuntime, msg: EmergencyMessage,
-                      now: int, data: Optional[bytes] = None) -> None:
-        """Apply the backup policy; data is msg's encoding, if held."""
+                      now: int, data: bytes) -> None:
+        """Apply the backup policy; data is msg's encoding."""
         if self._policy is None:
             return
         if self._policy_reads_node:
@@ -582,7 +582,7 @@ class Simulator:
             rt.pending_after_forward.add(msg.msg_id)
 
     def _persist(self, rt: _NodeRuntime, msg: EmergencyMessage,
-                 data: Optional[bytes] = None) -> None:
+                 data: bytes) -> None:
         try:
             rt.store.persist(msg, data)
         except StorageFull:
@@ -590,9 +590,8 @@ class Simulator:
                 self.metrics.dropped.get("backup_full", 0) + 1)
 
     def _transmit(self, rt: _NodeRuntime, msg: EmergencyMessage,
-                  next_hop: NodeId, now: int,
-                  data: Optional[bytes] = None) -> None:
-        """Send msg to next_hop; data is msg's encoding, if held."""
+                  next_hop: NodeId, now: int, data: bytes) -> None:
+        """Send msg to next_hop; data is msg's encoding."""
         model = self._link_models.get((rt.node.address, next_hop.address),
                                       self._loopback)
         latency = self._latency(rt, model)
@@ -609,8 +608,6 @@ class Simulator:
                     latency += model.base_latency_ms
                 del self._error_draws[msg.msg_id]  # both draws are spent
         self._drain_event(rt, Activity.FORWARD_MESSAGE, now)
-        if data is None:
-            data = encode_message(msg)
         if msg.msg_id in rt.pending_after_forward:
             rt.pending_after_forward.discard(msg.msg_id)
             self._persist(rt, msg, data)
@@ -750,15 +747,17 @@ class Simulator:
             return
         if rt.battery.percent >= self.policies.handoff_threshold_pct:
             return
-        actions = low_battery_handoff(rt.bank, rt.bank.routes, rt.battery.percent,
-                                      self.policies.handoff_threshold_pct)
-        for action in actions:
-            if action.kind is HandoffKind.FLUSH:
-                self.metrics.handoff_flushed += 1
-                self._transmit(rt, action.message, action.target, now)
-            else:
+        # Evacuate everything held toward the nearest station, else into
+        # the backup log.
+        route = station_route(rt.bank.routes)
+        if route is None:
+            for msg, data in rt.bank.drain_for_backup():
                 self.metrics.handoff_persisted += 1
-                self._persist(rt, action.message)
+                self._persist(rt, msg, data)
+            return
+        for msg, data in rt.bank.flush_to(route[0]):
+            self.metrics.handoff_flushed += 1
+            self._transmit(rt, msg, route[0], now, data)
 
     def _on_scan(self, now: int, rt: _NodeRuntime) -> None:
         if not rt.alive:

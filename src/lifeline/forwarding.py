@@ -9,8 +9,9 @@ at any step.
 
 A held message keeps the canonical bytes it entered custody with (the
 received bytes, or its encoding at inject), and its entry is sized by
-them.  Swapping, demotion and promotion leave the bytes alone; a send
-splices the message's current priority and hop count into them.
+them.  Swapping, demotion and promotion leave the bytes alone; a send,
+a flush or a drain hands them over with the message's current priority
+and hop count spliced in.
 
 A bank holds its node's routes (`set_routes`) and says whether the node
 needs a forward tick (`wants_tick`).  A bank none of whose held messages
@@ -243,13 +244,16 @@ class PriorityQueueBank:
         return None
 
     def promote_queues(self) -> None:
-        """Shift every queue one level up, rewriting priorities; FIFO kept."""
+        """Shift every queue one level up, rewriting priorities; FIFO kept.
+
+        Queue 1 joins queue 0's tail and the deques above it move down whole.
+        """
+        queues = self.queues
         for level in range(1, PRIORITY_LEVELS):
-            moved = self.queues[level]
-            self.queues[level] = deque()
-            for entry in moved:
+            for entry in queues[level]:
                 entry.msg.priority = level - 1
-            self.queues[level - 1].extend(moved)
+        queues[0].extend(queues.pop(1))
+        queues.append(deque())
 
     def swap_in(self) -> int:
         """Re-admit swapped messages once queues 0 and 1 are both empty.
@@ -320,12 +324,16 @@ class PriorityQueueBank:
 
     # -- handoff and introspection -------------------------------------------
 
-    def _drain_entries(self) -> list[EmergencyMessage]:
-        out: list[EmergencyMessage] = []
+    def _drain_entries(self, hops: int) -> list[tuple[EmergencyMessage, bytes]]:
+        """Empty the bank: each held message, its hop count raised by hops,
+        with the held bytes spliced to its current priority and hop count."""
+        out = []
+        for entry in itertools.chain(*self.queues, self.swap_store):
+            msg = entry.msg
+            msg.hop_count += hops
+            out.append((msg, splice_hop(entry.data, msg.priority, msg.hop_count)))
         for queue in self.queues:
-            while queue:
-                out.append(queue.popleft().msg)
-        out.extend(entry.msg for entry in self.swap_store)
+            queue.clear()
         self.swap_store = []
         self.ram_used = 0
         if out:
@@ -334,18 +342,17 @@ class PriorityQueueBank:
             self.routable = 0
         return out
 
-    def drain_for_backup(self) -> list[EmergencyMessage]:
+    def drain_for_backup(self) -> list[tuple[EmergencyMessage, bytes]]:
         """Remove everything queued or swapped, marking it backed up."""
-        out = self._drain_entries()
-        for msg in out:
+        out = self._drain_entries(0)
+        for msg, _ in out:
             self.backed_up[msg.msg_id] = self.backed_up.get(msg.msg_id, 0) + 1
         return out
 
-    def flush_to(self, next_hop: NodeId) -> list[EmergencyMessage]:
+    def flush_to(self, next_hop: NodeId) -> list[tuple[EmergencyMessage, bytes]]:
         """Evacuate everything held toward next_hop (low-battery handoff)."""
-        out = self._drain_entries()
-        for msg in out:
-            msg.hop_count += 1
+        out = self._drain_entries(1)
+        for msg, _ in out:
             self.delivered[msg.msg_id] = self.delivered.get(msg.msg_id, 0) + 1
             self._remember_delivered(msg.msg_id)
         return out

@@ -1,12 +1,13 @@
-"""Battery accounting, role-based duty cycling, and low-battery handoff.
+"""Battery accounting, role-based duty cycling, and the low-battery ramp.
 
 The battery model is linear: idle and screen-on drain per hour, a fixed
 cost per forwarded message and per control packet, and a sleep discount
 while duty-cycled off.  Calibration solves those parameters from
 observed lifetimes.  Roles split a converged topology into always-awake
 Boundary nodes (relays and station neighbors) and duty-cycled Inner
-nodes.  A node crossing the low-battery threshold evacuates its queues
-toward the station and then turns incoming traffic away gradually.
+nodes.  Below the low-battery threshold a node turns incoming traffic
+away along a linear ramp; `station_route` names the neighbour toward the
+nearest station that the engine evacuates its queues to.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .forwarding import PriorityQueueBank
-from .messages import EmergencyMessage, InvariantViolation, NodeId
+from .messages import InvariantViolation, NodeId
 from .olsr import TopologyState
 
 SLEEP_FACTOR = 0.1
@@ -243,18 +243,6 @@ def is_awake(assignment: RoleAssignment, now_ms: int,
 
 # --- low-battery handoff -------------------------------------------------------
 
-class HandoffKind(Enum):
-    FLUSH = "flush"
-    PERSIST = "persist"
-
-
-@dataclass(frozen=True)
-class HandoffAction:
-    kind: HandoffKind
-    message: EmergencyMessage
-    target: Optional[NodeId] = None
-
-
 def acceptance_probability(battery_percent: float,
                            threshold_pct: float = HANDOFF_THRESHOLD_PCT,
                            floor_pct: float = HANDOFF_FLOOR_PCT) -> float:
@@ -279,25 +267,3 @@ def station_route(routing_table: dict[NodeId, tuple[NodeId, int]]
     if best is None:
         return None
     return best[2], best[0]
-
-
-def low_battery_handoff(bank: PriorityQueueBank,
-                        routing_table: dict[NodeId, tuple[NodeId, int]],
-                        battery_percent: float,
-                        threshold_pct: float = HANDOFF_THRESHOLD_PCT
-                        ) -> list[HandoffAction]:
-    """Evacuate the bank once battery drops below the threshold.
-
-    Everything held goes to the next hop toward the nearest station;
-    with no such neighbor the messages are handed to the backup store
-    (the caller persists them).
-    """
-    if battery_percent >= threshold_pct:
-        return []
-    route = station_route(routing_table)
-    if route is not None:
-        next_hop = route[0]
-        return [HandoffAction(HandoffKind.FLUSH, msg, next_hop)
-                for msg in bank.flush_to(next_hop)]
-    return [HandoffAction(HandoffKind.PERSIST, msg)
-            for msg in bank.drain_for_backup()]

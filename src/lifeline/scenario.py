@@ -320,7 +320,11 @@ class Scenario:
             if spec.interval_ms < 1:
                 raise MalformedScenario(
                     f"traffic[{i}].interval_ms: must be >= 1")
+            if spec.start_ms < 0:
+                raise MalformedScenario(f"traffic[{i}].start_ms: must be >= 0")
             size, path = spec.size, f"traffic[{i}].size"
+            if size.kind not in ("constant", "uniform"):
+                raise MalformedScenario(f"{path}.kind: {_EXPECTED_SIZE_KIND}")
             if size.kind == "constant":
                 if not 1 <= size.lo <= MAX_PAYLOAD_BYTES:
                     raise MalformedScenario(
@@ -329,6 +333,8 @@ class Scenario:
                 raise MalformedScenario(
                     f"{path}: expected 1 <= lo <= hi <= {MAX_PAYLOAD_BYTES}")
             prio, path = spec.priority, f"traffic[{i}].priority"
+            if prio.kind not in ("fixed", "uniform", "stratified"):
+                raise MalformedScenario(f"{path}.kind: {_EXPECTED_PRIORITY_KIND}")
             if prio.kind == "fixed" and not 0 <= prio.value < PRIORITY_LEVELS:
                 raise MalformedScenario(
                     f"{path}.value: expected 0..{PRIORITY_LEVELS - 1}")
@@ -343,8 +349,9 @@ class Scenario:
                     "duration_ms: run ends before all traffic is injected")
         policies = self.policies
         # A zero or negative timer reschedules itself at the same instant
-        # forever (or divides by zero, for the wake window).
-        for name in ("hello_interval_ms", "tc_interval_ms", "wake_window_ms"):
+        # forever, divides by zero (wake window) or forgets at once (holds).
+        for name in ("hello_interval_ms", "tc_interval_ms", "wake_window_ms",
+                     "hold_time_ms", "topology_hold_ms"):
             if getattr(policies, name) < 1:
                 raise MalformedScenario(f"policies.{name}: must be >= 1")
         # Read at role assignment even with duty cycling off.
@@ -386,6 +393,8 @@ class Scenario:
 # Parsers check shapes and types; Scenario.validate checks every range.
 
 _MISSING = object()
+_EXPECTED_SIZE_KIND = "expected 'constant' or 'uniform'"
+_EXPECTED_PRIORITY_KIND = "expected 'fixed', 'uniform', or 'stratified'"
 
 
 def _want(doc, key, kinds, path, default=_MISSING):
@@ -437,7 +446,7 @@ def _parse_size(doc, path) -> SizeSpec:
         return SizeSpec.uniform(
             _want(doc, "lo", int, path, default=10),
             _want(doc, "hi", int, path, default=MAX_PAYLOAD_BYTES))
-    raise MalformedScenario(f"{path}.kind: expected 'constant' or 'uniform'")
+    raise MalformedScenario(f"{path}.kind: {_EXPECTED_SIZE_KIND}")
 
 
 def _parse_priority(doc, path) -> PrioritySpec:
@@ -449,8 +458,7 @@ def _parse_priority(doc, path) -> PrioritySpec:
     if kind == "stratified":
         return PrioritySpec.stratified(float(
             _want(doc, "priority0_share", float, path, default=0.2)))
-    raise MalformedScenario(
-        f"{path}.kind: expected 'fixed', 'uniform', or 'stratified'")
+    raise MalformedScenario(f"{path}.kind: {_EXPECTED_PRIORITY_KIND}")
 
 
 def _parse_traffic(doc, path) -> TrafficSpec:

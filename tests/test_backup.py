@@ -233,8 +233,8 @@ def test_persist_is_idempotent_per_id():
     assert len(store) == 1
 
 
-def test_table_driven_priority0_share_is_persisted():
-    store = BackupStore()
+def test_table_driven_priority0_share_is_persisted(tmp_path):
+    store = BackupStore(tmp_path / "backup.log")
     policy = {BackupOption(4, 0)}
     cond = NodeCondition(battery_percent=100, load_percent=0)
     for i in range(1000):
@@ -330,6 +330,38 @@ def test_byte_limit_boundary_is_the_same_in_memory_and_on_file(tmp_path, slack):
     assert (tmp_path / "backup.log").stat().st_size == outcomes[1][1]
 
 
+def test_torn_tail_is_cut_before_the_next_append(tmp_path):
+    path = tmp_path / "backup.log"
+    msgs = [make_msg() for _ in range(3)]
+    store = BackupStore(path)
+    for m in msgs[:2]:
+        store.persist(m)
+    valid = path.read_bytes()
+    with path.open("ab") as fh:
+        fh.write(b"torn record")  # 11 bytes of a write cut short
+    reopened = BackupStore(path)
+    assert reopened.corrupt_tail_bytes == 11
+    assert path.read_bytes() == valid + b"torn record"  # opening never writes
+    reopened.persist(msgs[2])
+    assert reopened.corrupt_tail_bytes == 0
+    assert path.stat().st_size == reopened.size_bytes
+    replayed = BackupStore(path)
+    assert [m.msg_id for m in replayed.messages()] == [m.msg_id for m in msgs]
+    assert replayed.corrupt_tail_bytes == 0
+    assert [m.msg_id for m in reopened.messages()] == [m.msg_id for m in msgs]
+
+
+def test_in_memory_store_counts_but_keeps_no_records():
+    store = BackupStore()
+    msg = make_msg()
+    store.persist(msg)
+    assert len(store) == 1 and msg.msg_id in store
+    for read_back in (store.messages, store.to_json,
+                      lambda: store.restore_into(fresh_bank())):
+        with pytest.raises(ValueError):
+            read_back()
+
+
 def test_new_writes_after_replay_continue_the_log(tmp_path):
     path = tmp_path / "backup.log"
     first = BackupStore(path)
@@ -348,8 +380,8 @@ def fresh_bank():
     return PriorityQueueBank(NodeId(77))
 
 
-def test_restore_enqueues_undelivered_in_order():
-    store = BackupStore()
+def test_restore_enqueues_undelivered_in_order(tmp_path):
+    store = BackupStore(tmp_path / "backup.log")
     msgs = [make_msg(priority=2) for _ in range(5)]
     for m in msgs:
         store.persist(m)
@@ -359,8 +391,8 @@ def test_restore_enqueues_undelivered_in_order():
     assert queued == [m.msg_id for m in msgs]
 
 
-def test_restore_skips_delivered_ids():
-    store = BackupStore()
+def test_restore_skips_delivered_ids(tmp_path):
+    store = BackupStore(tmp_path / "backup.log")
     msgs = [make_msg() for _ in range(5)]
     for m in msgs:
         store.persist(m)
@@ -371,8 +403,8 @@ def test_restore_skips_delivered_ids():
     assert sum(len(q) for q in bank.queues) == 0
 
 
-def test_restore_hands_out_independent_copies():
-    store = BackupStore()
+def test_restore_hands_out_independent_copies(tmp_path):
+    store = BackupStore(tmp_path / "backup.log")
     msg = make_msg(priority=1)
     store.persist(msg)
     bank = fresh_bank()
@@ -382,9 +414,10 @@ def test_restore_hands_out_independent_copies():
     assert store.messages()[0].hop_count == msg.hop_count
 
 
-def test_crash_restart_union_covers_accepted():
+def test_crash_restart_union_covers_accepted(tmp_path):
     rng = random.Random(0xCE)
-    store = BackupStore()
+    path = tmp_path / "backup.log"
+    store = BackupStore(path)
     accepted, delivered = set(), set()
     for _ in range(2000):
         msg = make_msg(priority=rng.randrange(5))
@@ -394,7 +427,7 @@ def test_crash_restart_union_covers_accepted():
             delivered.add(msg.msg_id)
     # Restart: queue state and delivery knowledge are gone; the log is not.
     bank = fresh_bank()
-    restored = store.restore_into(bank)
+    restored = BackupStore(path).restore_into(bank)
     restored_ids = {e.msg.msg_id for q in bank.queues for e in q} | {
         e.msg.msg_id for e in bank.swap_store
     }
@@ -402,8 +435,8 @@ def test_crash_restart_union_covers_accepted():
     assert delivered | restored_ids == accepted
 
 
-def test_to_json_shape():
-    store = BackupStore()
+def test_to_json_shape(tmp_path):
+    store = BackupStore(tmp_path / "backup.log")
     msg = make_msg(priority=3)
     store.persist(msg)
     (row,) = store.to_json()

@@ -122,10 +122,16 @@ class BankMachine(RuleBasedStateMachine):
 
     @rule(to_peer=st.booleans())
     def flush(self, to_peer):
+        held = {e.msg.msg_id for q in self.bank.queues for e in q}
+        held.update(e.msg.msg_id for e in self.bank.swap_store)
         if to_peer:
-            self.bank.flush_to(PEER)
+            out = self.bank.flush_to(PEER)
         else:
-            self.bank.drain_for_backup()
+            out = self.bank.drain_for_backup()
+        assert sorted(msg.msg_id for msg, _ in out) == sorted(held)
+        # Each message leaves with its encoding: hop count and priority as
+        # they are now, spliced into the held bytes.
+        assert all(data == encode_message(msg) for msg, data in out)
         assert not any(self.bank.queues) and not self.bank.swap_store
         assert self.bank.ram_used == 0
 

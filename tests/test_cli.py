@@ -186,6 +186,19 @@ def test_dump_log_round_trip(tmp_path, capsys):
     assert doc[0]["payload_bytes"] == 5
 
 
+def test_dump_log_of_a_torn_log_leaves_its_bytes_alone(tmp_path, capsys):
+    log = tmp_path / "backup.log"
+    BackupStore(log).persist(EmergencyMessage(
+        msg_id=7, src="10.0.1.1", dst="255.255.255.1", priority=1,
+        created_at=123, sender_load=5, payload=b"hello"))
+    with log.open("ab") as fh:
+        fh.write(b"torn record")
+    before = log.read_bytes()
+    assert main(["dump-log", str(log)]) == 0
+    assert [row["msg_id"] for row in json.loads(capsys.readouterr().out)] == [7]
+    assert log.read_bytes() == before
+
+
 def test_dump_log_missing_file_exits_1(tmp_path, capsys):
     assert main(["dump-log", str(tmp_path / "absent.log")]) == 1
     assert "no such log" in capsys.readouterr().err

@@ -283,8 +283,9 @@ def test_after_forward_records_are_the_forwarded_bytes(monkeypatch):
         on_msg(sim, now, rt, data)
 
     def recording_persist(store, msg, payload=None):
+        assert payload is not None  # the engine hands over the bytes it holds
         if persist(store, msg, payload):
-            records.append((msg.hop_count, store._payloads[-1]))
+            records.append((msg.hop_count, payload))
             return True
         return False
 
@@ -377,23 +378,24 @@ def test_no_control_packet_is_sent_to_a_dead_neighbour():
 # -- low battery handoff ------------------------------------------------------------
 
 
-# Digest of the handoff run's metrics bytes.  Its flush transmits messages
-# the bank holds without spliced bytes, a path no golden run takes.
+# Digest of the handoff run's metrics bytes.  Its flush transmits the
+# bytes the bank holds, spliced, a path no golden run takes.
 HANDOFF_SHA256 = "59709e584db6de180ee4abd6a69c41eb403ef1d360b0c1af1d62527e9561bcb4"
 
 
-def handoff_scenario():
-    phone, station = nid("10.0.1.1"), nid("255.255.255.1")
-    stranded = nid("10.0.1.99")
+def handoff_scenario(station=True):
+    phone, stranded = nid("10.0.1.1"), nid("10.0.1.99")
     # The phone queues messages for an unreachable peer; once idle drain
     # pulls it under the threshold, a beacon round hands them all to the
-    # adjacent station.
+    # adjacent station or, with a router there instead, to its backup log.
+    neighbour = (NodeSpec(nid("255.255.255.1"), "station") if station
+                 else NodeSpec(nid("10.0.0.1"), "router"))
     return Scenario(
-        name="handoff",
+        name="handoff" if station else "handoff-persist",
         nodes=[NodeSpec(phone, "phone", battery_capacity=0.002),
-               NodeSpec(station, "station"),
+               neighbour,
                NodeSpec(stranded, "phone")],
-        links=[LinkSpec(phone, station, 3.0)],
+        links=[LinkSpec(phone, neighbour.node, 3.0)],
         traffic=[TrafficSpec(phone, stranded, 50, interval_ms=10,
                              priority=PrioritySpec.uniform())],
         duration_ms=120_000,
@@ -410,6 +412,39 @@ def test_low_battery_hands_queued_messages_off():
 def test_low_battery_handoff_metrics_bytes_match_pinned_digest():
     doc = run(handoff_scenario()).to_json()
     assert hashlib.sha256(doc.encode()).hexdigest() == HANDOFF_SHA256
+
+
+def test_low_battery_handoff_encodes_nothing_again(monkeypatch):
+    encodes = count_calls(monkeypatch, messages.encode_message)
+    metrics = run(handoff_scenario())
+    assert metrics.handoff_flushed == 50
+    assert len(encodes) == metrics.injected == 50
+
+
+# Digest of the persisting handoff run's metrics bytes, recorded before the
+# handoff handed over held bytes.
+HANDOFF_PERSIST_SHA256 = (
+    "698caf93992b0c7156fc3c1b08e546908b3660b77a7771928a55c14ffdab455f")
+
+
+def test_low_battery_handoff_without_a_station_persists_held_bytes(monkeypatch):
+    persist = BackupStore.persist
+    records = []
+
+    def checking_persist(store, msg, payload=None):
+        assert payload == encode_message(msg)  # the message as drained
+        records.append(msg.msg_id)
+        return persist(store, msg, payload)
+
+    monkeypatch.setattr(BackupStore, "persist", checking_persist)
+    metrics = run(handoff_scenario(station=False))
+    assert metrics.handoff_persisted == 50
+    assert metrics.persisted == {"10.0.1.1": 50}
+    assert metrics.backed_up == {"10.0.1.1": 50}
+    assert metrics.conservation_ok
+    assert len(set(records)) == 50
+    doc = metrics.to_json()
+    assert hashlib.sha256(doc.encode()).hexdigest() == HANDOFF_PERSIST_SHA256
 
 
 # -- boot trace ----------------------------------------------------------------------
@@ -574,9 +609,9 @@ def test_persisted_records_are_the_message_encoding(monkeypatch, option):
     stored = []
 
     def checking_persist(store, msg, payload=None):
-        expected = encode_message(msg)
+        assert payload is not None  # the engine hands over the bytes it holds
+        assert payload == encode_message(msg)
         if persist(store, msg, payload):
-            assert store._payloads[-1] == expected
             stored.append(msg.msg_id)
             return True
         return False

@@ -496,6 +496,61 @@ def test_snapshot_shape():
     assert snap["accepted"] == 1
 
 
+# --- handoff exits: flush and drain for backup ----------------------------------
+
+def held_bank():
+    """Five held messages whose held bytes are stale: one arrived with a
+    hop count of 3, and an unroutable tick demoted the head from 0 to 1."""
+    bank = PriorityQueueBank(SELF)
+    held = [make_msg(priority=p) for p in (0, 2, 3, 4)]
+    for m in held:
+        bank.inject(m)
+    relayed = make_msg(priority=2)
+    relayed.hop_count = 3
+    assert bank.receive(encode_message(relayed)) is ReceiveResult.ACCEPTED
+    assert tick_once(bank, {}).kind is OutcomeKind.UNREACHABLE
+    return bank, held + [relayed]
+
+
+def assert_emptied(bank, out, held):
+    assert sorted(m.msg_id for m, _ in out) == sorted(m.msg_id for m in held)
+    assert all(data == encode_message(msg) for msg, data in out)
+    assert not any(bank.queues) and bank.swap_store == []
+    assert bank.ram_used == 0
+    assert bank.conservation_holds()
+
+
+def test_flush_hands_over_every_held_message_with_its_wire_bytes():
+    bank, held = held_bank()
+    hops = {m.msg_id: m.hop_count for m in held}
+    out = bank.flush_to(PEER)
+    assert_emptied(bank, out, held)
+    assert all(m.hop_count == hops[m.msg_id] + 1 for m, _ in out)
+    assert bank.delivered == Counter(m.msg_id for m in held)
+    assert sum(bank.backed_up.values()) == 0
+
+
+def test_drain_for_backup_hands_over_every_held_message_with_its_encoding():
+    bank, held = held_bank()
+    hops = {m.msg_id: m.hop_count for m in held}
+    out = bank.drain_for_backup()
+    assert_emptied(bank, out, held)
+    assert all(m.hop_count == hops[m.msg_id] for m, _ in out)
+    assert bank.backed_up == Counter(m.msg_id for m in held)
+    assert sum(bank.delivered.values()) == 0
+
+
+def test_flush_and_drain_take_swapped_messages_too():
+    for evacuate in (lambda bank: bank.flush_to(PEER),
+                     PriorityQueueBank.drain_for_backup):
+        bank = PriorityQueueBank(SELF, ram_budget=budget_for(3))
+        held = [make_msg(priority=4) for _ in range(8)]
+        for m in held:
+            bank.inject(m)
+        assert len(bank.swap_store) == 5
+        assert_emptied(bank, evacuate(bank), held)
+
+
 # --- the conservation check itself -------------------------------------------
 
 def one_held_one_sent():

@@ -1,25 +1,17 @@
-"""Battery model, calibration, roles, duty cycling, handoff."""
+"""Battery model, calibration, roles, duty cycling, the low-battery ramp."""
 
 import math
 import random
 
 import pytest
 
-from lifeline.forwarding import PriorityQueueBank
-from lifeline.messages import (
-    STATION_RANGE_START,
-    EmergencyMessage,
-    InvariantViolation,
-    NodeId,
-    make_msg_id,
-)
+from lifeline.messages import STATION_RANGE_START, InvariantViolation, NodeId
 from lifeline.olsr import converge
 from lifeline.power import (
     Activity,
     BatteryDead,
     BatteryModel,
     CalibrationPoint,
-    HandoffKind,
     InconsistentObservations,
     Role,
     RoleAssignment,
@@ -27,7 +19,6 @@ from lifeline.power import (
     calibrate,
     classify_roles,
     is_awake,
-    low_battery_handoff,
     station_route,
 )
 
@@ -249,65 +240,7 @@ def test_opposite_phases_cover_every_window():
         assert is_awake(even, t) != is_awake(odd, t)
 
 
-# --- handoff ---------------------------------------------------------------------
-
-_counter = 0
-
-
-def make_msg(priority=2):
-    global _counter
-    _counter += 1
-    return EmergencyMessage(
-        msg_id=make_msg_id(nid(3), _counter), src=nid(3), dst=STATION,
-        priority=priority, payload=b"evac", sender_load=5,
-    )
-
-
-def loaded_bank():
-    bank = PriorityQueueBank(nid(3))
-    held = [make_msg(priority=p) for p in (0, 2, 3, 4, 4)]
-    for m in held:
-        bank.inject(m)
-    return bank, held
-
-
-def test_handoff_flushes_to_station_next_hop():
-    bank, held = loaded_bank()
-    table = {STATION: (nid(4), 2)}
-    actions = low_battery_handoff(bank, table, battery_percent=9.0)
-    assert len(actions) == 5
-    assert all(a.kind is HandoffKind.FLUSH and a.target == nid(4) for a in actions)
-    assert {a.message.msg_id for a in actions} == {m.msg_id for m in held}
-    assert sum(len(q) for q in bank.queues) == 0
-    assert bank.conservation_holds()
-
-
-def test_handoff_without_route_persists_instead():
-    bank, held = loaded_bank()
-    actions = low_battery_handoff(bank, {}, battery_percent=9.0)
-    assert len(actions) == 5
-    assert all(a.kind is HandoffKind.PERSIST and a.target is None for a in actions)
-    assert sum(bank.backed_up.values()) == 5
-    assert bank.conservation_holds()
-
-
-def test_handoff_moves_swapped_messages_too():
-    bank = PriorityQueueBank(nid(3), ram_budget=1000)
-    held = [make_msg(priority=4) for _ in range(8)]
-    for m in held:
-        bank.inject(m)
-    assert bank.swap_store
-    actions = low_battery_handoff(bank, {STATION: (nid(4), 1)}, battery_percent=5.0)
-    assert {a.message.msg_id for a in actions} == {m.msg_id for m in held}
-    assert bank.swap_store == []
-    assert bank.conservation_holds()
-
-
-def test_handoff_above_threshold_is_noop():
-    bank, _ = loaded_bank()
-    assert low_battery_handoff(bank, {STATION: (nid(4), 2)}, battery_percent=10.0) == []
-    assert sum(len(q) for q in bank.queues) == 5
-
+# --- low battery ---------------------------------------------------------------------
 
 def test_station_route_picks_fewest_hops():
     s2 = NodeId(STATION_RANGE_START + 9)

@@ -382,6 +382,23 @@ OUT_OF_RANGE = [
     pytest.param(_policy("location_query_hops", 0),
                  "policies.location_query_hops: must be >= 1",
                  id="hops=0"),
+    pytest.param(_traffic("start_ms", -5000),
+                 "traffic[0].start_ms: must be >= 0",
+                 id="start=-5000"),
+    pytest.param(_policy("hold_time_ms", 0),
+                 "policies.hold_time_ms: must be >= 1",
+                 id="hold=0"),
+    pytest.param(_policy("topology_hold_ms", 0),
+                 "policies.topology_hold_ms: must be >= 1",
+                 id="topology_hold=0"),
+    # The kind is checked before any range rule reads the bounds.
+    pytest.param(_traffic("size", SizeSpec("gaussian", 0, 300)),
+                 "traffic[0].size.kind: expected 'constant' or 'uniform'",
+                 id="size-kind"),
+    pytest.param(_traffic("priority", PrioritySpec("bogus")),
+                 "traffic[0].priority.kind: expected 'fixed', 'uniform', "
+                 "or 'stratified'",
+                 id="priority-kind"),
 ]
 
 
