@@ -169,7 +169,7 @@ def _read_log(data: bytes) -> tuple[list[EmergencyMessage], int]:
             break
         try:
             messages.append(decode_message(payload))
-        except MalformedDocument:
+        except (MalformedDocument, InvariantViolation):
             break
         offset = start + length
     return messages, offset
@@ -179,8 +179,8 @@ class BackupStore:
     """Append-only message log, replayable after restart.
 
     Records are (length, CRC-32, encoded message).  Replay stops at the
-    first record that fails framing or checksum, keeping the valid
-    prefix; the discarded byte count is reported for diagnostics, and
+    first record that fails framing or checksum, or whose document does
+    not decode to a valid message, keeping the valid prefix; the discarded byte count is reported for diagnostics, and
     the first append cuts those bytes off the file.  Opening never writes.
 
     The store keeps ids, a record count and the size, not the records:

@@ -28,7 +28,10 @@ that sender only refreshes the link's timers.  A control packet to a
 dead neighbour is not scheduled at all (its latency is still drawn, so
 the random stream does not move): a node never comes back to life.
 A node schedules a forward tick only when its queue bank wants one; a
-bank holding only unroutable messages parks (see `forwarding`).
+bank holding only unroutable messages parks (see `forwarding`).  A
+battery node's projected death becomes a power event only when it falls
+within the run: the loop stops at the first event past the end, so a
+later one would sit in the heap undispatched.
 
 Facts that cannot change are computed once.  Per run: the link model of
 each address pair (and each node's neighbours with their links), the
@@ -50,9 +53,12 @@ carries the node's runtime rather than its id.  Every inject's sequence
 number is reserved in one block where queueing them all would have
 taken it, but each traffic spec keeps only its next inject on the heap,
 so the heap stays node-sized and events keep their (time, sequence)
-order.  A topology state scans for expired links and topology entries
-only once the earliest expiry may have passed, and sends one HELLO
-packet object until its neighbour tuple changes.
+order.  A message-plane handler asks its bank whether it wants a tick
+only when none is scheduled, skips the backup policy when none is
+enabled, and charges energy only on battery nodes; a loss-free run
+looks up no error draws.  A topology state scans for expired links and
+topology entries only once the earliest expiry may have passed, and
+sends one HELLO packet object until its neighbour tuple changes.
 
 A lossy run draws a message's send and receive error uniforms at
 inject, as ever, and charges each against the link it applies to: the
@@ -121,6 +127,18 @@ from .scenario import (
 )
 
 MS_PER_HOUR = 3_600_000.0
+
+# Read on every hop or charge; on Python 3.11 reading a member through its
+# enum class costs about ten times as much as reading a module global.
+_DELIVERED = OutcomeKind.DELIVERED
+_UNREACHABLE = OutcomeKind.UNREACHABLE
+_IGNORED = ReceiveResult.IGNORED
+_BACKUP_ON_RECEIVE = BackupAction.BACKUP_ON_RECEIVE
+_BACKUP_AFTER_FORWARD = BackupAction.BACKUP_AFTER_FORWARD
+_FORWARD_MESSAGE = Activity.FORWARD_MESSAGE
+_SCREEN_HOUR = Activity.SCREEN_HOUR
+_IDLE_HOUR = Activity.IDLE_HOUR
+_SLEEP_HOUR = Activity.SLEEP_HOUR
 
 FORWARD_TICK_MS = 1
 RETRY_TICK_MS = 100
@@ -225,6 +243,9 @@ class _NodeRuntime:
     msg_counter: int = 0
     tick_scheduled: bool = False
     next_power_at: Optional[int] = None
+    # The battery's continuous drain per hour (Simulator._continuous_rate),
+    # set when the runtime is built and whenever its role changes.
+    drain_rate: float = 0.0
     pending_after_forward: set = field(default_factory=set)
 
 
@@ -301,7 +322,7 @@ class Simulator:
                 )
             key = np.array([self.seed % (1 << 64), spec.node.address],
                            dtype=np.uint64)
-            self.nodes[spec.node] = _NodeRuntime(
+            rt = self.nodes[spec.node] = _NodeRuntime(
                 spec=spec,
                 node=spec.node,
                 topo=TopologyState(spec.node,
@@ -313,6 +334,8 @@ class Simulator:
                 rng=_Draws(key),
                 battery=battery,
             )
+            if battery is not None:
+                rt.drain_rate = self._continuous_rate(rt)
         # Each node's neighbours in address order, as (runtime, base
         # latency of the link).  Kept here rather than on the runtimes,
         # which would then form reference cycles that only the cyclic
@@ -349,44 +372,43 @@ class Simulator:
             rt.tick_scheduled = True
             self._at(t, self._do_tick, rt)
 
-    def _latency(self, rt: _NodeRuntime, model: LinkModel) -> int:
-        jitter = rt.rng.uniform(-LATENCY_JITTER, LATENCY_JITTER)
-        # round() of a float is already an int.
-        return max(1, round(model.base_latency_ms * (1.0 + jitter)))
-
     # -- battery ------------------------------------------------------------
 
     def _charge(self, rt: _NodeRuntime, now: int) -> None:
         """Apply continuous drain from rt.clock up to now, window by window."""
-        if rt.battery is None or not rt.alive:
+        battery = rt.battery
+        if battery is None or not rt.alive:
             rt.clock = now
             return
+        role = rt.role
+        cycled = role is not None and role.duty_cycle < 1.0
         window = self.policies.wake_window_ms
-        while rt.clock < now and rt.alive:
+        # Only a death stops the node, and it returns at once.
+        while rt.clock < now:
+            clock = rt.clock
             seg_end = now
             awake = True
-            if rt.role is not None and rt.role.duty_cycle < 1.0:
-                awake = is_awake(rt.role, rt.clock, window)
-                boundary = (rt.clock // window + 1) * window
-                seg_end = min(now, boundary)
+            if cycled:
+                awake = is_awake(role, clock, window)
+                seg_end = min(now, (clock // window + 1) * window)
             if rt.spec.screen_on and awake:
-                activity = Activity.SCREEN_HOUR
+                activity = _SCREEN_HOUR
             elif awake:
-                activity = Activity.IDLE_HOUR
+                activity = _IDLE_HOUR
             else:
-                activity = Activity.SLEEP_HOUR
-            hours = (seg_end - rt.clock) / MS_PER_HOUR
-            rate = rt.battery.activity_cost(activity, 1.0)
-            if rate > 0 and rt.battery.level <= rate * hours:
-                death_ms = rt.clock + (rt.battery.level / rate) * MS_PER_HOUR
+                activity = _SLEEP_HOUR
+            hours = (seg_end - clock) / MS_PER_HOUR
+            rate = battery.activity_cost(activity, 1.0)
+            if rate > 0 and battery.level <= rate * hours:
+                death_ms = clock + (battery.level / rate) * MS_PER_HOUR
                 try:
-                    rt.battery.drain(activity, hours)
+                    battery.drain(activity, hours)
                 except BatteryDead:
                     pass
                 self._kill(rt, int(round(death_ms)))
                 return
             try:
-                rt.battery.drain(activity, hours)
+                battery.drain(activity, hours)
             except BatteryDead:
                 self._kill(rt, seg_end)
                 return
@@ -408,25 +430,30 @@ class Simulator:
         self._reproject(rt, now)
 
     def _continuous_rate(self, rt: _NodeRuntime) -> float:
+        """The battery's drain per hour between discrete charges."""
         battery = rt.battery
         if rt.spec.screen_on:
-            rate = battery.activity_cost(Activity.SCREEN_HOUR, 1.0)
+            rate = battery.activity_cost(_SCREEN_HOUR, 1.0)
         else:
-            rate = battery.activity_cost(Activity.IDLE_HOUR, 1.0)
+            rate = battery.activity_cost(_IDLE_HOUR, 1.0)
         if rt.role is not None and rt.role.duty_cycle < 1.0:
             duty = rt.role.duty_cycle
-            sleep = battery.activity_cost(Activity.SLEEP_HOUR, 1.0)
+            sleep = battery.activity_cost(_SLEEP_HOUR, 1.0)
             rate = duty * rate + (1.0 - duty) * sleep
         return rate
 
     def _reproject(self, rt: _NodeRuntime, now: int) -> None:
+        """Queue a power event just after the projected death, unless an
+        earlier one is queued or it falls after the run, whose loop stops
+        at the first event past the end and so would never dispatch it."""
         if rt.battery is None or not rt.alive:
             return
-        rate = self._continuous_rate(rt)
+        rate = rt.drain_rate
         if rate <= 0:
             return
         at = now + int(rt.battery.level / rate * MS_PER_HOUR) + 1
-        if rt.next_power_at is None or at < rt.next_power_at:
+        if at <= self.scenario.duration_ms and (
+                rt.next_power_at is None or at < rt.next_power_at):
             rt.next_power_at = at
             self._at(at, self._do_power, rt)
 
@@ -505,9 +532,10 @@ class Simulator:
         uniform = rt.rng.uniform
         heap, seq, on_ctl = self._heap, self._seq, self._do_ctl
         for peer, base_latency_ms in self._out_links[rt.node]:
-            # _latency, inline.  Draw even for a dead neighbour, so the
-            # stream does not move; a node never revives, so no event for
-            # it is needed.
+            # The link's base latency with a uniform jitter; round() of a
+            # float is already an int.  Draw even for a dead neighbour, so
+            # the stream does not move; a node never revives, so no event
+            # for it is needed.
             jitter = uniform(-LATENCY_JITTER, LATENCY_JITTER)
             latency = max(1, round(base_latency_ms * (1.0 + jitter)))
             if peer.alive:
@@ -567,18 +595,17 @@ class Simulator:
 
     def _maybe_backup(self, rt: _NodeRuntime, msg: EmergencyMessage,
                       now: int, data: bytes) -> None:
-        """Apply the backup policy; data is msg's encoding."""
-        if self._policy is None:
-            return
+        """Apply the compiled backup policy; data is msg's encoding."""
         if self._policy_reads_node:
             battery_pct = 100 if rt.battery is None else int(rt.battery.percent)
             decision = self._policy(msg, max(0, min(100, battery_pct)),
                                     self._load_percent(rt))
         else:  # the policy reads neither percentage
             decision = self._policy(msg, 0, 0)
-        if decision.action is BackupAction.BACKUP_ON_RECEIVE:
+        action = decision.action
+        if action is _BACKUP_ON_RECEIVE:
             self._persist(rt, msg, data)
-        elif decision.action is BackupAction.BACKUP_AFTER_FORWARD:
+        elif action is _BACKUP_AFTER_FORWARD:
             rt.pending_after_forward.add(msg.msg_id)
 
     def _persist(self, rt: _NodeRuntime, msg: EmergencyMessage,
@@ -594,24 +621,30 @@ class Simulator:
         """Send msg to next_hop; data is msg's encoding."""
         model = self._link_models.get((rt.node.address, next_hop.address),
                                       self._loopback)
-        latency = self._latency(rt, model)
-        draws = self._error_draws.get(msg.msg_id)
-        if draws is not None:
-            if draws.send is not None:
-                if draws.send < model.p_send_error:
-                    self.metrics.send_errors += 1
-                    latency += model.base_latency_ms
-                draws.send = None
-            if draws.recv is not None and terminates_at(next_hop, msg.dst):
-                if draws.recv < model.p_recv_error:
-                    self.metrics.recv_errors += 1
-                    latency += model.base_latency_ms
-                del self._error_draws[msg.msg_id]  # both draws are spent
-        self._drain_event(rt, Activity.FORWARD_MESSAGE, now)
-        if msg.msg_id in rt.pending_after_forward:
-            rt.pending_after_forward.discard(msg.msg_id)
+        # The link's latency, drawn as _broadcast draws it.
+        jitter = rt.rng.uniform(-LATENCY_JITTER, LATENCY_JITTER)
+        latency = max(1, round(model.base_latency_ms * (1.0 + jitter)))
+        if self._lossy:
+            draws = self._error_draws.get(msg.msg_id)
+            if draws is not None:
+                if draws.send is not None:
+                    if draws.send < model.p_send_error:
+                        self.metrics.send_errors += 1
+                        latency += model.base_latency_ms
+                    draws.send = None
+                if draws.recv is not None and terminates_at(next_hop, msg.dst):
+                    if draws.recv < model.p_recv_error:
+                        self.metrics.recv_errors += 1
+                        latency += model.base_latency_ms
+                    del self._error_draws[msg.msg_id]  # both draws are spent
+        if rt.battery is not None:
+            self._drain_event(rt, _FORWARD_MESSAGE, now)
+        pending = rt.pending_after_forward
+        if pending and msg.msg_id in pending:
+            pending.discard(msg.msg_id)
             self._persist(rt, msg, data)
-        self._at(now + latency, self._do_msg, self.nodes[next_hop], data)
+        heapq.heappush(self._heap, (now + latency, next(self._seq),
+                                    self._do_msg, (self.nodes[next_hop], data)))
 
     def _on_tick(self, now: int, rt: _NodeRuntime) -> None:
         rt.tick_scheduled = False
@@ -622,16 +655,16 @@ class Simulator:
             if wake > now:
                 self._schedule_tick(rt, wake)
                 return
+        bank = rt.bank
         retry = False
-        for outcome in rt.bank.forward_tick():
-            if outcome.kind is OutcomeKind.DELIVERED:
-                self._transmit(rt, outcome.message, outcome.next_hop, now,
-                               outcome.data)
+        for kind, msg, next_hop, _, data in bank.forward_tick():
+            if kind is _DELIVERED:
+                self._transmit(rt, msg, next_hop, now, data)
                 if not rt.alive:
                     return
-            elif outcome.kind is OutcomeKind.UNREACHABLE:
+            elif kind is _UNREACHABLE:
                 retry = True
-        if rt.bank.wants_tick:
+        if bank.wants_tick:
             self._schedule_tick(rt, now + (RETRY_TICK_MS if retry
                                            else FORWARD_TICK_MS))
 
@@ -654,18 +687,22 @@ class Simulator:
             if p < 1.0 and rt.rng.random() >= p:
                 self.metrics.handoff_rejected += 1
                 return
-        if rt.bank.receive(data) is ReceiveResult.IGNORED:
+        bank = rt.bank
+        if bank.receive(data) is _IGNORED:
             self.metrics.ignored += 1
             return
-        # The codec is canonical, so data is the received message's encoding.
-        self._maybe_backup(rt, rt.bank.last_received, now, data)
+        if self._policy is not None:
+            # The codec is canonical, so data is the received message's
+            # encoding.
+            self._maybe_backup(rt, bank.last_received, now, data)
         # Take the terminal deliveries out of the bank once recorded, so a
         # run does not keep every delivered message alive.
-        log = rt.bank.delivered_log
-        for msg in log:
-            self._record_delivery(rt, msg, now)
-        log.clear()
-        if rt.bank.wants_tick:
+        log = bank.delivered_log
+        if log:
+            for msg in log:
+                self._record_delivery(rt, msg, now)
+            log.clear()
+        if not rt.tick_scheduled and bank.wants_tick:
             self._schedule_tick(rt, now)
 
     def _record_delivery(self, rt: _NodeRuntime, msg: EmergencyMessage,
@@ -720,9 +757,11 @@ class Simulator:
         # The one encoding of this message: its queue entry holds it and an
         # inject-time backup records it.
         data = encode_message(msg)
-        self._maybe_backup(rt, msg, now, data)
-        rt.bank.inject(msg, data)
-        if rt.bank.wants_tick:
+        if self._policy is not None:
+            self._maybe_backup(rt, msg, now, data)
+        bank = rt.bank
+        bank.inject(msg, data)
+        if not rt.tick_scheduled and bank.wants_tick:
             self._schedule_tick(rt, now)
 
     def _draw_priority(self, rt: _NodeRuntime, spec, i: int) -> int:
@@ -790,6 +829,8 @@ class Simulator:
                 continue
             self._charge(rt, now)
             rt.role = assignment
+            if rt.battery is not None:
+                rt.drain_rate = self._continuous_rate(rt)
             self._reproject(rt, now)
 
     def _on_power(self, now: int, rt: _NodeRuntime) -> None:

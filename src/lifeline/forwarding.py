@@ -13,12 +13,19 @@ them.  Swapping, demotion and promotion leave the bytes alone; a send,
 a flush or a drain hands them over with the message's current priority
 and hop count spliced in.
 
+A forward tick runs once per message a node sends, so it is one frame:
+it pops the head entry, resolves the next hop and updates the delivery
+counters and the delivered-id LRU itself, and calls out only for the
+swap-in check, the codec's splice, and a promotion that has queues to
+move.
+
 A bank holds its node's routes (`set_routes`) and says whether the node
 needs a forward tick (`wants_tick`).  A bank none of whose held messages
 has a route parks: it wants no tick until its routes change or a message
 arrives that it can send.  It counts its sendable messages with one scan
 per route table, at the first tick that cannot send, then keeps the
-count as messages arrive and leave.  Retry ticks remain for banks that
+count as messages arrive and leave, and while the route table it is
+given equals the one it holds.  Retry ticks remain for banks that
 hold both sendable and unroutable messages.
 """
 
@@ -33,6 +40,7 @@ from typing import NamedTuple, Optional
 
 from .messages import (
     PRIORITY_LEVELS,
+    STATION_RANGE_START,
     EmergencyMessage,
     InvariantViolation,
     MalformedDocument,
@@ -63,6 +71,12 @@ class OutcomeKind(Enum):
 class DropReason(Enum):
     RAM_EXHAUSTED = "ram_exhausted"
     DUPLICATE = "duplicate"
+
+
+# Every hop reads these; on Python 3.11 reading a member through its enum
+# class costs about ten times as much as reading a module global.
+_ACCEPTED = ReceiveResult.ACCEPTED
+_DELIVERED = OutcomeKind.DELIVERED
 
 
 class ForwardOutcome(NamedTuple):
@@ -110,6 +124,8 @@ class PriorityQueueBank:
 
     def __init__(self, self_id: NodeId, ram_budget: int = DEFAULT_RAM_BUDGET):
         self.self_id = self_id
+        # Whether a station-range destination terminates here.
+        self._is_station = self_id.is_station_address
         self.ram_budget = ram_budget
         self.ram_used = 0
         self.queues: list[deque[_Entry]] = [deque() for _ in range(PRIORITY_LEVELS)]
@@ -155,12 +171,17 @@ class PriorityQueueBank:
             self.ignored_count += 1
             return ReceiveResult.IGNORED
         self.last_received = msg
-        self.accepted[msg.msg_id] = self.accepted.get(msg.msg_id, 0) + 1
-        if terminates_at(self.self_id, msg.dst):
+        msg_id = msg.msg_id
+        accepted = self.accepted
+        accepted[msg_id] = accepted.get(msg_id, 0) + 1
+        dst = msg.dst
+        # terminates_at, inline: every received hop asks.
+        if dst == self.self_id or (self._is_station
+                                   and dst[0] >= STATION_RANGE_START):
             self._deliver_terminal(msg)
         else:
             self._admit(msg, data)
-        return ReceiveResult.ACCEPTED
+        return _ACCEPTED
 
     def inject(self, msg: EmergencyMessage,
                data: Optional[bytes] = None) -> Optional[ForwardOutcome]:
@@ -235,14 +256,6 @@ class PriorityQueueBank:
             return self._drop(msg, DropReason.RAM_EXHAUSTED)
         return None
 
-    def _pop_entry(self) -> Optional[tuple[_Entry, int]]:
-        for level, queue in enumerate(self.queues):
-            if queue:
-                entry = queue.popleft()
-                self.ram_used -= len(entry.data)
-                return entry, level
-        return None
-
     def promote_queues(self) -> None:
         """Shift every queue one level up, rewriting priorities; FIFO kept.
 
@@ -272,9 +285,16 @@ class PriorityQueueBank:
     # -- routes and the per-tick pipeline -------------------------------------
 
     def set_routes(self, routes: dict[NodeId, tuple[NodeId, int]]) -> None:
-        """Send by routes from now on; the routable count starts over."""
+        """Send by routes from now on.
+
+        A table equal to the held one resolves every destination the
+        same way, so the routable count stands; any other table starts
+        it over.  The bank keeps the table it is given: a caller hands
+        over a new table rather than changing the held one in place.
+        """
+        if routes != self.routes:
+            self.routable = None
         self.routes = routes
-        self.routable = None
 
     @property
     def wants_tick(self) -> bool:
@@ -290,19 +310,34 @@ class PriorityQueueBank:
         """Swap in if eligible, then attempt to send one message.
 
         A delivery carries the message's wire bytes: its held bytes with
-        the current priority and the new hop count spliced in.
+        the current priority and the new hop count spliced in.  Every
+        tick runs it, so the pop, the next-hop lookup and the delivery
+        counters are written out here rather than called.
         """
         self.swap_in()
-        popped = self._pop_entry()
-        if popped is None:
+        queues = self.queues
+        for level, queue in enumerate(queues):
+            if queue:
+                break
+        else:
             return []
-        entry, level = popped
+        entry = queue.popleft()
+        data = entry.data
+        self.ram_used -= len(data)
         msg = entry.msg
-        next_hop = self._next_hop(msg.dst)
+        dst = msg.dst
+        self_id = self.self_id
+        if dst == self_id or (self._is_station
+                              and dst[0] >= STATION_RANGE_START):
+            next_hop = self_id  # goes out over the loopback link
+        else:
+            route = self.routes.get(dst)
+            next_hop = (resolve_next_hop(self.routes, dst) if route is None
+                        else route[0])
         if next_hop is None:
             # Demote one level (saturating) and requeue with the held bytes.
             msg.priority = min(msg.priority + 1, LOWEST_PRIORITY)
-            self.enqueue(msg, entry.data)
+            self.enqueue(msg, data)
             if self.routable is None:
                 self.routable = sum(
                     1 for e in itertools.chain(*self.queues, self.swap_store)
@@ -310,17 +345,25 @@ class PriorityQueueBank:
             return [ForwardOutcome(OutcomeKind.UNREACHABLE, msg)]
         if self.routable:
             self.routable -= 1
+        msg_id = msg.msg_id
         msg.hop_count += 1
-        data = splice_hop(entry.data, msg.priority, msg.hop_count)
-        self.delivered[msg.msg_id] = self.delivered.get(msg.msg_id, 0) + 1
-        if next_hop != self.self_id:
+        data = splice_hop(data, msg.priority, msg.hop_count)
+        delivered = self.delivered
+        delivered[msg_id] = delivered.get(msg_id, 0) + 1
+        if next_hop != self_id:
             # A loopback send comes straight back; remembering it here
             # would make the terminal receive look like a duplicate.
-            self._remember_delivered(msg.msg_id)
-        if not self.queues[level]:
+            # _remember_delivered, inline.
+            ids = self._delivered_ids
+            ids[msg_id] = None
+            ids.move_to_end(msg_id)
+            if len(ids) > DELIVERED_LRU_SIZE:
+                ids.popitem(last=False)
+        # Emptying the head queue promotes the rest, unless nothing is
+        # left to promote.
+        if not queue and any(queues):
             self.promote_queues()
-        return [ForwardOutcome(OutcomeKind.DELIVERED, msg, next_hop=next_hop,
-                               data=data)]
+        return [ForwardOutcome(_DELIVERED, msg, next_hop, None, data)]
 
     # -- handoff and introspection -------------------------------------------
 

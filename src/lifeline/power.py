@@ -44,6 +44,15 @@ class Activity(Enum):
     SLEEP_HOUR = "sleep_hour"
 
 
+# Every drain compares against these; on Python 3.11 reading a member
+# through its enum class costs about ten times as much as a module global.
+_IDLE_HOUR = Activity.IDLE_HOUR
+_SCREEN_HOUR = Activity.SCREEN_HOUR
+_FORWARD_MESSAGE = Activity.FORWARD_MESSAGE
+_CONTROL_PACKET = Activity.CONTROL_PACKET
+_SLEEP_HOUR = Activity.SLEEP_HOUR
+
+
 @dataclass
 class BatteryModel:
     capacity: float
@@ -70,15 +79,15 @@ class BatteryModel:
     def activity_cost(self, activity: Activity, amount: float = 1.0) -> float:
         if amount < 0:
             raise InvariantViolation(f"negative activity amount: {amount}")
-        if activity is Activity.IDLE_HOUR:
+        if activity is _IDLE_HOUR:
             per_unit = self.drain_idle
-        elif activity is Activity.SCREEN_HOUR:
+        elif activity is _SCREEN_HOUR:
             per_unit = self.drain_idle + self.drain_screen_extra
-        elif activity is Activity.FORWARD_MESSAGE:
+        elif activity is _FORWARD_MESSAGE:
             per_unit = self.energy_per_message
-        elif activity is Activity.CONTROL_PACKET:
+        elif activity is _CONTROL_PACKET:
             per_unit = self.energy_per_control
-        elif activity is Activity.SLEEP_HOUR:
+        elif activity is _SLEEP_HOUR:
             per_unit = self.drain_idle * self.sleep_factor
         else:
             raise KeyError(activity)
@@ -91,14 +100,13 @@ class BatteryModel:
         profile that nominally lasts N hours dies on the Nth drain
         instead of surviving on accumulated float dust.
         """
-        if not self.alive:
+        if self.level <= 0:  # not self.alive
             raise BatteryDead("battery already exhausted")
         # Only the energy actually present can be drained, so the ledger
         # always sums to exactly capacity minus level.
         applied = min(self.activity_cost(activity, amount), self.level)
-        self.drained_by_activity[activity] = (
-            self.drained_by_activity.get(activity, 0.0) + applied
-        )
+        ledger = self.drained_by_activity
+        ledger[activity] = ledger.get(activity, 0.0) + applied
         self.level -= applied
         if self.level <= self.capacity * 1e-9:
             self.drained_by_activity[activity] += self.level

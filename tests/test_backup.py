@@ -301,6 +301,26 @@ def test_corrupt_record_stops_replay_at_valid_prefix(tmp_path):
     assert replayed.corrupt_tail_bytes > 0
 
 
+def out_of_range_record() -> bytes:
+    """One framed, CRC-valid log record whose canonical document holds
+    priority 7: it parses, but the message is out of range."""
+    import struct as _struct
+    import zlib
+    doc = encode_message(make_msg(priority=1)).replace(
+        b"<priority>1</priority>", b"<priority>7</priority>")
+    return _struct.pack(">II", len(doc), zlib.crc32(doc)) + doc
+
+
+def test_out_of_range_record_stops_replay_at_valid_prefix(tmp_path):
+    path = tmp_path / "backup.log"
+    record = out_of_range_record()
+    path.write_bytes(record)
+    replayed = BackupStore(path)
+    assert len(replayed) == 0
+    assert replayed.corrupt_tail_bytes == len(record)
+    assert replayed.messages() == []
+
+
 def test_storage_limit_refuses_writes():
     store = BackupStore(limit_bytes=600)
     store.persist(make_msg())

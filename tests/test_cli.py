@@ -6,7 +6,7 @@ import pytest
 
 from lifeline.backup import BackupStore
 from lifeline.cli import main
-from lifeline.messages import EmergencyMessage
+from lifeline.messages import EmergencyMessage, encode_message
 from lifeline.metrics import validate_metrics_json
 from lifeline.scenario import MalformedScenario, Scenario, build_setup
 
@@ -197,6 +197,20 @@ def test_dump_log_of_a_torn_log_leaves_its_bytes_alone(tmp_path, capsys):
     assert main(["dump-log", str(log)]) == 0
     assert [row["msg_id"] for row in json.loads(capsys.readouterr().out)] == [7]
     assert log.read_bytes() == before
+
+
+def test_dump_log_of_an_out_of_range_record_lists_the_empty_prefix(
+        tmp_path, capsys):
+    import struct
+    import zlib
+    doc = encode_message(EmergencyMessage(
+        msg_id=7, src="10.0.1.1", dst="255.255.255.1", priority=1,
+        created_at=123, sender_load=5, payload=b"hello")).replace(
+        b"<priority>1</priority>", b"<priority>7</priority>")
+    log = tmp_path / "backup.log"
+    log.write_bytes(struct.pack(">II", len(doc), zlib.crc32(doc)) + doc)
+    assert main(["dump-log", str(log)]) == 0
+    assert json.loads(capsys.readouterr().out) == []
 
 
 def test_dump_log_missing_file_exits_1(tmp_path, capsys):

@@ -220,6 +220,36 @@ def test_every_inject_event_runs_even_after_its_source_dies():
     assert metrics.injected < 1100
 
 
+# -- power events -------------------------------------------------------------------
+
+
+# Digest of battery_chain()'s metrics bytes, as they were when every
+# projected death was queued, past the end of the run or not.
+BATTERY_CHAIN_SHA256 = "49e21cdc8beff8b433d3632e12afb18ffc759e84563dc24a6a9330498dcb53a3"
+
+
+def battery_chain() -> Scenario:
+    """Setup B at 200 messages on full batteries: each router's projected
+    death lies hours past the end of the 77 s run."""
+    scenario = build_setup("B", messages=200, seed=0)
+    for spec in scenario.nodes:
+        spec.battery_capacity = 1.0
+    return scenario
+
+
+def test_no_power_event_is_queued_past_the_end():
+    sim = Simulator(battery_chain())
+    metrics = sim.run()
+    assert not metrics.deaths
+    assert metrics.delivered == 200
+    # Each transmission reprojects its sender's death; none is queued.
+    assert not [handler for _, _, handler, _ in sim._heap
+                if getattr(handler, "__func__", None) is Simulator._on_power]
+    assert len(sim._heap) <= 2 * len(sim.nodes)
+    assert hashlib.sha256(metrics.to_json().encode()).hexdigest() == (
+        BATTERY_CHAIN_SHA256)
+
+
 # -- backup experiments ------------------------------------------------------------
 
 

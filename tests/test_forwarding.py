@@ -442,6 +442,24 @@ def test_delivery_with_nonempty_head_queue_does_not_promote():
     assert waiting.priority == 2
 
 
+def test_equal_route_table_keeps_the_routable_count():
+    bank = PriorityQueueBank(SELF)
+    bank.inject(make_msg(dst=FAR))
+    bank.inject(make_msg(dst=NodeId(77)))
+    bank.set_routes({})
+    bank.forward_tick()  # cannot send, so it counts the sendable messages
+    assert bank.routable == 0
+    bank.set_routes({})  # a new but equal table
+    assert bank.routable == 0
+    bank.set_routes(dict(ROUTES))
+    assert bank.routable is None
+    bank.forward_tick()
+    counted = bank.routable
+    assert counted is not None
+    bank.set_routes(dict(ROUTES))
+    assert bank.routable == counted
+
+
 def test_line_of_banks_counts_hops_like_bfs():
     # r1 - r2 - r3 - r4, messages from r1 addressed to r4.
     nodes = [NodeId(i) for i in range(1, 5)]

@@ -10,6 +10,8 @@ for:
 - the benchmark's gateway-surge workload (seed 1), the one pinned run
   that swaps, backs up under a threshold option, drains phone batteries
   and locates sources;
+- setup D at 10k messages (seed 1), the benchmark's chain-burst-10k:
+  50,000 hops over lossy links, about one message per queue;
 - five traffic specs whose injects land on the same milliseconds as each
   other and as HELLOs and TCs, which pins the order of same-time events.
 
@@ -52,6 +54,7 @@ GOLDEN_SHA256 = {
 }
 RELAY_16H_SHA256 = "00f45d49c1cb408e91f47502c3940357b1387725771cd1c9933dd819d6983657"
 GATEWAY_SURGE_SHA256 = "552ed5af45ab593824e0a5011eefb9f86ab279a97058016851298d4584c0cea8"
+CHAIN_BURST_10K_SHA256 = "351ca68ccff2605c157580736b42a9e0dcae0fb3bb25e383356e4f98eb232258"
 COLLIDING_INJECTS_SHA256 = "23b68203cdade7a30cdc037cca6eec4804a484ab4a88b2723b2c6fedecbe3caa"
 
 
@@ -84,6 +87,11 @@ def test_gateway_surge_metrics_bytes_match_golden_digest():
     spec.loader.exec_module(workloads)
     doc = run(workloads.gateway_surge(1)).to_json()
     assert digest(doc) == GATEWAY_SURGE_SHA256
+
+
+def test_chain_burst_10k_metrics_bytes_match_golden_digest():
+    doc = run(build_setup("D", messages=10000, seed=1)).to_json()
+    assert digest(doc) == CHAIN_BURST_10K_SHA256
 
 
 def colliding_injects() -> Scenario:
