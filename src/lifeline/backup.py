@@ -180,8 +180,9 @@ class BackupStore:
 
     Records are (length, CRC-32, encoded message).  Replay stops at the
     first record that fails framing or checksum, or whose document does
-    not decode to a valid message, keeping the valid prefix; the discarded byte count is reported for diagnostics, and
-    the first append cuts those bytes off the file.  Opening never writes.
+    not decode to a valid message, keeping the valid prefix; the
+    discarded byte count is reported for diagnostics, and the first
+    append cuts those bytes off the file.  Opening never writes.
 
     The store keeps ids, a record count and the size, not the records:
     only a log file is read back, by the parser that replays it.

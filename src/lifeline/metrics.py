@@ -6,8 +6,9 @@ numbers for spreadsheet use.  The JSON writer emits exactly
 `json.dumps(to_json_dict(), sort_keys=True, separators=(",", ":"))`
 without building a dict per delivery: it formats each delivery record
 once, in sorted-key order, and dumps each distinct estimate object once
-(the engine shares one per message source).  Topology snapshots taken during a run can
-be rendered as DOT, with relay (MPR) edges styled distinctly.
+(the engine shares one per message source).  Topology snapshots taken
+during a run can be rendered as DOT, with relay (MPR) edges styled
+distinctly.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -304,11 +306,9 @@ def test_corrupt_record_stops_replay_at_valid_prefix(tmp_path):
 def out_of_range_record() -> bytes:
     """One framed, CRC-valid log record whose canonical document holds
     priority 7: it parses, but the message is out of range."""
-    import struct as _struct
-    import zlib
     doc = encode_message(make_msg(priority=1)).replace(
         b"<priority>1</priority>", b"<priority>7</priority>")
-    return _struct.pack(">II", len(doc), zlib.crc32(doc)) + doc
+    return struct.pack(">II", len(doc), zlib.crc32(doc)) + doc
 
 
 def test_out_of_range_record_stops_replay_at_valid_prefix(tmp_path):

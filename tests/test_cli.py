@@ -1,6 +1,8 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -201,8 +203,6 @@ def test_dump_log_of_a_torn_log_leaves_its_bytes_alone(tmp_path, capsys):
 
 def test_dump_log_of_an_out_of_range_record_lists_the_empty_prefix(
         tmp_path, capsys):
-    import struct
-    import zlib
     doc = encode_message(EmergencyMessage(
         msg_id=7, src="10.0.1.1", dst="255.255.255.1", priority=1,
         created_at=123, sender_load=5, payload=b"hello")).replace(
