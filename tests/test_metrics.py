@@ -70,19 +70,9 @@ def test_json_is_canonical_and_stable():
     assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def reference_json(metrics: RunMetrics) -> str:
-    return json.dumps(metrics.to_json_dict(), sort_keys=True,
-                      separators=(",", ":"))
-
-
-def test_json_writer_matches_dumps_of_the_document_with_no_deliveries():
-    metrics = RunMetrics("empty", 0, 1000)
-    assert metrics.to_json() == reference_json(metrics)
-
-
-def test_json_writer_matches_dumps_of_the_document():
-    # Shared and distinct estimate objects, "unknown", and strings that
-    # JSON must escape: a quote, a backslash and non-ASCII text.
+def escaped_metrics() -> RunMetrics:
+    """Shared and distinct estimate objects, "unknown", and strings that
+    JSON must escape: a quote, a backslash and non-ASCII text."""
     shared = {"x": 1.5, "y": -2.25, "hop_distance": 2, "source_count": 3}
     metrics = RunMetrics('surge "Ω" \\ run', 7, 60_000, injected=6)
     metrics.deliveries = [
@@ -99,13 +89,16 @@ def test_json_writer_matches_dumps_of_the_document():
     ]
     metrics.dropped = {"ram_exhausted": 2}
     metrics.deaths = {"10.0.1.1": 500}
-    assert metrics.to_json() == reference_json(metrics)
+    return metrics
 
 
-def test_json_writer_matches_dumps_of_a_real_run():
-    metrics = small_run()
-    assert metrics.deliveries
-    assert metrics.to_json() == reference_json(metrics)
+@pytest.mark.parametrize("make", [
+    lambda: RunMetrics("empty", 0, 1000), escaped_metrics, small_run,
+], ids=["no-deliveries", "shared-estimates-and-escapes", "real-run"])
+def test_json_writer_matches_dumps_of_the_document(make):
+    metrics = make()
+    assert metrics.to_json() == json.dumps(
+        metrics.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def test_json_and_csv_agree_on_counts():
