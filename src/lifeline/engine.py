@@ -243,9 +243,6 @@ class _NodeRuntime:
     msg_counter: int = 0
     tick_scheduled: bool = False
     next_power_at: Optional[int] = None
-    # The battery's continuous drain per hour (Simulator._continuous_rate),
-    # set when the runtime is built and whenever its role changes.
-    drain_rate: float = 0.0
     pending_after_forward: set = field(default_factory=set)
 
 
@@ -322,7 +319,7 @@ class Simulator:
                 )
             key = np.array([self.seed % (1 << 64), spec.node.address],
                            dtype=np.uint64)
-            rt = self.nodes[spec.node] = _NodeRuntime(
+            self.nodes[spec.node] = _NodeRuntime(
                 spec=spec,
                 node=spec.node,
                 topo=TopologyState(spec.node,
@@ -334,8 +331,6 @@ class Simulator:
                 rng=_Draws(key),
                 battery=battery,
             )
-            if battery is not None:
-                rt.drain_rate = self._continuous_rate(rt)
         # Each node's neighbours in address order, as (runtime, base
         # latency of the link).  Kept here rather than on the runtimes,
         # which would then form reference cycles that only the cyclic
@@ -376,39 +371,35 @@ class Simulator:
 
     def _charge(self, rt: _NodeRuntime, now: int) -> None:
         """Apply continuous drain from rt.clock up to now, window by window."""
-        battery = rt.battery
-        if battery is None or not rt.alive:
+        if rt.battery is None or not rt.alive:
             rt.clock = now
             return
-        role = rt.role
-        cycled = role is not None and role.duty_cycle < 1.0
         window = self.policies.wake_window_ms
-        # Only a death stops the node, and it returns at once.
-        while rt.clock < now:
-            clock = rt.clock
+        while rt.clock < now and rt.alive:
             seg_end = now
             awake = True
-            if cycled:
-                awake = is_awake(role, clock, window)
-                seg_end = min(now, (clock // window + 1) * window)
+            if rt.role is not None and rt.role.duty_cycle < 1.0:
+                awake = is_awake(rt.role, rt.clock, window)
+                boundary = (rt.clock // window + 1) * window
+                seg_end = min(now, boundary)
             if rt.spec.screen_on and awake:
                 activity = _SCREEN_HOUR
             elif awake:
                 activity = _IDLE_HOUR
             else:
                 activity = _SLEEP_HOUR
-            hours = (seg_end - clock) / MS_PER_HOUR
-            rate = battery.activity_cost(activity, 1.0)
-            if rate > 0 and battery.level <= rate * hours:
-                death_ms = clock + (battery.level / rate) * MS_PER_HOUR
+            hours = (seg_end - rt.clock) / MS_PER_HOUR
+            rate = rt.battery.activity_cost(activity, 1.0)
+            if rate > 0 and rt.battery.level <= rate * hours:
+                death_ms = rt.clock + (rt.battery.level / rate) * MS_PER_HOUR
                 try:
-                    battery.drain(activity, hours)
+                    rt.battery.drain(activity, hours)
                 except BatteryDead:
                     pass
                 self._kill(rt, int(round(death_ms)))
                 return
             try:
-                battery.drain(activity, hours)
+                rt.battery.drain(activity, hours)
             except BatteryDead:
                 self._kill(rt, seg_end)
                 return
@@ -448,7 +439,7 @@ class Simulator:
         at the first event past the end and so would never dispatch it."""
         if rt.battery is None or not rt.alive:
             return
-        rate = rt.drain_rate
+        rate = self._continuous_rate(rt)
         if rate <= 0:
             return
         at = now + int(rt.battery.level / rate * MS_PER_HOUR) + 1
@@ -557,10 +548,8 @@ class Simulator:
                 topo.dirty = False
                 topo.select_mprs()
                 routes = topo.compute_routes()
-                if routes != rt.bank.routes:
-                    rt.bank.set_routes(routes)
-                    if rt.bank.wants_tick:
-                        self._schedule_tick(rt, now)
+                if rt.bank.set_routes(routes) and rt.bank.wants_tick:
+                    self._schedule_tick(rt, now)
             self._broadcast(rt, topo.make_hello(), now)
             if rt.battery is not None:
                 self._check_handoff(rt, now)
@@ -829,8 +818,6 @@ class Simulator:
                 continue
             self._charge(rt, now)
             rt.role = assignment
-            if rt.battery is not None:
-                rt.drain_rate = self._continuous_rate(rt)
             self._reproject(rt, now)
 
     def _on_power(self, now: int, rt: _NodeRuntime) -> None:

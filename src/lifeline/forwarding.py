@@ -13,11 +13,8 @@ them.  Swapping, demotion and promotion leave the bytes alone; a send,
 a flush or a drain hands them over with the message's current priority
 and hop count spliced in.
 
-A forward tick runs once per message a node sends, so it is one frame:
-it pops the head entry, resolves the next hop and updates the delivery
-counters and the delivered-id LRU itself, and calls out only for the
-swap-in check, the codec's splice, and a promotion that has queues to
-move.
+A forward tick that empties the head queue promotes the queues below
+it, unless every queue is already empty, when there is nothing to move.
 
 A bank holds its node's routes (`set_routes`) and says whether the node
 needs a forward tick (`wants_tick`).  A bank none of whose held messages
@@ -40,7 +37,6 @@ from typing import NamedTuple, Optional
 
 from .messages import (
     PRIORITY_LEVELS,
-    STATION_RANGE_START,
     EmergencyMessage,
     InvariantViolation,
     MalformedDocument,
@@ -124,8 +120,6 @@ class PriorityQueueBank:
 
     def __init__(self, self_id: NodeId, ram_budget: int = DEFAULT_RAM_BUDGET):
         self.self_id = self_id
-        # Whether a station-range destination terminates here.
-        self._is_station = self_id.is_station_address
         self.ram_budget = ram_budget
         self.ram_used = 0
         self.queues: list[deque[_Entry]] = [deque() for _ in range(PRIORITY_LEVELS)]
@@ -171,13 +165,8 @@ class PriorityQueueBank:
             self.ignored_count += 1
             return ReceiveResult.IGNORED
         self.last_received = msg
-        msg_id = msg.msg_id
-        accepted = self.accepted
-        accepted[msg_id] = accepted.get(msg_id, 0) + 1
-        dst = msg.dst
-        # terminates_at, inline: every received hop asks.
-        if dst == self.self_id or (self._is_station
-                                   and dst[0] >= STATION_RANGE_START):
+        self.accepted[msg.msg_id] = self.accepted.get(msg.msg_id, 0) + 1
+        if terminates_at(self.self_id, msg.dst):
             self._deliver_terminal(msg)
         else:
             self._admit(msg, data)
@@ -256,6 +245,14 @@ class PriorityQueueBank:
             return self._drop(msg, DropReason.RAM_EXHAUSTED)
         return None
 
+    def _pop_entry(self) -> Optional[tuple[_Entry, int]]:
+        for level, queue in enumerate(self.queues):
+            if queue:
+                entry = queue.popleft()
+                self.ram_used -= len(entry.data)
+                return entry, level
+        return None
+
     def promote_queues(self) -> None:
         """Shift every queue one level up, rewriting priorities; FIFO kept.
 
@@ -284,17 +281,19 @@ class PriorityQueueBank:
 
     # -- routes and the per-tick pipeline -------------------------------------
 
-    def set_routes(self, routes: dict[NodeId, tuple[NodeId, int]]) -> None:
-        """Send by routes from now on.
+    def set_routes(self, routes: dict[NodeId, tuple[NodeId, int]]) -> bool:
+        """Send by routes from now on; return whether they changed.
 
         A table equal to the held one resolves every destination the
         same way, so the routable count stands; any other table starts
         it over.  The bank keeps the table it is given: a caller hands
         over a new table rather than changing the held one in place.
         """
-        if routes != self.routes:
+        changed = routes != self.routes
+        if changed:
             self.routable = None
         self.routes = routes
+        return changed
 
     @property
     def wants_tick(self) -> bool:
@@ -310,34 +309,19 @@ class PriorityQueueBank:
         """Swap in if eligible, then attempt to send one message.
 
         A delivery carries the message's wire bytes: its held bytes with
-        the current priority and the new hop count spliced in.  Every
-        tick runs it, so the pop, the next-hop lookup and the delivery
-        counters are written out here rather than called.
+        the current priority and the new hop count spliced in.
         """
         self.swap_in()
-        queues = self.queues
-        for level, queue in enumerate(queues):
-            if queue:
-                break
-        else:
+        popped = self._pop_entry()
+        if popped is None:
             return []
-        entry = queue.popleft()
-        data = entry.data
-        self.ram_used -= len(data)
+        entry, level = popped
         msg = entry.msg
-        dst = msg.dst
-        self_id = self.self_id
-        if dst == self_id or (self._is_station
-                              and dst[0] >= STATION_RANGE_START):
-            next_hop = self_id  # goes out over the loopback link
-        else:
-            route = self.routes.get(dst)
-            next_hop = (resolve_next_hop(self.routes, dst) if route is None
-                        else route[0])
+        next_hop = self._next_hop(msg.dst)
         if next_hop is None:
             # Demote one level (saturating) and requeue with the held bytes.
             msg.priority = min(msg.priority + 1, LOWEST_PRIORITY)
-            self.enqueue(msg, data)
+            self.enqueue(msg, entry.data)
             if self.routable is None:
                 self.routable = sum(
                     1 for e in itertools.chain(*self.queues, self.swap_store)
@@ -345,25 +329,16 @@ class PriorityQueueBank:
             return [ForwardOutcome(OutcomeKind.UNREACHABLE, msg)]
         if self.routable:
             self.routable -= 1
-        msg_id = msg.msg_id
         msg.hop_count += 1
-        data = splice_hop(data, msg.priority, msg.hop_count)
-        delivered = self.delivered
-        delivered[msg_id] = delivered.get(msg_id, 0) + 1
-        if next_hop != self_id:
+        data = splice_hop(entry.data, msg.priority, msg.hop_count)
+        self.delivered[msg.msg_id] = self.delivered.get(msg.msg_id, 0) + 1
+        if next_hop != self.self_id:
             # A loopback send comes straight back; remembering it here
             # would make the terminal receive look like a duplicate.
-            # _remember_delivered, inline.
-            ids = self._delivered_ids
-            ids[msg_id] = None
-            ids.move_to_end(msg_id)
-            if len(ids) > DELIVERED_LRU_SIZE:
-                ids.popitem(last=False)
-        # Emptying the head queue promotes the rest, unless nothing is
-        # left to promote.
-        if not queue and any(queues):
+            self._remember_delivered(msg.msg_id)
+        if not self.queues[level] and any(self.queues):
             self.promote_queues()
-        return [ForwardOutcome(_DELIVERED, msg, next_hop, None, data)]
+        return [ForwardOutcome(_DELIVERED, msg, next_hop=next_hop, data=data)]
 
     # -- handoff and introspection -------------------------------------------
 

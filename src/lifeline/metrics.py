@@ -2,13 +2,8 @@
 
 Serialization is canonical (sorted keys, fixed separators) so equal runs
 produce byte-identical files; the CSV view carries the same aggregate
-numbers for spreadsheet use.  The JSON writer emits exactly
-`json.dumps(to_json_dict(), sort_keys=True, separators=(",", ":"))`
-without building a dict per delivery: it formats each delivery record
-once, in sorted-key order, and dumps each distinct estimate object once
-(the engine shares one per message source).  Topology snapshots taken
-during a run can be rendered as DOT, with relay (MPR) edges styled
-distinctly.
+numbers for spreadsheet use.  Topology snapshots taken during a run can
+be rendered as DOT, with relay (MPR) edges styled distinctly.
 """
 
 from __future__ import annotations
@@ -19,12 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 METRICS_SCHEMA = "lifeline-metrics/1"
-_SEPARATORS = (",", ":")
-# One delivery record in canonical JSON, keys sorted.
-_DELIVERY_TEMPLATE = (
-    '{"created_at":%d,"deliver_node":%s,"delivered_at":%d,"dst":%s,'
-    '"estimate":%s,"hop_count":%d,"latency_ms":%d,"msg_id":%d,'
-    '"priority":%d,"src":%s}')
 
 
 class NoSnapshot(LookupError):
@@ -116,10 +105,6 @@ class RunMetrics:
         }
 
     def to_json_dict(self) -> dict:
-        return self._document([d.to_json() for d in self.deliveries])
-
-    def _document(self, deliveries) -> dict:
-        """The document, with `deliveries` as its deliveries array."""
         return {
             "schema": METRICS_SCHEMA,
             "scenario": self.scenario_name,
@@ -153,54 +138,13 @@ class RunMetrics:
             },
             "battery_percent": dict(sorted(self.battery_percent.items())),
             "conservation_ok": self.conservation_ok,
-            "deliveries": deliveries,
+            "deliveries": [d.to_json() for d in self.deliveries],
             "snapshots": self.snapshots,
         }
 
     def to_json(self) -> str:
-        """The canonical text: json.dumps(to_json_dict(), sort_keys=True,
-        separators=(",", ":")), byte for byte.
-
-        Each top-level value is dumped as that call dumps it, in key
-        order, except the deliveries array, which is written here.
-        """
-        doc = self._document(None)
-        return "{%s}" % ",".join(
-            "%s:%s" % (json.dumps(key),
-                       self._deliveries_json() if key == "deliveries"
-                       else json.dumps(value, sort_keys=True,
-                                       separators=_SEPARATORS))
-            for key, value in sorted(doc.items()))
-
-    def _deliveries_json(self) -> str:
-        """The deliveries array as canonical JSON text.
-
-        A record's number fields are ints, so each record fills one
-        template with its keys in sorted order.  Its strings and its
-        estimate are dumped once per distinct value: a run names few
-        nodes, and the engine shares one estimate object per source.
-        """
-        dumps = json.dumps
-        strings: dict[str, str] = {}
-        # Keyed by id: an estimate may be a dict.  Every record holds its
-        # estimate for the whole loop, so no id is reused.
-        estimates: dict[int, str] = {}
-        rows = []
-        for d in self.deliveries:
-            src, dst, node, estimate = d.src, d.dst, d.deliver_node, d.estimate
-            est = estimates.get(id(estimate))
-            if est is None:
-                est = estimates[id(estimate)] = dumps(
-                    estimate, sort_keys=True, separators=_SEPARATORS)
-            rows.append(_DELIVERY_TEMPLATE % (
-                d.created_at,
-                strings.get(node) or strings.setdefault(node, dumps(node)),
-                d.delivered_at,
-                strings.get(dst) or strings.setdefault(dst, dumps(dst)),
-                est, d.hop_count, d.delivered_at - d.created_at, d.msg_id,
-                d.priority,
-                strings.get(src) or strings.setdefault(src, dumps(src))))
-        return "[%s]" % ",".join(rows)
+        return json.dumps(self.to_json_dict(), sort_keys=True,
+                          separators=(",", ":"))
 
     def to_csv(self) -> str:
         """Aggregate numbers in a flat metric,key,value table."""

@@ -100,13 +100,14 @@ class BatteryModel:
         profile that nominally lasts N hours dies on the Nth drain
         instead of surviving on accumulated float dust.
         """
-        if self.level <= 0:  # not self.alive
+        if not self.alive:
             raise BatteryDead("battery already exhausted")
         # Only the energy actually present can be drained, so the ledger
         # always sums to exactly capacity minus level.
         applied = min(self.activity_cost(activity, amount), self.level)
-        ledger = self.drained_by_activity
-        ledger[activity] = ledger.get(activity, 0.0) + applied
+        self.drained_by_activity[activity] = (
+            self.drained_by_activity.get(activity, 0.0) + applied
+        )
         self.level -= applied
         if self.level <= self.capacity * 1e-9:
             self.drained_by_activity[activity] += self.level
