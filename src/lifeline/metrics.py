@@ -2,8 +2,13 @@
 
 Serialization is canonical (sorted keys, fixed separators) so equal runs
 produce byte-identical files; the CSV view carries the same aggregate
-numbers for spreadsheet use.  Topology snapshots taken during a run can
-be rendered as DOT, with relay (MPR) edges styled distinctly.
+numbers for spreadsheet use.  The JSON writer emits exactly
+`json.dumps(to_json_dict(), sort_keys=True, separators=(",", ":"))`, but
+formats the deliveries array itself: each record fills one template of
+its sorted keys, and each distinct string or estimate object is dumped
+once (the engine shares one estimate per message source).  Topology
+snapshots taken during a run can be rendered as DOT, with relay (MPR)
+edges styled distinctly.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 METRICS_SCHEMA = "lifeline-metrics/1"
+_SEPARATORS = (",", ":")
 
 
 class NoSnapshot(LookupError):
@@ -49,6 +55,37 @@ class DeliveryRecord:
             "deliver_node": self.deliver_node,
             "estimate": self.estimate,
         }
+
+
+def _records_json(records: list[dict]) -> str:
+    """Dicts with one key set, as json.dumps(records, sort_keys=True,
+    separators=(",", ":")) writes them.
+
+    One template holds the keys in sorted order.  An int prints as JSON
+    prints it; any other value is dumped once per object, since a run
+    names few nodes and the engine shares one estimate object per
+    message source.  The records hold their values throughout, so no id
+    in the cache is reused by another object.
+    """
+    if not records:
+        return "[]"
+    keys = sorted(records[0])
+    template = "{%s}" % ",".join(json.dumps(key) + ":%s" for key in keys)
+    dumped: dict[int, str] = {}
+    rows = []
+    for record in records:
+        values = []
+        for key in keys:
+            value = record[key]
+            if type(value) is not int:
+                text = dumped.get(id(value))
+                if text is None:
+                    text = dumped[id(value)] = json.dumps(
+                        value, sort_keys=True, separators=_SEPARATORS)
+                value = text
+            values.append(value)
+        rows.append(template % tuple(values))
+    return "[%s]" % ",".join(rows)
 
 
 @dataclass
@@ -143,8 +180,18 @@ class RunMetrics:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        """The canonical text: json.dumps(to_json_dict(), sort_keys=True,
+        separators=(",", ":")), byte for byte.
+
+        Each top-level value is dumped as that call dumps it, in key
+        order, except the deliveries array, which `_records_json` writes.
+        """
+        return "{%s}" % ",".join(
+            "%s:%s" % (json.dumps(key), _records_json(value)
+                       if key == "deliveries" else
+                       json.dumps(value, sort_keys=True,
+                                  separators=_SEPARATORS))
+            for key, value in sorted(self.to_json_dict().items()))
 
     def to_csv(self) -> str:
         """Aggregate numbers in a flat metric,key,value table."""

@@ -70,6 +70,37 @@ def test_json_is_canonical_and_stable():
     assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def escaped_metrics() -> RunMetrics:
+    """Shared and distinct estimate objects, "unknown", and strings that
+    JSON must escape: a quote, a backslash and non-ASCII text."""
+    shared = {"x": 1.5, "y": -2.25, "hop_distance": 2, "source_count": 3}
+    metrics = RunMetrics('surge "Ω" \\ run', 7, 60_000, injected=6)
+    metrics.deliveries = [
+        DeliveryRecord(1, "10.0.1.1", "255.255.255.1", 0, 10, 25, 3,
+                       "255.255.255.1", shared),
+        DeliveryRecord(2, "10.0.1.1", "255.255.255.1", 4, 12, 40, 5,
+                       "255.255.255.1", shared),
+        DeliveryRecord(3, 'a"b', "c\\d", 2, 0, 1, 1, "n\u00e9ud", "unknown"),
+        DeliveryRecord(4, "10.0.1.2", "10.0.1.3", 1, 5, 9, 2, "10.0.1.3",
+                       {"x": 0.1, "y": 1e-7, "hop_distance": 1,
+                        "source_count": 1}),
+        DeliveryRecord(5, "\u2603", "\n\t", 3, 7, 7, 0, "10.0.1.3",
+                       dict(shared)),
+    ]
+    metrics.dropped = {"ram_exhausted": 2}
+    metrics.deaths = {"10.0.1.1": 500}
+    return metrics
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RunMetrics("empty", 0, 1000), escaped_metrics, small_run,
+], ids=["no-deliveries", "shared-estimates-and-escapes", "real-run"])
+def test_json_writer_matches_dumps_of_the_document(make):
+    metrics = make()
+    assert metrics.to_json() == json.dumps(
+        metrics.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
 def test_json_and_csv_agree_on_counts():
     metrics = small_run()
     doc = metrics.to_json_dict()
