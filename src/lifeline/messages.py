@@ -9,8 +9,8 @@ encoding of the message it decodes to.
 In custody only a message's priority and hop count change, so a node
 that holds a message's encoding re-encodes it for the next hop by
 splicing those two fields into the held bytes (`splice_hop`) instead of
-formatting the whole document.  Decoding maps each address's text to its
-`NodeId` through a bounded cache, since a run carries few addresses.
+formatting the whole document.  A run carries few addresses, so encoding
+and decoding map between an address and its text through bounded caches.
 """
 
 from __future__ import annotations
@@ -136,14 +136,16 @@ class EmergencyMessage:
 
 
 # Field grammar of the canonical encoding: ASCII decimals without sign or
-# leading zeros, and octets 0-255.  Base64 is only matched by alphabet here;
-# decode checks it is canonical (padding, zero unused bits) by re-encoding.
+# leading zeros, and octets 0-255.  The payload is matched only up to its
+# closing tag here: decode checks it is canonical base64 (alphabet,
+# padding, zero unused bits) by re-encoding, since b2a_base64 writes only
+# canonical text.
 _INT = rb"(0|[1-9][0-9]*)"
 _OCTET = rb"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _ADDRESS = rb"\.".join([_OCTET] * 4)
 # NodeId.parse accepts exactly the address text this grammar accepts.
 _ADDRESS_TEXT = re.compile(_ADDRESS.decode("ascii"))
-_BASE64 = rb"([A-Za-z0-9+/]*={0,2})"
+_BASE64 = rb"([^<]*)"
 # An address is one group, so decode reads its text whole.
 _FIELD_GRAMMAR = {
     "msg_id": _INT, "src": b"(%s)" % _ADDRESS, "dst": b"(%s)" % _ADDRESS,
@@ -153,7 +155,7 @@ _FIELD_GRAMMAR = {
 _HEAD = f'<{MESSAGE_ROOT} v="{WIRE_VERSION}">'
 _TAIL = f"</{MESSAGE_ROOT}>"
 # The one canonical layout; encode fills it, decode matches nothing else.
-_TEMPLATE = _HEAD + "".join(f"<{f}>{{}}</{f}>" for f in _MESSAGE_FIELDS) + _TAIL
+_TEMPLATE = _HEAD + "".join(f"<{f}>%s</{f}>" for f in _MESSAGE_FIELDS) + _TAIL
 _DOCUMENT = re.compile(
     re.escape(_HEAD.encode("ascii"))
     + b"".join(b"<%s>%s</%s>" % (f.encode("ascii"), _FIELD_GRAMMAR[f],
@@ -178,14 +180,23 @@ def _address_node_id(text: bytes) -> NodeId:
     return _grammar_node_id(((a << 24) | (b << 16) | (c << 8) | d,))
 
 
+# Typed, so a plain tuple, which equals the NodeId of its address, never
+# shares that NodeId's entry.
+@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE, typed=True)
+def _address_text(node: NodeId) -> str:
+    """str(node), remembered: a run's messages name few addresses."""
+    return str(node)
+
+
 def encode_message(msg: EmergencyMessage) -> bytes:
     """Canonical wire encoding; equal messages yield identical bytes."""
     msg.validate()
-    return _TEMPLATE.format(
-        msg.msg_id, msg.src, msg.dst, msg.priority,
+    return (_TEMPLATE % (
+        msg.msg_id, _address_text(msg.src), _address_text(msg.dst),
+        msg.priority,
         binascii.b2a_base64(msg.payload, newline=False).decode("ascii"),
         msg.sender_load, msg.hop_count, msg.created_at,
-    ).encode("ascii")
+    )).encode("ascii")
 
 
 _PRIORITY_OPEN = b"<priority>"

@@ -1,10 +1,13 @@
 """Property tests of the message codec: totality, canonicity and splicing."""
 
 import dataclasses
+import re
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from lifeline import messages as codec
 from lifeline.messages import (
     MAX_PAYLOAD_BYTES,
     PRIORITY_LEVELS,
@@ -105,3 +108,41 @@ def test_splice_hop_matches_encoding(msg, priority, hop_count):
     # boundaries.
     moved = dataclasses.replace(msg, priority=priority, hop_count=hop_count)
     assert splice_hop(encode_message(msg), priority, hop_count) == encode_message(moved)
+
+
+# The document grammar with the payload matched by base64 alphabet and
+# padding, as decode once matched it before re-encoding to check it.
+ALPHABET_PAYLOAD = rb"([A-Za-z0-9+/]*={0,2})"
+ALPHABET_DOCUMENT = re.compile(codec._DOCUMENT.pattern.replace(
+    codec._BASE64, ALPHABET_PAYLOAD))
+
+# Payload texts: mostly base64 characters, some padding, and bytes base64
+# never writes (whitespace, '>', '-', '_', NUL, non-ASCII).
+payload_texts = st.lists(
+    st.sampled_from(b"ABQgwxyz09+/=== \n>-_\x00\xff"), max_size=12).map(bytes)
+
+
+@CODEC_SETTINGS
+@given(messages, payload_texts)
+@example(held(0), b"QQ==")
+@example(held(0), b"QR==")
+@example(held(0), b"QQ")
+@example(held(0), b"Q Q==")
+@example(held(0), b"QQ==>")
+def test_payload_grammar_accepts_and_rejects_as_the_alphabet_grammar(
+        msg, payload_text):
+    # Decode matches the payload only up to its closing tag; a text the
+    # alphabet grammar rejects must still be rejected as malformed, and
+    # any other text decodes exactly as before (the groups are the same).
+    wire = encode_message(msg)
+    start = wire.index(b"<payload>") + len(b"<payload>")
+    data = wire[:start] + payload_text + wire[wire.index(b"</payload>"):]
+    assert ALPHABET_DOCUMENT.pattern != codec._DOCUMENT.pattern
+    if ALPHABET_DOCUMENT.fullmatch(data) is None:
+        with pytest.raises(MalformedDocument):
+            decode_message(data)
+    else:
+        # The same field texts reach the rest of decode, which is as it was.
+        assert (codec._DOCUMENT.fullmatch(data).groups()
+                == ALPHABET_DOCUMENT.fullmatch(data).groups())
+        check_total_and_canonical(data)
