@@ -24,9 +24,13 @@ Work is done on change, not on a timer.  A hello reruns MPR selection and
 route computation only when the topology state says an input changed.
 A node reuses its HELLO's neighbour tuple until a link or its MPR set
 changes, and a receiver that gets the very tuple it last heard from
-that sender only refreshes the link's timers.  A control packet to a
-dead neighbour is not scheduled at all (its latency is still drawn, so
-the random stream does not move): a node never comes back to life.
+that sender only refreshes the link's timers.  When no run-level fact
+can tell the two times apart (see run()), that refresh is applied as
+the HELLO is sent, stamped with its arrival, and queues no event.  A
+node with fewer than two neighbours never sends a TC, so it runs no TC
+timer.  A control packet to a dead neighbour is not scheduled at all
+(its latency is still drawn, so the random stream does not move): a
+node never comes back to life.
 A node schedules a forward tick only when its queue bank wants one; a
 bank holding only unroutable messages parks (see `forwarding`).  A
 battery node's projected death becomes a power event only when it falls
@@ -136,9 +140,11 @@ _IGNORED = ReceiveResult.IGNORED
 _BACKUP_ON_RECEIVE = BackupAction.BACKUP_ON_RECEIVE
 _BACKUP_AFTER_FORWARD = BackupAction.BACKUP_AFTER_FORWARD
 _FORWARD_MESSAGE = Activity.FORWARD_MESSAGE
+_CONTROL_PACKET = Activity.CONTROL_PACKET
 _SCREEN_HOUR = Activity.SCREEN_HOUR
 _IDLE_HOUR = Activity.IDLE_HOUR
 _SLEEP_HOUR = Activity.SLEEP_HOUR
+_HELLO = ControlKind.HELLO
 
 FORWARD_TICK_MS = 1
 RETRY_TICK_MS = 100
@@ -478,9 +484,24 @@ class Simulator:
         # Built here rather than in __init__, which stays as cheap as a
         # scenario's set-up.
         self._names = {node: str(node) for node in self.nodes}
+        # A HELLO that only refreshes a link is applied when it is sent
+        # (see _broadcast) when nothing can tell the two times apart: its
+        # reception costs no energy, every node is always awake, and the
+        # longest link latency is below the HELLO interval, so no earlier
+        # HELLO from the same sender is still in flight.
+        longest = max((round(model.base_latency_ms * (1.0 + LATENCY_JITTER))
+                       for model in self._link_models.values()), default=0)
+        policies = self.policies
+        self._refresh_at_send = (policies.energy_per_control == 0
+                                 and not policies.duty_cycle_enabled
+                                 and longest < policies.hello_interval_ms)
         for rt in self.nodes.values():
             self._at(0, self._do_hello, rt)
-            self._at(FIRST_TC_MS, self._do_tc, rt)
+            # A node with fewer than two neighbours lists at most one in its
+            # HELLO, so it covers no 2-hop node: it is never an MPR, gains
+            # no MPR selector and so never sends a TC.
+            if len(self._out_links[rt.node]) >= 2:
+                self._at(FIRST_TC_MS, self._do_tc, rt)
             self._reproject(rt, 0)
         # Every inject's sequence number is reserved here, in one block,
         # but each traffic spec keeps only its next inject on the heap.
@@ -515,9 +536,13 @@ class Simulator:
 
     # -- control plane -----------------------------------------------------------
 
-    def _broadcast(self, rt: _NodeRuntime, pkt: ControlPacket, now: int) -> None:
+    def _broadcast(self, rt: _NodeRuntime, pkt: ControlPacket, now: int,
+                   refresh: bool = False) -> None:
+        """Send pkt to every neighbour; with refresh, pkt is a HELLO and a
+        neighbour it would only refresh is refreshed now, as of its
+        arrival, rather than by an event."""
         if self.policies.energy_per_control > 0:
-            self._drain_event(rt, Activity.CONTROL_PACKET, now)
+            self._drain_event(rt, _CONTROL_PACKET, now)
             if not rt.alive:
                 return
         uniform = rt.rng.uniform
@@ -528,10 +553,9 @@ class Simulator:
             # the stream does not move; a node never revives, so no event
             # for it is needed.
             jitter = uniform(-LATENCY_JITTER, LATENCY_JITTER)
-            latency = max(1, round(base_latency_ms * (1.0 + jitter)))
-            if peer.alive:
-                heapq.heappush(heap, (now + latency, next(seq), on_ctl,
-                                      (peer, pkt)))
+            arrival = now + max(1, round(base_latency_ms * (1.0 + jitter)))
+            if peer.alive and not (refresh and peer.topo.refresh(pkt, arrival)):
+                heapq.heappush(heap, (arrival, next(seq), on_ctl, (peer, pkt)))
 
     def _on_hello(self, now: int, rt: _NodeRuntime) -> None:
         if not rt.alive:
@@ -550,7 +574,7 @@ class Simulator:
                 routes = topo.compute_routes()
                 if rt.bank.set_routes(routes) and rt.bank.wants_tick:
                     self._schedule_tick(rt, now)
-            self._broadcast(rt, topo.make_hello(), now)
+            self._broadcast(rt, topo.make_hello(), now, self._refresh_at_send)
             if rt.battery is not None:
                 self._check_handoff(rt, now)
         heapq.heappush(self._heap, (now + self.policies.hello_interval_ms,
@@ -569,10 +593,10 @@ class Simulator:
         if not rt.alive or not (rt.role is None or self._is_awake(rt, now)):
             return
         if self.policies.energy_per_control > 0:
-            self._drain_event(rt, Activity.CONTROL_PACKET, now)
+            self._drain_event(rt, _CONTROL_PACKET, now)
             if not rt.alive:
                 return
-        if pkt.kind is ControlKind.HELLO:
+        if pkt.kind is _HELLO:
             rt.topo.process_hello(pkt, now)
         elif rt.topo.process_tc(pkt, now):
             self._broadcast(rt, pkt.relayed_by(rt.node), now)

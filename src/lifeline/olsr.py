@@ -51,6 +51,15 @@ class ControlKind(Enum):
     TC = "tc"
 
 
+# Read on every control packet; on Python 3.11 reading a member through its
+# enum class costs about ten times as much as reading a module global.
+_ASYMMETRIC = LinkStatus.ASYMMETRIC
+_SYMMETRIC = LinkStatus.SYMMETRIC
+_MPR = LinkStatus.MPR
+_HELLO = ControlKind.HELLO
+_TC = ControlKind.TC
+
+
 @dataclass
 class LinkRecord:
     neighbor: NodeId
@@ -119,13 +128,13 @@ class TopologyState:
 
     def symmetric_neighbors(self) -> list[NodeId]:
         return sorted(
-            (n for n, rec in self.links.items() if rec.status is LinkStatus.SYMMETRIC),
+            (n for n, rec in self.links.items() if rec.status is _SYMMETRIC),
             key=lambda n: n.address,
         )
 
     def process_hello(self, hello: ControlPacket, now: int) -> None:
         """Record/refresh the sender's link; idempotent for duplicates."""
-        assert hello.kind is ControlKind.HELLO
+        assert hello.kind is _HELLO
         sender = hello.origin
         old = self.links.get(sender)
         if old is not None and hello.neighbors is old.heard:
@@ -135,7 +144,7 @@ class TopologyState:
         if sender == self.self_id:
             return
         listed = dict(hello.neighbors)
-        status = LinkStatus.SYMMETRIC if self.self_id in listed else LinkStatus.ASYMMETRIC
+        status = _SYMMETRIC if self.self_id in listed else _ASYMMETRIC
         if old is None or old.status is not status:
             self.dirty = True
             self._hello = None
@@ -146,15 +155,32 @@ class TopologyState:
                                         hello.neighbors)
         two_hop = {
             n for n, st in listed.items()
-            if st in (LinkStatus.SYMMETRIC, LinkStatus.MPR) and n != self.self_id
+            if (st is _SYMMETRIC or st is _MPR) and n != self.self_id
         }
         if two_hop != self.two_hop.get(sender):
             self.dirty = True
             self.two_hop[sender] = two_hop
-        if listed.get(self.self_id) is LinkStatus.MPR:
+        if listed.get(self.self_id) is _MPR:
             self.mpr_selectors.add(sender)
         else:
             self.mpr_selectors.discard(sender)
+
+    def refresh(self, hello: ControlPacket, at: int) -> bool:
+        """Apply a HELLO that arrives at `at` ahead of time, if it only
+        refreshes a link; return whether it did.
+
+        It does when this state holds the sender's link, set by the very
+        neighbour tuple the HELLO carries, and the link is still held at
+        `at`: process_hello would then only restamp the link's timers as
+        of `at`.  Only expire_links reads them, and it finds the link
+        unexpired at every time up to `at` under either stamp.
+        """
+        rec = self.links.get(hello.origin)
+        if rec is None or rec.heard is not hello.neighbors or rec.expiry <= at:
+            return False
+        rec.last_heard = at
+        rec.expiry = at + self.hold_time_ms
+        return True
 
     def expire_links(self, now: int) -> list[NodeId]:
         """Drop links not refreshed within the hold time."""
@@ -246,28 +272,28 @@ class TopologyState:
         if self._hello is None:
             entries = []
             for n, rec in sorted(self.links.items(), key=lambda kv: kv[0].address):
-                if rec.status is LinkStatus.SYMMETRIC:
-                    status = LinkStatus.MPR if n in self.mpr_set else LinkStatus.SYMMETRIC
+                if rec.status is _SYMMETRIC:
+                    status = _MPR if n in self.mpr_set else _SYMMETRIC
                 else:
-                    status = LinkStatus.ASYMMETRIC
+                    status = _ASYMMETRIC
                 entries.append((n, status))
-            self._hello = ControlPacket(ControlKind.HELLO, self.self_id, 0,
+            self._hello = ControlPacket(_HELLO, self.self_id, 0,
                                         tuple(entries), ttl=1,
                                         last_hop=self.self_id)
         return self._hello
 
     def make_tc(self, sequence: int, ttl: int = DEFAULT_TTL) -> ControlPacket:
         entries = tuple(
-            (n, LinkStatus.SYMMETRIC) for n in self.symmetric_neighbors()
+            (n, _SYMMETRIC) for n in self.symmetric_neighbors()
         )
-        return ControlPacket(ControlKind.TC, self.self_id, sequence,
+        return ControlPacket(_TC, self.self_id, sequence,
                              entries, ttl=ttl, last_hop=self.self_id)
 
     # -- TC processing ----------------------------------------------------
 
     def process_tc(self, tc: ControlPacket, now: int = 0) -> bool:
         """Apply a TC if fresh; return whether this node must relay it."""
-        assert tc.kind is ControlKind.TC
+        assert tc.kind is _TC
         if tc.origin == self.self_id:
             return False
         key = (tc.origin, tc.sequence)

@@ -402,7 +402,30 @@ def test_no_control_packet_is_sent_to_a_dead_neighbour():
     metrics = sim.run()
     assert metrics.deaths
     assert to_dead == []
-    assert len(handled) <= 61_000
+    assert len(handled) <= 10_500
+
+
+# Events by kind on the 16 h relay run (seed 1).  A HELLO that only
+# refreshes a link is applied when it is sent, so only the few that change
+# a link become `ctl` events, and the laptop and the station, with one
+# neighbour each, run no TC timer.
+RELAY_16H_EVENTS = {"hello": 70_206, "tc": 5_042, "ctl": 10_094}
+
+
+def test_relay_16h_control_plane_events_by_kind():
+    sim = Simulator(build_battery_scenario("10s", seed=1))
+    counts = dict.fromkeys(RELAY_16H_EVENTS, 0)
+    tc_nodes = set()
+    for kind in RELAY_16H_EVENTS:
+        def counting(now, rt, *args, kind=kind, handler=getattr(sim, f"_on_{kind}")):
+            counts[kind] += 1
+            if kind == "tc":
+                tc_nodes.add(str(rt.node))
+            handler(now, rt, *args)
+        setattr(sim, f"_on_{kind}", counting)
+    sim.run()
+    assert counts == RELAY_16H_EVENTS
+    assert tc_nodes == {"10.0.1.1"}   # the relay phone
 
 
 # -- low battery handoff ------------------------------------------------------------

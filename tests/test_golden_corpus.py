@@ -26,17 +26,20 @@ from typing import NamedTuple
 
 import pytest
 
-from lifeline.engine import run
+from lifeline.engine import ROLE_ASSIGN_MS, run
 from lifeline.locating import KnownLocation
 from lifeline.messages import NodeId
+from lifeline.olsr import TopologyState
 from lifeline.scenario import (
     LinkSpec,
     NodeSpec,
     Policies,
+    SETUP_IDS,
     PrioritySpec,
     Scenario,
     SizeSpec,
     TrafficSpec,
+    build_setup,
 )
 
 MS_PER_HOUR = 3_600_000
@@ -65,11 +68,11 @@ PROFILES = (
     Profile(7, 21, "short", 6_000),
     Profile(200, 600, "mixed", 60_000, energy_per_control=2e-7,
             backup_options=({"option": 4, "threshold": 1},)),
-    Profile(500, 1_500, "mixed", 90_000, duty_cycle=True),
+    Profile(500, 2_000, "mixed", 90_000, duty_cycle=True),
     Profile(1_000, 3_000, "mixed", 120_000, energy_per_control=1e-7,
             backup_options=({"option": 3, "threshold": 60.0},
                             {"option": 5, "threshold": 1.0})),
-    Profile(50, 120, "mixed", 40_000, energy_per_control=5e-8,
+    Profile(100, 250, "mixed", 60_000, energy_per_control=5e-8,
             duty_cycle=True,
             backup_options=({"option": 2},
                             {"option": 6, "threshold": 50.0})),
@@ -78,18 +81,18 @@ PROFILES = (
 CORPUS_SEEDS = range(len(PROFILES))
 
 CORPUS_SHA256 = {
-    0: "74899a400627d635ff7e69df27daa10508e71d2c163e2bafb78f6ca9803a287c",
-    1: "cacb0e30c98df157ecfe36f2d1500825c3341c6ced6b9c1ee56af14c2f066b28",
-    2: "45edb95c920cd9961f0660ea40f580c7988b3d5e47a93f11676fd5e49d6ab241",
-    3: "cc69c66c5012379eeb001ac7422c4969fefc86c6ee17b9ee07450d7842a10b46",
-    4: "6f7302efdb84c64e68c37a73f9eaeaa2d650a783eb1c5993a6ff69fef5291213",
-    5: "7e3e478c982d05d0229cc61c663b0507ecffaa0597c7e42ee8b563685036592a",
-    6: "5e9257251e37fd8d82f5eb25a94951cce5d43e5767522bf207f52f696c5ff15f",
-    7: "d09f296507458621e7996bf8ff75749f7a7fae34ae64dc273306ed6778b547d5",
-    8: "b75c9b992cb0d7ebabd56fdca992e1c3d616a28cf2277b39cd6fa390b77f6d61",
-    9: "227684afcd6b899723526bd0685fac231b896b17aab5f5d112547486f2dd36bf",
-    10: "995fc9531b3625066290fe2e9e4ff352a08858ede827dc7059aa91237a5ea200",
-    11: "a6b0b906360499fb87eebeee6311b8bc8d74949873495e3123ece6221fd12adb",
+    0: "3b5fe33ffcb6120d8695c1807a3ef37c8957e92ccc495a0e052c813765b348ff",
+    1: "47688c6c85b17c2aea32c0b3cd8de40cb99d41c9a9fac5a4351399017937a7c8",
+    2: "a73fe24c09924a51d8dcb7e870be3ede3a18686aae659b98d84a4ec3ceb74f47",
+    3: "4c2b0bd86f11a348e3e784df378548aa0aea35b0412416720bb2a5cd490bad17",
+    4: "ac34bb4c5029f959da2c0a5adbe059125e55a58122a580b2fb6f5bedb5f9b388",
+    5: "c034b50a1d2c31a475168fd5ca26af212c7aab43650d309e2d1e279b70906f20",
+    6: "247926958da106de35bb506802b6f0c992e42b5906f6a03f9b2c1311004936bb",
+    7: "f3f3080b4f6852246aaf8f4bf8c14fbb2dc73656d4715ac9460720fbb15c5b14",
+    8: "38342f1f085bbc1c3e147c518f63efd3b329826187882da4d3104197b25fe779",
+    9: "376b620b6b1acda2e184bc5a7528ec9885e11f5e2dad720b87bd5a7c2be0019a",
+    10: "9b4e7357db011a1fae8c9762b4938ae01d07fb8e3574d713a8648dceb54278dc",
+    11: "db8b25a4e6786c703864d2592c6e6ab2299fc27dcbadf1ef72bb5d798b8df842",
 }
 
 STATION = NodeId.parse("255.255.255.1")
@@ -143,13 +146,22 @@ def corpus_scenario(seed: int) -> Scenario:
 
     traffic = []
     sources = [spec.node for spec in nodes[1:]]
+    if profile.duty_cycle:
+        # Leaves are never relays, so most doze: their own traffic then
+        # depends on the links they hold when they wake.  Mains-powered
+        # ones outlive the run.
+        sources = [spec.node for spec in nodes[1:]
+                   if spec.battery_capacity is None
+                   and sum(spec.node in (l.a, l.b) for l in links) == 1]
     for _ in range(rng.randint(1, 3)):
         source = rng.choice(sources)
         destination = (STATION if rng.random() < 0.7
                        else rng.choice([n for n in sources if n != source]))
-        start = rng.randint(3 * profile.hello_ms, duration // 4)
+        # Duty cycling starts once roles are assigned.
+        first = ROLE_ASSIGN_MS if profile.duty_cycle else 3 * profile.hello_ms
+        start = first + rng.randint(0, duration // 4)
         messages = rng.randint(10, 60)
-        interval = max(1, (duration // 2) // messages)
+        interval = max(1, (duration - start) // (2 * messages))
         traffic.append(TrafficSpec(
             source, destination, messages, interval_ms=interval,
             start_ms=start,
@@ -190,3 +202,36 @@ def test_corpus_metrics_bytes_match_golden_digest(seed):
     metrics = run(corpus_scenario(seed))
     assert metrics.conservation_ok
     assert digest(metrics.to_json()) == CORPUS_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", CORPUS_SEEDS)
+def test_corpus_bytes_match_the_event_path(seed, monkeypatch):
+    # Refusing every early refresh sends each HELLO through its own event.
+    monkeypatch.setattr(TopologyState, "refresh", lambda self, hello, at: False)
+    assert digest(run(corpus_scenario(seed)).to_json()) == CORPUS_SHA256[seed]
+
+
+def test_a_node_with_fewer_than_two_neighbours_is_never_an_mpr(monkeypatch):
+    # Such a node lists at most one neighbour in its HELLO, so it covers
+    # no 2-hop node; the engine runs no TC timer on it.  Only
+    # process_hello changes MPR selector sets.
+    leaves: set = set()
+    gained = []
+    process_hello = TopologyState.process_hello
+
+    def checked(self, hello, now):
+        process_hello(self, hello, now)
+        if self.mpr_selectors and self.self_id in leaves:
+            gained.append((now, str(self.self_id)))
+
+    monkeypatch.setattr(TopologyState, "process_hello", checked)
+    scenarios = ([build_setup(s, messages=100) for s in SETUP_IDS]
+                 + [corpus_scenario(seed) for seed in CORPUS_SEEDS])
+    checked_leaves = 0
+    for scenario in scenarios:
+        leaves = {node for node, peers in scenario.adjacency().items()
+                  if len(peers) < 2}
+        checked_leaves += len(leaves)
+        run(scenario)
+        assert gained == [], scenario.name
+    assert checked_leaves > len(scenarios)
