@@ -135,14 +135,12 @@ class TopologyState:
     def process_hello(self, hello: ControlPacket, now: int) -> None:
         """Record/refresh the sender's link; idempotent for duplicates."""
         assert hello.kind is _HELLO
-        sender = hello.origin
-        old = self.links.get(sender)
-        if old is not None and hello.neighbors is old.heard:
-            old.last_heard = now
-            old.expiry = now + self.hold_time_ms
+        if self.refresh(hello, now):
             return
+        sender = hello.origin
         if sender == self.self_id:
             return
+        old = self.links.get(sender)
         listed = dict(hello.neighbors)
         status = _SYMMETRIC if self.self_id in listed else _ASYMMETRIC
         if old is None or old.status is not status:
@@ -166,14 +164,15 @@ class TopologyState:
             self.mpr_selectors.discard(sender)
 
     def refresh(self, hello: ControlPacket, at: int) -> bool:
-        """Apply a HELLO that arrives at `at` ahead of time, if it only
-        refreshes a link; return whether it did.
+        """Apply a HELLO arriving at `at` if it only refreshes a link;
+        return whether it did.
 
         It does when this state holds the sender's link, set by the very
         neighbour tuple the HELLO carries, and the link is still held at
-        `at`: process_hello would then only restamp the link's timers as
-        of `at`.  Only expire_links reads them, and it finds the link
-        unexpired at every time up to `at` under either stamp.
+        `at`: the HELLO then only restamps the link's timers.  Only
+        expire_links reads them, and it finds the link unexpired at every
+        time up to `at` under either stamp, so the engine may call this
+        when the HELLO is sent rather than when it arrives.
         """
         rec = self.links.get(hello.origin)
         if rec is None or rec.heard is not hello.neighbors or rec.expiry <= at:
