@@ -7,6 +7,10 @@ for:
 - the 16 h battery run of the 10 s profile: its relay dies at about 7 h
   and its network then runs for hours in a steady state that setups A-G
   never reach;
+- the screen-on and 60 s battery runs: the relay dies between forwards
+  in the first and in a forward's drain in the second;
+- the duty-cycle grid with and without its sleep schedule: eight phone
+  deaths each, across wake windows, with energy-charged control packets;
 - the benchmark's gateway-surge workload (seed 1), the one pinned run
   that swaps, backs up under a threshold option, drains phone batteries
   and locates sources;
@@ -38,6 +42,7 @@ from lifeline.scenario import (
     SizeSpec,
     TrafficSpec,
     build_battery_scenario,
+    build_duty_cycle_scenario,
     build_setup,
 )
 
@@ -56,6 +61,14 @@ RELAY_16H_SHA256 = "00f45d49c1cb408e91f47502c3940357b1387725771cd1c9933dd819d698
 GATEWAY_SURGE_SHA256 = "552ed5af45ab593824e0a5011eefb9f86ab279a97058016851298d4584c0cea8"
 CHAIN_BURST_10K_SHA256 = "351ca68ccff2605c157580736b42a9e0dcae0fb3bb25e383356e4f98eb232258"
 COLLIDING_INJECTS_SHA256 = "23b68203cdade7a30cdc037cca6eec4804a484ab4a88b2723b2c6fedecbe3caa"
+BATTERY_SHA256 = {
+    "screen": "6686b538470b19f0167a41ea40ab57137741a7740bde55ce870bf4feac1f7551",
+    "60s": "399f3c7dabf5fefd0551e9af3e748d2fe1faac1baaa5c53b2bd7d3fc0224921e",
+}
+DUTY_CYCLE_SHA256 = {
+    True: "6290c387db8e1728737af88a915a61c504c80262ace3d5ad1bccbbc13bb282d7",
+    False: "4f655105a72d4c5d091c9a11a2a0006f0315430cd3e2344ef572170fe81d9b6c",
+}
 
 
 def digest(doc: str) -> str:
@@ -75,6 +88,18 @@ def test_metrics_bytes_match_golden_digest(setup_id):
 def test_relay_16h_metrics_bytes_match_golden_digest():
     doc = run(build_battery_scenario("10s", seed=1)).to_json()
     assert digest(doc) == RELAY_16H_SHA256
+
+
+@pytest.mark.parametrize("interval", sorted(BATTERY_SHA256))
+def test_battery_metrics_bytes_match_golden_digest(interval):
+    doc = run(build_battery_scenario(interval)).to_json()
+    assert digest(doc) == BATTERY_SHA256[interval]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_duty_cycle_metrics_bytes_match_golden_digest(enabled):
+    doc = run(build_duty_cycle_scenario(enabled)).to_json()
+    assert digest(doc) == DUTY_CYCLE_SHA256[enabled]
 
 
 def test_gateway_surge_metrics_bytes_match_golden_digest():
