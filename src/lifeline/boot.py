@@ -74,20 +74,7 @@ def scan_and_decide(observations: Iterable[PeerObservation]) -> BootDecision:
 class BootController:
     """One node's boot state machine, driven by externally supplied time."""
 
-    def __init__(self,
-                 debounce_ms: int = DEBOUNCE_MS,
-                 window_ms: int = DRAIN_WINDOW_MS,
-                 theta: float = DRAIN_THETA,
-                 baseline_ms: int = DRAIN_BASELINE_MS,
-                 alarm_cooldown_ms: int = DRAIN_ALARM_COOLDOWN_MS,
-                 rescan_ms: int = RESCAN_INTERVAL_MS):
-        self.debounce_ms = debounce_ms
-        self.window_ms = window_ms
-        self.theta = theta
-        self.baseline_ms = baseline_ms
-        self.alarm_cooldown_ms = alarm_cooldown_ms
-        self.rescan_ms = rescan_ms
-
+    def __init__(self) -> None:
         self.in_emergency = False
         self.own_signature = Signature.NONE
         self.next_rescan_at: Optional[int] = None
@@ -120,7 +107,7 @@ class BootController:
         """Emit EnterEmergency once per outage after the debounce elapses."""
         if (self._mains_lost_at is not None
                 and not self._outage_fired
-                and now - self._mains_lost_at >= self.debounce_ms):
+                and now - self._mains_lost_at >= DEBOUNCE_MS):
             self._outage_fired = True
             return self._enter_emergency(now, "mains_outage")
         return BootAction.NO_ACTION
@@ -134,10 +121,10 @@ class BootController:
             window_rate, baseline_rate = self._assess_rates(now)
         except InsufficientHistory:
             return BootAction.NO_ACTION
-        if window_rate <= self.theta * max(baseline_rate, BASELINE_FLOOR_PCT_PER_MIN):
+        if window_rate <= DRAIN_THETA * max(baseline_rate, BASELINE_FLOOR_PCT_PER_MIN):
             return BootAction.NO_ACTION
         if (self._last_alarm_at is not None
-                and now - self._last_alarm_at < self.alarm_cooldown_ms):
+                and now - self._last_alarm_at < DRAIN_ALARM_COOLDOWN_MS):
             return BootAction.NO_ACTION
         self._last_alarm_at = now
         return self._enter_emergency(now, "battery_drop")
@@ -148,20 +135,20 @@ class BootController:
         if self._samples and now <= self._samples[-1][0]:
             raise InvariantViolation("battery samples must move forward in time")
         self._samples.append((now, battery_percent))
-        horizon = now - (self.window_ms + self.baseline_ms + 120_000)
+        horizon = now - (DRAIN_WINDOW_MS + DRAIN_BASELINE_MS + 120_000)
         while self._samples and self._samples[0][0] < horizon:
             self._samples.popleft()
 
     def _assess_rates(self, now: int) -> tuple[float, float]:
         """(current window drain, trailing median drain), in percent/minute."""
-        window_start = now - self.window_ms
+        window_start = now - DRAIN_WINDOW_MS
         window = [s for s in self._samples if s[0] >= window_start]
         if len(window) < 2:
             raise InsufficientHistory("need two samples inside the window")
         span_min = (window[-1][0] - window[0][0]) / 60_000
         window_rate = (window[0][1] - window[-1][1]) / span_min
 
-        base_start = window_start - self.baseline_ms
+        base_start = window_start - DRAIN_BASELINE_MS
         base = [s for s in self._samples if base_start <= s[0] < window_start]
         pair_rates = [
             (a[1] - b[1]) / ((b[0] - a[0]) / 60_000)
@@ -176,7 +163,7 @@ class BootController:
     def scan(self, observations: Iterable[PeerObservation], now: int) -> BootDecision:
         decision = scan_and_decide(observations)
         if decision is BootDecision.WAIT:
-            self.next_rescan_at = now + self.rescan_ms
+            self.next_rescan_at = now + RESCAN_INTERVAL_MS
         else:
             self._enter_emergency(now, decision.value)
         return decision

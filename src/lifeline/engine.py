@@ -33,9 +33,12 @@ timer.  A control packet to a dead neighbour is not scheduled at all
 node never comes back to life.
 A node schedules a forward tick only when its queue bank wants one; a
 bank holding only unroutable messages parks (see `forwarding`).  A
-battery node's projected death becomes a power event only when it falls
-within the run: the loop stops at the first event past the end, so a
-later one would sit in the heap undispatched.
+battery node dies when its battery runs out: within a stretch of
+continuous drain, after the part of it the battery paid for, and in a
+discrete charge for a forward or a control packet, at that event.  Its
+projected death becomes a power event only when it falls within the
+run: the loop stops at the first event past the end, so a later one
+would sit in the heap undispatched.
 
 Facts that cannot change are computed once.  Per run: the link model of
 each address pair (and each node's neighbours with their links), the
@@ -65,8 +68,8 @@ topology entries only once the earliest expiry may have passed, and
 sends one HELLO packet object until its neighbour tuple changes.
 
 A lossy run draws a message's send and receive error uniforms at
-inject, as ever, and charges each against the link it applies to: the
-first transmission's link and the final hop's link.
+inject and charges each against the link it applies to: the first
+transmission's link and the final hop's link.
 """
 
 from __future__ import annotations
@@ -109,7 +112,6 @@ from .metrics import DeliveryRecord, RunMetrics
 from .olsr import ControlKind, ControlPacket, TopologyState
 from .power import (
     Activity,
-    BatteryDead,
     BatteryModel,
     CalibrationPoint,
     RoleAssignment,
@@ -381,7 +383,7 @@ class Simulator:
             rt.clock = now
             return
         window = self.policies.wake_window_ms
-        while rt.clock < now and rt.alive:
+        while rt.clock < now:
             seg_end = now
             awake = True
             if rt.role is not None and rt.role.duty_cycle < 1.0:
@@ -394,20 +396,9 @@ class Simulator:
                 activity = _IDLE_HOUR
             else:
                 activity = _SLEEP_HOUR
-            hours = (seg_end - rt.clock) / MS_PER_HOUR
-            rate = rt.battery.activity_cost(activity, 1.0)
-            if rate > 0 and rt.battery.level <= rate * hours:
-                death_ms = rt.clock + (rt.battery.level / rate) * MS_PER_HOUR
-                try:
-                    rt.battery.drain(activity, hours)
-                except BatteryDead:
-                    pass
-                self._kill(rt, int(round(death_ms)))
-                return
-            try:
-                rt.battery.drain(activity, hours)
-            except BatteryDead:
-                self._kill(rt, seg_end)
+            lasted = rt.battery.drain(activity, (seg_end - rt.clock) / MS_PER_HOUR)
+            if rt.battery.level == 0.0:
+                self._kill(rt, round(rt.clock + lasted * MS_PER_HOUR))
                 return
             rt.clock = seg_end
 
@@ -419,12 +410,11 @@ class Simulator:
         self._charge(rt, now)
         if not rt.alive:
             return
-        try:
-            rt.battery.drain(activity, 1.0)
-        except BatteryDead:
+        rt.battery.drain(activity, 1.0)
+        if rt.battery.level == 0.0:
             self._kill(rt, now)
-            return
-        self._reproject(rt, now)
+        else:
+            self._reproject(rt, now)
 
     def _continuous_rate(self, rt: _NodeRuntime) -> float:
         """The battery's drain per hour between discrete charges."""

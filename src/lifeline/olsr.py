@@ -366,9 +366,10 @@ Adjacency = dict[NodeId, set[NodeId]]
 
 
 def flood_tc(states: dict[NodeId, TopologyState], adjacency: Adjacency,
-             origin: NodeId, sequence: int, ttl: int = DEFAULT_TTL,
-             now: int = 0) -> tuple[set[NodeId], int]:
-    """Synchronously flood one TC from origin through the MPR relay rule.
+             origin: NodeId, sequence: int,
+             ttl: int = DEFAULT_TTL) -> tuple[set[NodeId], int]:
+    """Synchronously flood one TC from origin, at time 0, through the MPR
+    relay rule.
 
     Returns (nodes that received the packet, number of transmissions).
     """
@@ -382,32 +383,31 @@ def flood_tc(states: dict[NodeId, TopologyState], adjacency: Adjacency,
             if nb == out.origin:
                 continue
             reached.add(nb)
-            if states[nb].process_tc(out, now):
+            if states[nb].process_tc(out, 0):
                 transmissions += 1
                 queue.append(out.relayed_by(nb))
     return reached, transmissions
 
 
-def converge(adjacency: Adjacency, now: int = 0,
-             hold_time_ms: int = HOLD_TIME_MS,
-             hello_rounds: int = 4) -> dict[NodeId, TopologyState]:
-    """Drive hello exchange, MPR selection and TC floods to a fixed point.
+def converge(adjacency: Adjacency) -> dict[NodeId, TopologyState]:
+    """Drive hello exchange, MPR selection and TC floods to a fixed point,
+    all at time 0.
 
     Four hello rounds provably stabilize links, 2-hop sets, MPR sets and
     selector sets on a static graph; one TC flood per origin then fills
     every topology view.
     """
     order = sorted(adjacency, key=lambda n: n.address)
-    states = {n: TopologyState(n, hold_time_ms=hold_time_ms) for n in order}
-    for _ in range(hello_rounds):
+    states = {n: TopologyState(n) for n in order}
+    for _ in range(4):
         hellos = {n: states[n].make_hello() for n in order}
         for n in order:
             for nb in sorted(adjacency[n], key=lambda m: m.address):
-                states[nb].process_hello(hellos[n], now)
+                states[nb].process_hello(hellos[n], 0)
         for n in order:
             states[n].select_mprs()
     for i, origin in enumerate(order):
-        flood_tc(states, adjacency, origin, sequence=i + 1, now=now)
+        flood_tc(states, adjacency, origin, sequence=i + 1)
     for n in order:
         states[n].compute_routes()
     return states

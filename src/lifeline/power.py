@@ -60,21 +60,16 @@ class BatteryModel:
     drain_screen_extra: float
     energy_per_message: float
     energy_per_control: float = 0.0
-    sleep_factor: float = SLEEP_FACTOR
-    level: float = field(default=-1.0)
-    drained_by_activity: dict[Activity, float] = field(default_factory=dict)
+    level: float = field(init=False)
+    drained_by_activity: dict[Activity, float] = field(init=False,
+                                                      default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.level < 0:
-            self.level = self.capacity
+        self.level = self.capacity
 
     @property
     def percent(self) -> float:
         return 100.0 * self.level / self.capacity
-
-    @property
-    def alive(self) -> bool:
-        return self.level > 0
 
     def activity_cost(self, activity: Activity, amount: float = 1.0) -> float:
         if amount < 0:
@@ -88,50 +83,34 @@ class BatteryModel:
         elif activity is _CONTROL_PACKET:
             per_unit = self.energy_per_control
         elif activity is _SLEEP_HOUR:
-            per_unit = self.drain_idle * self.sleep_factor
+            per_unit = self.drain_idle * SLEEP_FACTOR
         else:
             raise KeyError(activity)
         return per_unit * amount
 
-    def drain(self, activity: Activity, amount: float = 1.0) -> None:
-        """Charge the battery for activity; raises BatteryDead at zero.
+    def drain(self, activity: Activity, amount: float = 1.0) -> float:
+        """Charge amount of activity; return how much of it was paid for.
 
-        Levels within a relative 1e-9 of empty count as empty, so a
-        profile that nominally lasts N hours dies on the Nth drain
-        instead of surviving on accumulated float dust.
+        That is all of amount unless this drain empties the battery, and
+        then `level / activity_cost(activity)` for the level it found.
+        Only the energy present is booked, so the ledger sums to capacity
+        minus level.  A level within a relative 1e-9 of empty counts as
+        empty, so a profile that nominally lasts N hours dies on the Nth
+        drain instead of surviving on float dust.  Raises BatteryDead
+        only for a battery that was already empty.
         """
-        if not self.alive:
+        level = self.level
+        if level <= 0:
             raise BatteryDead("battery already exhausted")
-        # Only the energy actually present can be drained, so the ledger
-        # always sums to exactly capacity minus level.
-        applied = min(self.activity_cost(activity, amount), self.level)
-        self.drained_by_activity[activity] = (
-            self.drained_by_activity.get(activity, 0.0) + applied
-        )
-        self.level -= applied
-        if self.level <= self.capacity * 1e-9:
-            self.drained_by_activity[activity] += self.level
-            self.level = 0.0
-            raise BatteryDead(f"battery exhausted during {activity.value}")
-
-    def total_drained(self) -> float:
-        return sum(self.drained_by_activity.values())
-
-    def predict_lifetime_hours(self, screen_on: bool = False,
-                               message_interval_s: Optional[float] = None,
-                               control_per_hour: float = 0.0,
-                               duty_cycle: float = 1.0) -> float:
-        """Closed-form lifetime under a steady activity profile."""
-        awake = duty_cycle + (1.0 - duty_cycle) * self.sleep_factor
-        rate = self.drain_idle * awake
-        if screen_on:
-            rate += self.drain_screen_extra
-        if message_interval_s:
-            rate += (3600.0 / message_interval_s) * self.energy_per_message
-        rate += control_per_hour * self.energy_per_control
-        if rate <= 0:
-            return math.inf
-        return self.capacity / rate
+        applied = min(self.activity_cost(activity, amount), level)
+        ledger = self.drained_by_activity
+        ledger[activity] = ledger.get(activity, 0.0) + applied
+        self.level = level - applied
+        if self.level > self.capacity * 1e-9:
+            return amount
+        ledger[activity] += self.level
+        self.level = 0.0
+        return level / self.activity_cost(activity)
 
 
 # --- calibration ----------------------------------------------------------
@@ -161,12 +140,12 @@ class CalibrationPoint:
         return cls(ProfileKind.INTERVAL, lifetime_hours, interval_s)
 
 
-def calibrate(observations: list[CalibrationPoint],
-              capacity: float = 1.0) -> BatteryModel:
+def calibrate(observations: list[CalibrationPoint]) -> BatteryModel:
     """Solve the linear drain parameters from lifetime observations.
 
     Needs an idle point, a screen-on point, and one send-interval point;
-    each lifetime pins one parameter in turn.
+    each lifetime pins one parameter in turn.  Rates are per unit of
+    capacity: the fitted model's capacity is 1.
     """
     by_kind: dict[ProfileKind, CalibrationPoint] = {}
     for obs in observations:
@@ -178,7 +157,7 @@ def calibrate(observations: list[CalibrationPoint],
         )
 
     def rate_of(point: CalibrationPoint) -> float:
-        return 0.0 if math.isinf(point.lifetime_hours) else capacity / point.lifetime_hours
+        return 0.0 if math.isinf(point.lifetime_hours) else 1.0 / point.lifetime_hours
 
     drain_idle = rate_of(by_kind[ProfileKind.IDLE])
     screen_extra = rate_of(by_kind[ProfileKind.SCREEN]) - drain_idle
@@ -192,7 +171,7 @@ def calibrate(observations: list[CalibrationPoint],
     if energy_per_message < 0:
         raise InconsistentObservations("messaging outlived idle")
     return BatteryModel(
-        capacity=capacity,
+        capacity=1.0,
         drain_idle=drain_idle,
         drain_screen_extra=screen_extra,
         energy_per_message=energy_per_message,
@@ -253,14 +232,14 @@ def is_awake(assignment: RoleAssignment, now_ms: int,
 # --- low-battery handoff -------------------------------------------------------
 
 def acceptance_probability(battery_percent: float,
-                           threshold_pct: float = HANDOFF_THRESHOLD_PCT,
-                           floor_pct: float = HANDOFF_FLOOR_PCT) -> float:
+                           threshold_pct: float = HANDOFF_THRESHOLD_PCT) -> float:
     """Linear ramp from 1 at the threshold down to 0 at the floor."""
     if battery_percent >= threshold_pct:
         return 1.0
-    if battery_percent <= floor_pct:
+    if battery_percent <= HANDOFF_FLOOR_PCT:
         return 0.0
-    return (battery_percent - floor_pct) / (threshold_pct - floor_pct)
+    return ((battery_percent - HANDOFF_FLOOR_PCT)
+            / (threshold_pct - HANDOFF_FLOOR_PCT))
 
 
 def station_route(routing_table: dict[NodeId, tuple[NodeId, int]]

@@ -565,8 +565,9 @@ def _laptop(n: int = 1) -> NodeId:
     return NodeId.parse(f"10.0.2.{n}")
 
 
-def _run_duration(traffic: list[TrafficSpec], margin_ms: int = 60_000) -> int:
-    return max(spec.end_ms() for spec in traffic) + margin_ms
+def _run_duration(traffic: list[TrafficSpec]) -> int:
+    """The last inject plus a minute to drain the queues."""
+    return max(spec.end_ms() for spec in traffic) + 60_000
 
 
 # Backup options whose threshold has no usable default, with its range.

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lifeline.messages import STATION_RANGE_START, InvariantViolation, NodeId
 from lifeline.olsr import converge
@@ -44,25 +46,6 @@ def test_calibration_solves_the_linear_system():
     assert model.capacity == 1.0
 
 
-def test_fitted_model_reproduces_observed_lifetimes():
-    model = fitted()
-    assert model.predict_lifetime_hours() == pytest.approx(15.0)
-    assert model.predict_lifetime_hours(screen_on=True) == pytest.approx(7.0)
-    assert model.predict_lifetime_hours(message_interval_s=10) == pytest.approx(7.0)
-
-
-def test_sixty_second_interval_prediction():
-    predicted = fitted().predict_lifetime_hours(message_interval_s=60)
-    assert predicted == pytest.approx(12.6, abs=0.05)
-    assert abs(predicted - 11.0) / 11.0 < 0.15
-
-
-def test_three_hundred_second_interval_prediction():
-    predicted = fitted().predict_lifetime_hours(message_interval_s=300)
-    assert predicted == pytest.approx(14.45, abs=0.05)
-    assert abs(predicted - 13.0) / 13.0 < 0.15
-
-
 def test_infinite_idle_lifetime_means_zero_idle_drain():
     model = calibrate([
         CalibrationPoint.idle(math.inf),
@@ -100,10 +83,9 @@ def test_missing_profile_is_inconsistent():
 def test_idle_profile_dies_at_fifteen_hours():
     model = fitted()
     hours = 0
-    with pytest.raises(BatteryDead):
-        while True:
-            hours += 1
-            model.drain(Activity.IDLE_HOUR)
+    while model.level > 0:
+        hours += 1
+        model.drain(Activity.IDLE_HOUR)
     assert hours == 15
     assert model.level == 0.0
 
@@ -111,20 +93,19 @@ def test_idle_profile_dies_at_fifteen_hours():
 def test_screen_profile_dies_at_seven_hours():
     model = fitted()
     hours = 0
-    with pytest.raises(BatteryDead):
-        while True:
-            hours += 1
-            model.drain(Activity.SCREEN_HOUR)
+    while model.level > 0:
+        hours += 1
+        model.drain(Activity.SCREEN_HOUR)
     assert hours == 7
 
 
 def test_ten_second_forwarding_dies_at_seven_hours():
     model = fitted()
     hours = 0
-    with pytest.raises(BatteryDead):
-        while True:
-            hours += 1
-            model.drain(Activity.FORWARD_MESSAGE, 360)
+    while model.level > 0:
+        hours += 1
+        model.drain(Activity.FORWARD_MESSAGE, 360)
+        if model.level > 0:
             model.drain(Activity.IDLE_HOUR)
     assert hours == 7
 
@@ -136,10 +117,20 @@ def test_sleep_hour_costs_a_tenth_of_idle():
 
 def test_dead_battery_refuses_more_drain():
     model = BatteryModel(1.0, 0.5, 0.1, 0.01)
-    with pytest.raises(BatteryDead):
-        model.drain(Activity.IDLE_HOUR, amount=3)
+    assert model.drain(Activity.IDLE_HOUR, amount=3) < 3
+    assert model.level == 0.0
     with pytest.raises(BatteryDead):
         model.drain(Activity.IDLE_HOUR)
+
+
+def test_emptying_drain_pays_for_what_the_level_covers():
+    model = fitted()
+    model.drain(Activity.SCREEN_HOUR, 2.5)
+    level = model.level
+    lasted = model.drain(Activity.IDLE_HOUR, 40.0)
+    assert lasted == level / model.activity_cost(Activity.IDLE_HOUR)
+    assert model.drained_by_activity[Activity.IDLE_HOUR] == level
+    assert model.level == 0.0
 
 
 def test_negative_amount_rejected():
@@ -152,14 +143,30 @@ def test_energy_ledger_matches_level_drop():
     rng = random.Random(0xEC)
     model = fitted()
     activities = list(Activity)
-    try:
-        for _ in range(500):
-            model.drain(rng.choice(activities), amount=rng.uniform(0, 0.3))
-    except BatteryDead:
-        pass
-    assert model.total_drained() == pytest.approx(
+    for _ in range(500):
+        if model.level == 0:
+            break
+        model.drain(rng.choice(activities), amount=rng.uniform(0, 0.3))
+    assert sum(model.drained_by_activity.values()) == pytest.approx(
         model.capacity - model.level, abs=1e-9
     )
+
+
+@given(st.lists(st.tuples(st.sampled_from(list(Activity)),
+                          st.floats(0, 20, allow_nan=False)), max_size=40))
+def test_drain_pays_in_full_until_the_battery_empties(calls):
+    model = fitted()
+    for activity, amount in calls:
+        if model.level == 0:
+            with pytest.raises(BatteryDead):
+                model.drain(activity, amount)
+            break
+        lasted = model.drain(activity, amount)
+        if model.level > 0:
+            assert lasted == amount
+        assert sum(model.drained_by_activity.values()) == pytest.approx(
+            model.capacity - model.level, abs=1e-12
+        )
 
 
 # --- roles ------------------------------------------------------------------------
