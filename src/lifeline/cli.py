@@ -50,6 +50,17 @@ def _emit_metrics(metrics: RunMetrics, out: Optional[str]) -> None:
     print(f"wrote {out_dir / 'metrics.csv'}")
 
 
+def _emit_scenario(scenario: Scenario, target: str) -> int:
+    """Write scenario's JSON to the file target, or to stdout for '-'."""
+    text = json.dumps(scenario.to_json_dict(), indent=2, sort_keys=True)
+    if target == "-":
+        print(text)
+    else:
+        Path(target).write_text(text + "\n")
+        print(f"wrote {target}")
+    return 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     metrics = Simulator(scenario, seed=args.seed).run()
@@ -66,13 +77,7 @@ def _cmd_setup(args: argparse.Namespace) -> int:
         backup_threshold=args.backup_threshold,
     )
     if args.emit_scenario is not None:
-        text = json.dumps(scenario.to_json_dict(), indent=2, sort_keys=True)
-        if args.emit_scenario == "-":
-            print(text)
-        else:
-            Path(args.emit_scenario).write_text(text + "\n")
-            print(f"wrote {args.emit_scenario}")
-        return 0
+        return _emit_scenario(scenario, args.emit_scenario)
     metrics = Simulator(scenario).run()
     _emit_metrics(metrics, args.out)
     return 0
@@ -80,14 +85,9 @@ def _cmd_setup(args: argparse.Namespace) -> int:
 
 def _cmd_battery(args: argparse.Namespace) -> int:
     if args.emit_scenario is not None:
-        scenario = build_battery_scenario(args.interval, seed=args.seed)
-        text = json.dumps(scenario.to_json_dict(), indent=2, sort_keys=True)
-        if args.emit_scenario == "-":
-            print(text)
-        else:
-            Path(args.emit_scenario).write_text(text + "\n")
-            print(f"wrote {args.emit_scenario}")
-        return 0
+        return _emit_scenario(build_battery_scenario(args.interval,
+                                                     seed=args.seed),
+                              args.emit_scenario)
     hours = run_battery_experiment(args.interval, seed=args.seed)
     print(json.dumps({"interval": args.interval, "lifetime_hours": round(hours, 4)}))
     return 0

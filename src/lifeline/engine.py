@@ -44,14 +44,13 @@ Facts that cannot change are computed once.  Per run: the link model of
 each address pair (and each node's neighbours with their links), the
 backup policy, compiled into one decision function that reads a node's
 battery and load only when an enabled option does, and the location
-estimate of each message source, since a passive query floods the
-static adjacency to the static known locations.  Per run, too, each
-node's dotted-quad name and each source's location estimate as JSON,
-which every delivery record reuses.  The codec is canonical, so a
-message's bytes are its encoding: the inject-time encoding and each
-received hop's bytes are held in its queue entry, size it and become
-its backup record, and a transmission's spliced bytes serve both the
-wire and an after-forward backup.
+estimate of each message source, as the JSON every delivery record
+reuses, since a passive query floods the static adjacency to the static
+known locations.  A node id remembers its own dotted-quad text.  The
+codec is canonical, so a message's bytes are its encoding: the
+inject-time encoding and each received hop's bytes are held in its
+queue entry, size it and become its backup record, and a transmission's
+spliced bytes serve both the wire and an after-forward backup.
 
 An event costs little beyond its modelling work.  A heap entry is
 (time, sequence, handler, arguments): the handler is the bound
@@ -68,8 +67,11 @@ topology entries only once the earliest expiry may have passed, and
 sends one HELLO packet object until its neighbour tuple changes.
 
 A lossy run draws a message's send and receive error uniforms at
-inject and charges each against the link it applies to: the first
-transmission's link and the final hop's link.
+inject, keeps each in its own map by message id, and spends it on the
+transmission it applies to: the send draw against the first
+transmission's link, the receive draw against the final hop's link.
+Only a node that dozes gets a duty-cycle role; `_next_wake` says when it
+wakes.
 """
 
 from __future__ import annotations
@@ -254,21 +256,6 @@ class _NodeRuntime:
     pending_after_forward: set = field(default_factory=set)
 
 
-@dataclass
-class _ErrorDraws:
-    """A lossy run's two error uniforms for one message, drawn at inject.
-
-    Each is spent on the one transmission it applies to: the send draw on
-    the first, against that link's p_send_error, and the receive draw on
-    the first into the destination, against that link's p_recv_error.
-    A spent send draw is None; the record goes once the receive draw is
-    spent.
-    """
-
-    send: Optional[float]
-    recv: Optional[float]
-
-
 def _base_battery() -> BatteryModel:
     return calibrate(list(CALIBRATION_POINTS))
 
@@ -285,7 +272,10 @@ class Simulator:
                                   scenario.duration_ms)
         self._heap: list = []
         self._seq = itertools.count()
-        self._error_draws: dict[int, _ErrorDraws] = {}
+        # A lossy run's error uniforms by message id, drawn at inject; see
+        # _transmit for the one transmission each is spent on.
+        self._send_draws: dict[int, float] = {}
+        self._recv_draws: dict[int, float] = {}
 
         base = _base_battery()
         self._static_adjacency = scenario.adjacency()
@@ -386,7 +376,7 @@ class Simulator:
         while rt.clock < now:
             seg_end = now
             awake = True
-            if rt.role is not None and rt.role.duty_cycle < 1.0:
+            if rt.role is not None:
                 awake = is_awake(rt.role, rt.clock, window)
                 boundary = (rt.clock // window + 1) * window
                 seg_end = min(now, boundary)
@@ -423,7 +413,7 @@ class Simulator:
             rate = battery.activity_cost(_SCREEN_HOUR, 1.0)
         else:
             rate = battery.activity_cost(_IDLE_HOUR, 1.0)
-        if rt.role is not None and rt.role.duty_cycle < 1.0:
+        if rt.role is not None:
             duty = rt.role.duty_cycle
             sleep = battery.activity_cost(_SLEEP_HOUR, 1.0)
             rate = duty * rate + (1.0 - duty) * sleep
@@ -452,18 +442,12 @@ class Simulator:
 
     # -- duty cycling ---------------------------------------------------------
 
-    def _is_awake(self, rt: _NodeRuntime, now: int) -> bool:
-        if rt.role is None:
-            return True
-        return is_awake(rt.role, now, self.policies.wake_window_ms)
-
     def _next_wake(self, rt: _NodeRuntime, now: int) -> int:
-        if self._is_awake(rt, now):
-            return now
+        """The first time from now on at which dozing rt is awake."""
         window = self.policies.wake_window_ms
-        t = (now // window + 1) * window
+        t = now
         while not is_awake(rt.role, t, window):
-            t += window
+            t = (t // window + 1) * window
         return t
 
     # -- the run ----------------------------------------------------------------
@@ -471,9 +455,6 @@ class Simulator:
     def run(self) -> RunMetrics:
         duration = self.scenario.duration_ms
         self._bind_handlers()
-        # Built here rather than in __init__, which stays as cheap as a
-        # scenario's set-up.
-        self._names = {node: str(node) for node in self.nodes}
         # A HELLO that only refreshes a link is applied when it is sent
         # (see _broadcast) when nothing can tell the two times apart: its
         # reception costs no energy, every node is always awake, and the
@@ -554,7 +535,7 @@ class Simulator:
             self._charge(rt, now)
             if not rt.alive:
                 return
-        if rt.role is None or self._is_awake(rt, now):
+        if rt.role is None or self._next_wake(rt, now) == now:
             topo = rt.topo
             topo.expire_links(now)
             topo.expire_topology(now)
@@ -573,14 +554,16 @@ class Simulator:
     def _on_tc(self, now: int, rt: _NodeRuntime) -> None:
         if not rt.alive:
             return
-        if (rt.role is None or self._is_awake(rt, now)) and rt.topo.mpr_selectors:
+        if ((rt.role is None or self._next_wake(rt, now) == now)
+                and rt.topo.mpr_selectors):
             rt.tc_seq = (rt.tc_seq + 1) % (1 << 16)
             self._broadcast(rt, rt.topo.make_tc(rt.tc_seq), now)
         heapq.heappush(self._heap, (now + self.policies.tc_interval_ms,
                                     next(self._seq), self._do_tc, (rt,)))
 
     def _on_ctl(self, now: int, rt: _NodeRuntime, pkt: ControlPacket) -> None:
-        if not rt.alive or not (rt.role is None or self._is_awake(rt, now)):
+        if not rt.alive or not (rt.role is None
+                                or self._next_wake(rt, now) == now):
             return
         if self.policies.energy_per_control > 0:
             self._drain_event(rt, _CONTROL_PACKET, now)
@@ -628,18 +611,17 @@ class Simulator:
         jitter = rt.rng.uniform(-LATENCY_JITTER, LATENCY_JITTER)
         latency = max(1, round(model.base_latency_ms * (1.0 + jitter)))
         if self._lossy:
-            draws = self._error_draws.get(msg.msg_id)
-            if draws is not None:
-                if draws.send is not None:
-                    if draws.send < model.p_send_error:
-                        self.metrics.send_errors += 1
-                        latency += model.base_latency_ms
-                    draws.send = None
-                if draws.recv is not None and terminates_at(next_hop, msg.dst):
-                    if draws.recv < model.p_recv_error:
-                        self.metrics.recv_errors += 1
-                        latency += model.base_latency_ms
-                    del self._error_draws[msg.msg_id]  # both draws are spent
+            msg_id = msg.msg_id
+            draw = self._send_draws.pop(msg_id, None)
+            if draw is not None and draw < model.p_send_error:
+                self.metrics.send_errors += 1
+                latency += model.base_latency_ms
+            draw = self._recv_draws.get(msg_id)
+            if draw is not None and terminates_at(next_hop, msg.dst):
+                del self._recv_draws[msg_id]
+                if draw < model.p_recv_error:
+                    self.metrics.recv_errors += 1
+                    latency += model.base_latency_ms
         if rt.battery is not None:
             self._drain_event(rt, _FORWARD_MESSAGE, now)
         pending = rt.pending_after_forward
@@ -719,16 +701,15 @@ class Simulator:
                     passive_query(msg.src, self.policies.location_query_hops,
                                   self._static_adjacency,
                                   self._known_locations)).to_json()
-        names = self._names
         self.metrics.deliveries.append(DeliveryRecord(
             msg_id=msg.msg_id,
-            src=names.get(msg.src) or str(msg.src),
-            dst=names.get(msg.dst) or str(msg.dst),
+            src=str(msg.src),
+            dst=str(msg.dst),
             priority=msg.priority,
             created_at=msg.created_at,
             delivered_at=now,
             hop_count=msg.hop_count,
-            deliver_node=names[rt.node],
+            deliver_node=str(rt.node),
             estimate=estimate,
         ))
 
@@ -754,8 +735,8 @@ class Simulator:
         )
         rt.msg_counter += 1
         if self._lossy:
-            send = rt.rng.random()
-            self._error_draws[msg.msg_id] = _ErrorDraws(send, rt.rng.random())
+            self._send_draws[msg.msg_id] = rt.rng.random()
+            self._recv_draws[msg.msg_id] = rt.rng.random()
         self.metrics.injected += 1
         # The one encoding of this message: its queue entry holds it and an
         # inject-time backup records it.
@@ -785,9 +766,9 @@ class Simulator:
     # -- handoff, boot, roles -----------------------------------------------------
 
     def _check_handoff(self, rt: _NodeRuntime, now: int) -> None:
-        if rt.battery is None or not rt.alive:
-            return
-        if rt.battery.percent >= self.policies.handoff_threshold_pct:
+        """Hand off battery node rt's custody once under the threshold."""
+        if (not rt.alive
+                or rt.battery.percent >= self.policies.handoff_threshold_pct):
             return
         # Evacuate everything held toward the nearest station, else into
         # the backup log.
@@ -831,7 +812,8 @@ class Simulator:
             if not self.policies.duty_cycle_enabled:
                 continue
             self._charge(rt, now)
-            rt.role = assignment
+            if assignment.duty_cycle < 1.0:  # else always awake
+                rt.role = assignment
             self._reproject(rt, now)
 
     def _on_power(self, now: int, rt: _NodeRuntime) -> None:
@@ -839,8 +821,7 @@ class Simulator:
             return
         rt.next_power_at = None
         self._charge(rt, now)
-        if rt.alive:
-            self._reproject(rt, now)
+        self._reproject(rt, now)
 
     # -- observation ------------------------------------------------------------
 
@@ -848,7 +829,7 @@ class Simulator:
         nodes = []
         links = set()
         mpr: dict[str, list[str]] = {}
-        for node, rt in sorted(self.nodes.items(), key=lambda kv: kv[0].address):
+        for node, rt in self.nodes.items():
             if rt.alive:
                 self._charge(rt, now)
             battery_pct = None
@@ -859,7 +840,8 @@ class Simulator:
                 "kind": rt.spec.kind,
                 "battery_percent": battery_pct,
                 "alive": rt.alive,
-                "awake": rt.alive and self._is_awake(rt, now),
+                "awake": rt.alive and (rt.role is None
+                                       or self._next_wake(rt, now) == now),
             })
             if not rt.alive:
                 continue
@@ -876,7 +858,7 @@ class Simulator:
         })
 
     def _finalize(self) -> None:
-        for node, rt in sorted(self.nodes.items(), key=lambda kv: kv[0].address):
+        for node, rt in self.nodes.items():
             name = str(node)
             for reason, count in rt.bank.drop_reasons.items():
                 self.metrics.dropped[reason.value] = (

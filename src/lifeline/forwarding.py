@@ -5,7 +5,7 @@ encoded-message bytes.  Overflow pushes priority-3/4 traffic to a swap
 store; failures demote; a delivery that drains the head queue promotes
 every queue one level.  Every message instance a bank accepts is tracked
 through to a terminal disposition so multiset conservation is checkable
-at any step.
+at any step.  One rule (`_admit`) admits received and injected messages.
 
 A held message keeps the canonical bytes it entered custody with (the
 received bytes, or its encoding at inject), and its entry is sized by
@@ -165,11 +165,7 @@ class PriorityQueueBank:
             self.ignored_count += 1
             return ReceiveResult.IGNORED
         self.last_received = msg
-        self.accepted[msg.msg_id] = self.accepted.get(msg.msg_id, 0) + 1
-        if terminates_at(self.self_id, msg.dst):
-            self._deliver_terminal(msg)
-        else:
-            self._admit(msg, data)
+        self._admit(msg, data, terminates_at(self.self_id, msg.dst))
         return _ACCEPTED
 
     def inject(self, msg: EmergencyMessage,
@@ -179,27 +175,26 @@ class PriorityQueueBank:
 
         `data` is msg's encoding when the caller already holds it.
         """
-        self.accepted[msg.msg_id] = self.accepted.get(msg.msg_id, 0) + 1
-        return self._admit(msg, data)
+        return self._admit(msg, data, False)
 
-    def _admit(self, msg: EmergencyMessage,
-               data: Optional[bytes]) -> Optional[ForwardOutcome]:
-        """Drop a duplicate, else enqueue; count it if held and it resolves."""
-        if msg.msg_id in self._delivered_ids:
+    def _admit(self, msg: EmergencyMessage, data: Optional[bytes],
+               terminal: bool) -> Optional[ForwardOutcome]:
+        """Count msg accepted, then drop a duplicate, deliver a terminal
+        message here, or enqueue it, counting it if held and it resolves."""
+        msg_id = msg.msg_id
+        self.accepted[msg_id] = self.accepted.get(msg_id, 0) + 1
+        if msg_id in self._delivered_ids:
             return self._drop(msg, DropReason.DUPLICATE)
+        if terminal:
+            self.delivered[msg_id] = self.delivered.get(msg_id, 0) + 1
+            self._remember_delivered(msg_id)
+            self.delivered_log.append(msg)
+            return None
         outcome = self.enqueue(msg, data)
         if (outcome is None and self.routable is not None
                 and self._next_hop(msg.dst) is not None):
             self.routable += 1
         return outcome
-
-    def _deliver_terminal(self, msg: EmergencyMessage) -> None:
-        if msg.msg_id in self._delivered_ids:
-            self._drop(msg, DropReason.DUPLICATE)
-            return
-        self.delivered[msg.msg_id] = self.delivered.get(msg.msg_id, 0) + 1
-        self._remember_delivered(msg.msg_id)
-        self.delivered_log.append(msg)
 
     def _drop(self, msg: EmergencyMessage, reason: DropReason) -> ForwardOutcome:
         self.dropped[msg.msg_id] = self.dropped.get(msg.msg_id, 0) + 1

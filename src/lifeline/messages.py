@@ -9,8 +9,9 @@ encoding of the message it decodes to.
 In custody only a message's priority and hop count change, so a node
 that holds a message's encoding re-encodes it for the next hop by
 splicing those two fields into the held bytes (`splice_hop`) instead of
-formatting the whole document.  A run carries few addresses, so encoding
-and decoding map between an address and its text through bounded caches.
+formatting the whole document.  A run carries few addresses, so
+`NodeId.__str__` remembers each address's text and decoding each text's
+node id, both in bounded caches.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ ADDRESS_SPACE = 1 << 32
 STATION_RANGE_SIZE = 256
 # Top 256 addresses of the space are reserved for emergency stations.
 STATION_RANGE_START = ADDRESS_SPACE - STATION_RANGE_SIZE
+
+# Address texts that NodeId.__str__ and decode remember.  A run's
+# messages name only its own nodes and station addresses, far fewer than
+# this.
+ADDRESS_CACHE_SIZE = 4096
 
 _MESSAGE_FIELDS = (
     "msg_id", "src", "dst", "priority",
@@ -75,7 +81,9 @@ class NodeId(tuple):
     def __repr__(self) -> str:
         return f"NodeId(address={self[0]})"
 
+    @functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
     def __str__(self) -> str:
+        """The dotted quad, remembered: a run names few addresses."""
         a = self[0]
         return f"{(a >> 24) & 0xFF}.{(a >> 16) & 0xFF}.{(a >> 8) & 0xFF}.{a & 0xFF}"
 
@@ -168,11 +176,6 @@ _DOCUMENT = re.compile(
 # matched always make an address in range.
 _grammar_node_id = functools.partial(tuple.__new__, NodeId)
 
-# Address texts whose NodeId decode remembers.  A run's messages name only
-# its own nodes and station addresses, far fewer than this.
-ADDRESS_CACHE_SIZE = 4096
-
-
 @functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
 def _address_node_id(text: bytes) -> NodeId:
     """The NodeId of address text the document grammar matched."""
@@ -180,19 +183,11 @@ def _address_node_id(text: bytes) -> NodeId:
     return _grammar_node_id(((a << 24) | (b << 16) | (c << 8) | d,))
 
 
-# Typed, so a plain tuple, which equals the NodeId of its address, never
-# shares that NodeId's entry.
-@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE, typed=True)
-def _address_text(node: NodeId) -> str:
-    """str(node), remembered: a run's messages name few addresses."""
-    return str(node)
-
-
 def encode_message(msg: EmergencyMessage) -> bytes:
     """Canonical wire encoding; equal messages yield identical bytes."""
     msg.validate()
     return (_TEMPLATE % (
-        msg.msg_id, _address_text(msg.src), _address_text(msg.dst),
+        msg.msg_id, msg.src, msg.dst,
         msg.priority,
         binascii.b2a_base64(msg.payload, newline=False).decode("ascii"),
         msg.sender_load, msg.hop_count, msg.created_at,

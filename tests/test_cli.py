@@ -175,6 +175,16 @@ def test_battery_emits_scenario(capsys):
     assert doc["traffic"] == []
 
 
+def test_battery_emits_scenario_to_a_file(tmp_path, capsys):
+    scenario_file = tmp_path / "idle.json"
+    assert main(["battery", "--interval", "idle", "--seed", "4",
+                 "--emit-scenario", str(scenario_file)]) == 0
+    assert capsys.readouterr().out == f"wrote {scenario_file}\n"
+    doc = json.loads(scenario_file.read_text())
+    assert (doc["name"], doc["seed"], doc["traffic"]) == ("battery-idle", 4, [])
+    assert Scenario.from_json_dict(doc).to_json_dict() == doc
+
+
 def test_dump_log_round_trip(tmp_path, capsys):
     log = tmp_path / "backup.log"
     store = BackupStore(log)

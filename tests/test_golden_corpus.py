@@ -7,6 +7,10 @@ topology, link lengths, node kinds, batteries and traffic.  Together the
 profiles cover what the canned setups do not:
 
 - battery phones that die, or fall under the handoff threshold first;
+- a battery relay that still carries traffic under the handoff
+  threshold, so its acceptance ramp turns messages away;
+- a bank that holds routable and unroutable traffic at once, which a
+  message to a node with no links leaves behind;
 - loopback, short and long (lossy) links, alone and mixed;
 - HELLO intervals on both sides of the longest link latency (18 ms, a
   long link's 15 ms plus 20% jitter), including exactly 18 and 19 ms,
@@ -55,6 +59,12 @@ class Profile(NamedTuple):
     energy_per_control: float = 0.0
     duty_cycle: bool = False
     backup_options: tuple = ()
+    # The first traffic source also sends to a node with no links.
+    stranded: bool = False
+    # The one node linked to the station, which relays all station
+    # traffic, is a phone whose battery crosses the handoff threshold
+    # late in the run.
+    weak_relay: bool = False
 
 
 PROFILES = (
@@ -76,6 +86,8 @@ PROFILES = (
             duty_cycle=True,
             backup_options=({"option": 2},
                             {"option": 6, "threshold": 50.0})),
+    Profile(1_000, 3_000, "short", 60_000, stranded=True),
+    Profile(500, 1_500, "short", 60_000, weak_relay=True),
 )
 
 CORPUS_SEEDS = range(len(PROFILES))
@@ -93,9 +105,19 @@ CORPUS_SHA256 = {
     9: "376b620b6b1acda2e184bc5a7528ec9885e11f5e2dad720b87bd5a7c2be0019a",
     10: "9b4e7357db011a1fae8c9762b4938ae01d07fb8e3574d713a8648dceb54278dc",
     11: "db8b25a4e6786c703864d2592c6e6ab2299fc27dcbadf1ef72bb5d798b8df842",
+    12: "568b29da1a040685efb157b411ccba9948e194ae97a45829bbe1848badf9106d",
+    13: "23a28933b7fcd7a0f25a6ff6db867c645735896f349f03f96d5e04b08df8a172",
 }
 
 STATION = NodeId.parse("255.255.255.1")
+STRANDED = NodeId.parse("10.0.9.1")
+# The energy of one forward: a phone relaying a message every 10 s lasts
+# 7 h, where an idle one lasts 15 h.
+FORWARD_ENERGY = (1 - 7 / 15) / (7 * 360)
+# A weak relay's battery pays for this share of the station traffic's
+# forwards; it crosses the 10% handoff threshold after nine tenths of
+# them, and the 2% floor, under which it accepts nothing, soon after.
+WEAK_RELAY_SHARE = 2 / 5
 _KIND_PREFIX = {"router": "10.0.0", "phone": "10.0.1", "laptop": "10.0.2"}
 
 
@@ -119,9 +141,14 @@ def corpus_scenario(seed: int) -> Scenario:
     for i in range(rng.randint(5, 8)):
         kind = "router" if i == 0 else rng.choice(("router", "phone",
                                                    "phone", "laptop"))
+        weak = i == 0 and profile.weak_relay
+        if weak:
+            kind = "phone"
         count[kind] += 1
         node = NodeId.parse(f"{_KIND_PREFIX[kind]}.{count[kind]}")
-        if kind == "phone" and rng.random() < 0.7:
+        if weak:
+            spec = NodeSpec(node, kind)  # its battery is sized below
+        elif kind == "phone" and rng.random() < 0.7:
             # Between a fifth and one and a half idle lifetimes of the run.
             capacity = rng.uniform(0.2, 1.5) * duration / IDLE_LIFETIME_MS
             spec = NodeSpec(node, kind, battery_capacity=capacity,
@@ -170,6 +197,21 @@ def corpus_scenario(seed: int) -> Scenario:
                                  PrioritySpec.stratified(0.25),
                                  PrioritySpec.fixed(rng.randint(0, 4))))))
 
+    if profile.weak_relay:
+        # The station's one neighbour relays every message to it.
+        forwards = sum(spec.count for spec in traffic
+                       if spec.destination == STATION)
+        nodes[1] = NodeSpec(nodes[1].node, "phone", battery_capacity=(
+            WEAK_RELAY_SHARE * forwards * FORWARD_ENERGY))
+    if profile.stranded:
+        # Its messages never find a route, so the source's bank holds
+        # them beside its station traffic and retries them.
+        nodes.append(NodeSpec(STRANDED, "laptop"))
+        first = traffic[0]
+        traffic.append(TrafficSpec(
+            first.source, STRANDED, 10, interval_ms=duration // 20,
+            start_ms=first.start_ms))
+
     policies = Policies(
         backup_options=list(profile.backup_options),
         duty_cycle_enabled=profile.duty_cycle,
@@ -201,6 +243,8 @@ def test_every_corpus_seed_is_pinned():
 def test_corpus_metrics_bytes_match_golden_digest(seed):
     metrics = run(corpus_scenario(seed))
     assert metrics.conservation_ok
+    if PROFILES[seed].weak_relay:
+        assert metrics.handoff_rejected > 0
     assert digest(metrics.to_json()) == CORPUS_SHA256[seed]
 
 

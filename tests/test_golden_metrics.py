@@ -17,7 +17,8 @@ for:
 - setup D at 10k messages (seed 1), the benchmark's chain-burst-10k:
   50,000 hops over lossy links, about one message per queue;
 - five traffic specs whose injects land on the same milliseconds as each
-  other and as HELLOs and TCs, which pins the order of same-time events.
+  other and as HELLOs and TCs, which pins the order of same-time events;
+- the benchmark's three workloads at its held-out seed 7919.
 
 These digests change only together with a CHANGES.md entry that says why
 the bytes moved and shows that the acceptance criteria still pass.  The
@@ -60,6 +61,12 @@ GOLDEN_SHA256 = {
 RELAY_16H_SHA256 = "00f45d49c1cb408e91f47502c3940357b1387725771cd1c9933dd819d6983657"
 GATEWAY_SURGE_SHA256 = "552ed5af45ab593824e0a5011eefb9f86ab279a97058016851298d4584c0cea8"
 CHAIN_BURST_10K_SHA256 = "351ca68ccff2605c157580736b42a9e0dcae0fb3bb25e383356e4f98eb232258"
+HELD_OUT_SEED = 7919
+HELD_OUT_SHA256 = {
+    "relay-16h": "1df76f40688d8cca73df5e199ece790d033d9ce7bd84f14c32fa42e4ea0086fb",
+    "gateway-surge": "ad1c55d9156e12c2a1b7833963ca270547d7de1fa3d47e6fdb951a48e1bb2a3e",
+    "chain-burst-10k": "41879eb2e43bc5da6eb445a13d84280db1b2239921166ebb19ea88975f4ba4c1",
+}
 COLLIDING_INJECTS_SHA256 = "23b68203cdade7a30cdc037cca6eec4804a484ab4a88b2723b2c6fedecbe3caa"
 BATTERY_SHA256 = {
     "screen": "6686b538470b19f0167a41ea40ab57137741a7740bde55ce870bf4feac1f7551",
@@ -102,21 +109,32 @@ def test_duty_cycle_metrics_bytes_match_golden_digest(enabled):
     assert digest(doc) == DUTY_CYCLE_SHA256[enabled]
 
 
-def test_gateway_surge_metrics_bytes_match_golden_digest():
-    # Loaded by path: perfbench/ is not a package.  Its dataclasses need
-    # the module registered while it runs.
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded by path: perfbench/ is not a
+    package.  Its dataclasses need the module registered while it runs."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   WORKLOADS_PY)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
-    doc = run(workloads.gateway_surge(1)).to_json()
+    return workloads
+
+
+def test_gateway_surge_metrics_bytes_match_golden_digest():
+    doc = run(benchmark_workloads().gateway_surge(1)).to_json()
     assert digest(doc) == GATEWAY_SURGE_SHA256
 
 
 def test_chain_burst_10k_metrics_bytes_match_golden_digest():
     doc = run(build_setup("D", messages=10000, seed=1)).to_json()
     assert digest(doc) == CHAIN_BURST_10K_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(HELD_OUT_SHA256))
+def test_held_out_seed_metrics_bytes_match_golden_digest(name):
+    workload = benchmark_workloads().WORKLOADS[name]
+    doc = run(workload.build(HELD_OUT_SEED)).to_json()
+    assert digest(doc) == HELD_OUT_SHA256[name]
 
 
 def colliding_injects() -> Scenario:
@@ -158,17 +176,8 @@ CSV_SHA256 = {
 }
 
 
-def gateway_surge_scenario() -> Scenario:
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS_PY)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    return workloads.gateway_surge(1)
-
-
 @pytest.mark.parametrize("name", sorted(CSV_SHA256))
 def test_csv_text_matches_golden_digest(name):
     scenario = (build_setup("G", messages=1000, seed=0) if name == "setup-G"
-                else gateway_surge_scenario())
+                else benchmark_workloads().gateway_surge(1))
     assert digest(run(scenario).to_csv()) == CSV_SHA256[name]

@@ -245,9 +245,10 @@ def test_decode_beyond_the_address_cache_stays_correct_and_bounded():
         decoded = decode_message(encode_message(make_msg(src=src, dst=dst)))
         assert (decoded.src, decoded.dst) == (src, dst)
         assert type(decoded.src) is type(decoded.dst) is NodeId
-    cache = messages._address_node_id.cache_info()
-    assert cache.maxsize == ADDRESS_CACHE_SIZE
-    assert cache.currsize <= ADDRESS_CACHE_SIZE
+    for cache in (messages._address_node_id.cache_info(),
+                  NodeId.__str__.cache_info()):
+        assert cache.maxsize == ADDRESS_CACHE_SIZE
+        assert cache.currsize <= ADDRESS_CACHE_SIZE
 
 
 def test_decode_never_crashes_on_fuzz():
