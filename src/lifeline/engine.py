@@ -27,10 +27,16 @@ changes, and a receiver that gets the very tuple it last heard from
 that sender only refreshes the link's timers.  When no run-level fact
 can tell the two times apart (see run()), that refresh is applied as
 the HELLO is sent, stamped with its arrival, and queues no event.  A
-node with fewer than two neighbours never sends a TC, so it runs no TC
-timer.  A control packet to a dead neighbour is not scheduled at all
+node with fewer than two neighbours never sends or relays a TC, so it
+runs no TC timer, and a TC its neighbour originates with the very tuple
+that set the neighbour's topology entry is applied at send the same
+way.  A control packet to a dead neighbour is not scheduled at all
 (its latency is still drawn, so the random stream does not move): a
-node never comes back to life.
+node never comes back to life.  So a node without battery or
+duty-cycle role whose neighbours are all dead and whose topology state
+has emptied is quiet (see _quiet): its HELLO and TC timers stop, and its
+random stream still owes the jitter words its HELLOs would have drawn,
+which its next inject passes over before drawing.
 A node schedules a forward tick only when its queue bank wants one; a
 bank holding only unroutable messages parks (see `forwarding`).  A
 battery node dies when its battery runs out: within a stretch of
@@ -167,7 +173,8 @@ CALIBRATION_POINTS = (
 )
 
 
-# Raw 64-bit Philox outputs fetched at a time by a node's draws.
+# Raw 64-bit Philox outputs fetched at a time by a node's draws; a
+# multiple of the four a Philox counter step gives.
 DRAW_BLOCK = 256
 
 
@@ -214,6 +221,19 @@ class _Draws:
         return lo + (hi - lo) * (((self._words or self._refill()).pop() >> 11)
                                  * 2.0 ** -53)
 
+    def skip(self, n: int) -> None:
+        """Pass over n words, as n random() calls would; a pending high
+        half stays pending, as it does in the Generator."""
+        words = self._words
+        if n > len(words):
+            n -= len(words)
+            # Blocks are whole Philox counters (four words each), so every
+            # fetch leaves the counter where advance() steps four words.
+            self._bits.advance(n // 4)
+            words = self._refill()
+            n %= 4
+        del words[len(words) - n:]
+
     def integers(self, lo: int, hi: int) -> int:
         """Generator.integers(lo, hi): Lemire's bounded draw on [lo, hi)."""
         span = hi - lo
@@ -247,7 +267,12 @@ class _NodeRuntime:
     rng: _Draws
     battery: Optional[BatteryModel]
     role: Optional[RoleAssignment] = None
+    # Fewer than two static neighbours: the node never relays a TC.
+    leaf: bool = False
     alive: bool = True
+    # Set once the node is quiet (see _quiet): the time of the first HELLO
+    # it has not sent and whose jitter words its stream still owes.
+    owed_from: Optional[int] = None
     clock: int = 0
     tc_seq: int = 0
     msg_counter: int = 0
@@ -339,6 +364,8 @@ class Simulator:
                    for nb in sorted(neighbors, key=lambda n: n.address)]
             for node, neighbors in self._static_adjacency.items()
         }
+        for rt in self.nodes.values():
+            rt.leaf = len(self._out_links[rt.node]) < 2
 
     # -- event plumbing -----------------------------------------------------
 
@@ -466,12 +493,19 @@ class Simulator:
         self._refresh_at_send = (policies.energy_per_control == 0
                                  and not policies.duty_cycle_enabled
                                  and longest < policies.hello_interval_ms)
+        # A leaf never relays a TC, so a TC its neighbour originates that
+        # only refreshes a topology entry is applied when it is sent, on the
+        # same facts, when also no earlier TC from that neighbour is still
+        # in flight.  Relayed TCs stay events: copies that took different
+        # paths can arrive out of order.
+        self._tc_at_send = (self._refresh_at_send
+                            and longest < policies.tc_interval_ms)
         for rt in self.nodes.values():
             self._at(0, self._do_hello, rt)
             # A node with fewer than two neighbours lists at most one in its
             # HELLO, so it covers no 2-hop node: it is never an MPR, gains
             # no MPR selector and so never sends a TC.
-            if len(self._out_links[rt.node]) >= 2:
+            if not rt.leaf:
                 self._at(FIRST_TC_MS, self._do_tc, rt)
             self._reproject(rt, 0)
         # Every inject's sequence number is reserved here, in one block,
@@ -508,16 +542,18 @@ class Simulator:
     # -- control plane -----------------------------------------------------------
 
     def _broadcast(self, rt: _NodeRuntime, pkt: ControlPacket, now: int,
-                   refresh: bool = False) -> None:
-        """Send pkt to every neighbour; with refresh, pkt is a HELLO and a
-        neighbour it would only refresh is refreshed now, as of its
-        arrival, rather than by an event."""
+                   at_send: bool = False) -> None:
+        """Send pkt to every neighbour.  With at_send, pkt is a HELLO or
+        rt's own TC, and a neighbour it would only refresh (any for a
+        HELLO, a leaf for a TC) is refreshed now, as of its arrival,
+        rather than by an event."""
         if self.policies.energy_per_control > 0:
             self._drain_event(rt, _CONTROL_PACKET, now)
             if not rt.alive:
                 return
         uniform = rt.rng.uniform
         heap, seq, on_ctl = self._heap, self._seq, self._do_ctl
+        hello = pkt.kind is _HELLO
         for peer, base_latency_ms in self._out_links[rt.node]:
             # The link's base latency with a uniform jitter; round() of a
             # float is already an int.  Draw even for a dead neighbour, so
@@ -525,8 +561,11 @@ class Simulator:
             # for it is needed.
             jitter = uniform(-LATENCY_JITTER, LATENCY_JITTER)
             arrival = now + max(1, round(base_latency_ms * (1.0 + jitter)))
-            if peer.alive and not (refresh and peer.topo.refresh(pkt, arrival)):
-                heapq.heappush(heap, (arrival, next(seq), on_ctl, (peer, pkt)))
+            if not peer.alive or at_send and (
+                    peer.topo.refresh(pkt, arrival) if hello
+                    else peer.leaf and peer.topo.refresh_tc(pkt, arrival)):
+                continue
+            heapq.heappush(heap, (arrival, next(seq), on_ctl, (peer, pkt)))
 
     def _on_hello(self, now: int, rt: _NodeRuntime) -> None:
         if not rt.alive:
@@ -548,16 +587,41 @@ class Simulator:
             self._broadcast(rt, topo.make_hello(), now, self._refresh_at_send)
             if rt.battery is not None:
                 self._check_handoff(rt, now)
+            elif not topo.links and self._quiet(rt, now):
+                rt.owed_from = now + self.policies.hello_interval_ms
+                return
         heapq.heappush(self._heap, (now + self.policies.hello_interval_ms,
                                     next(self._seq), self._do_hello, (rt,)))
 
+    def _quiet(self, rt: _NodeRuntime, now: int) -> bool:
+        """Whether the HELLOs and TCs of rt, a node with no battery, can
+        change nothing from now on.
+
+        So they cannot once rt has no duty-cycle role and can no longer get
+        one, its static neighbours are all dead, and its topology state
+        holds nothing and is not dirty: no packet can reach it, it has no
+        MPR selector to send a TC for, and each HELLO would only draw one
+        jitter word per neighbour, which _on_inject pays in one skip before
+        its first draw.  No other handler draws from a quiet node's stream:
+        it has no route to transmit on and no battery to test acceptance
+        with.
+        """
+        topo = rt.topo
+        return (rt.role is None
+                and (now >= ROLE_ASSIGN_MS
+                     or not self.policies.duty_cycle_enabled)
+                and not (topo.links or topo.topology or topo.seen_tc
+                         or topo.dirty)
+                and not any(peer.alive for peer, _ in self._out_links[rt.node]))
+
     def _on_tc(self, now: int, rt: _NodeRuntime) -> None:
-        if not rt.alive:
+        if not rt.alive or rt.owed_from is not None:
             return
         if ((rt.role is None or self._next_wake(rt, now) == now)
                 and rt.topo.mpr_selectors):
             rt.tc_seq = (rt.tc_seq + 1) % (1 << 16)
-            self._broadcast(rt, rt.topo.make_tc(rt.tc_seq), now)
+            self._broadcast(rt, rt.topo.make_tc(rt.tc_seq), now,
+                            self._tc_at_send)
         heapq.heappush(self._heap, (now + self.policies.tc_interval_ms,
                                     next(self._seq), self._do_tc, (rt,)))
 
@@ -722,6 +786,14 @@ class Simulator:
                                         (spec, rt, i + 1, seq + 1)))
         if not rt.alive:
             return
+        if rt.owed_from is not None and rt.owed_from < now:
+            # Every skipped HELLO before now drew ahead of this inject; one
+            # at now comes after it, since inject sequence numbers are
+            # reserved when the run starts.
+            interval = self.policies.hello_interval_ms
+            owed = -(-(now - rt.owed_from) // interval)
+            rt.rng.skip(owed * len(self._out_links[rt.node]))
+            rt.owed_from += owed * interval
         priority = self._draw_priority(rt, spec.priority, i)
         size = self._draw_size(rt, spec.size)
         msg = EmergencyMessage(

@@ -100,6 +100,9 @@ class TopologyState:
         self.mpr_selectors: set[NodeId] = set()
         # origin -> (latest sequence, advertised neighbors, expiry)
         self.topology: dict[NodeId, tuple[int, frozenset[NodeId], int]] = {}
+        # origin -> the neighbour tuple of the TC that set its entry: a TC
+        # carrying the very same tuple advertises nothing new.
+        self._tc_heard: dict[NodeId, tuple] = {}
         # (origin, sequence) -> arrival time, oldest first; entries older
         # than DUP_HOLD_MS age out, so a wrapped sequence is fresh again
         # (RFC 3626 section 3.4).
@@ -114,8 +117,11 @@ class TopologyState:
         # recomputes while it is set and then clears it (RFC 3626 section 10).
         self.dirty = False
         # The HELLO make_hello built, kept until a link appears, changes
-        # status or expires, or the MPR set changes.
+        # status or expires, or the MPR set changes; and the neighbour
+        # tuple make_tc built, kept until a link appears, changes status
+        # or expires.
         self._hello: Optional[ControlPacket] = None
+        self._tc_neighbors: Optional[tuple] = None
         # Lower bounds on the earliest link expiry, and on the earliest
         # time a topology entry or a duplicate-set key ages out.  Inserts
         # lower them; refreshes only move expiries later (time never runs
@@ -145,7 +151,7 @@ class TopologyState:
         status = _SYMMETRIC if self.self_id in listed else _ASYMMETRIC
         if old is None or old.status is not status:
             self.dirty = True
-            self._hello = None
+            self._hello = self._tc_neighbors = None
         expiry = now + self.hold_time_ms
         if expiry < self._links_due:
             self._links_due = expiry
@@ -179,6 +185,10 @@ class TopologyState:
             return False
         rec.last_heard = at
         rec.expiry = at + self.hold_time_ms
+        if len(self.links) == 1:
+            # The only link's expiry is the exact bound, so the next scan
+            # comes when it can drop something.
+            self._links_due = rec.expiry
         return True
 
     def expire_links(self, now: int) -> list[NodeId]:
@@ -192,7 +202,7 @@ class TopologyState:
             self.mpr_set.discard(n)
             self.mpr_selectors.discard(n)
             self.dirty = True
-            self._hello = None
+            self._hello = self._tc_neighbors = None
         self._links_due = min((rec.expiry for rec in self.links.values()),
                               default=_NEVER)
         return gone
@@ -204,6 +214,7 @@ class TopologyState:
         dead = [o for o, (_, _, expiry) in self.topology.items() if expiry <= now]
         for o in dead:
             del self.topology[o]
+            del self._tc_heard[o]
             self.dirty = True
         seen = self.seen_tc
         while seen:   # oldest first
@@ -282,11 +293,14 @@ class TopologyState:
         return self._hello
 
     def make_tc(self, sequence: int, ttl: int = DEFAULT_TTL) -> ControlPacket:
-        entries = tuple(
-            (n, _SYMMETRIC) for n in self.symmetric_neighbors()
-        )
-        return ControlPacket(_TC, self.self_id, sequence,
-                             entries, ttl=ttl, last_hop=self.self_id)
+        """This node's TC.  Its neighbour tuple is reused until the
+        symmetric set may have changed, so refresh_tc can tell an unchanged
+        advertisement by identity."""
+        if self._tc_neighbors is None:
+            self._tc_neighbors = tuple(
+                (n, _SYMMETRIC) for n in self.symmetric_neighbors())
+        return ControlPacket(_TC, self.self_id, sequence, self._tc_neighbors,
+                             ttl=ttl, last_hop=self.self_id)
 
     # -- TC processing ----------------------------------------------------
 
@@ -309,6 +323,7 @@ class TopologyState:
                 self.dirty = True
             expiry = now + self.topology_hold_ms
             self.topology[tc.origin] = (tc.sequence, advertised, expiry)
+            self._tc_heard[tc.origin] = tc.neighbors
             due = min(due, expiry)
         else:
             self.stale_tc_dropped += 1
@@ -320,6 +335,33 @@ class TopologyState:
             and tc.last_hop in self.mpr_selectors
             and tc.ttl > 0
         )
+
+    def refresh_tc(self, tc: ControlPacket, at: int) -> bool:
+        """Apply a TC arriving at `at` if it only refreshes a topology
+        entry; return whether it did.
+
+        It does when this state holds the origin's entry, set by the very
+        neighbour tuple the TC carries and still held at `at`, and the TC's
+        sequence number is newer and its (origin, sequence) key unseen: the
+        TC then only restamps the entry and records its key, as of `at`,
+        which is what process_tc would do at `at`.  The engine calls this
+        when the TC is sent, and only to a node that never relays a TC.
+        """
+        origin = tc.origin
+        current = self.topology.get(origin)
+        if (current is None or self._tc_heard[origin] is not tc.neighbors
+                or current[2] <= at or not seq_newer(tc.sequence, current[0])):
+            return False
+        key = (origin, tc.sequence)
+        if key in self.seen_tc:
+            return False
+        self.seen_tc[key] = at
+        expiry = at + self.topology_hold_ms
+        self.topology[origin] = (tc.sequence, current[1], expiry)
+        due = min(at + DUP_HOLD_MS, expiry)
+        if due < self._topology_due:
+            self._topology_due = due
+        return True
 
     # -- routing ----------------------------------------------------------
 

@@ -48,6 +48,50 @@ def test_runs_of_one_span_cross_block_edges(span):
     assert draws.random() == gen.random()
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_skips_pass_over_what_random_would_draw(seed):
+    # skip(n) stands the stream where n random() calls would, from any
+    # place in a block and with or without a 32-bit half pending.
+    rng = random.Random(seed)
+    draws, gen = pair(seed, 0x0A000101 + seed)
+    edges = spares = 0
+    for step in range(400):
+        kind = rng.randrange(4)
+        if kind == 0:
+            n = rng.choice([0, 1, 3, 4, 5, DRAW_BLOCK - 1, DRAW_BLOCK,
+                            DRAW_BLOCK + 1, rng.randrange(3 * DRAW_BLOCK)])
+            edges += n > len(draws._words)
+            spares += draws._spare is not None
+            draws.skip(n)
+            for _ in range(n):
+                gen.random()
+        elif kind == 1:
+            assert draws.random() == gen.random(), step
+        elif kind == 2:
+            assert draws.uniform(-0.2, 0.2) == gen.uniform(-0.2, 0.2), step
+        else:
+            span = rng.choice(SPANS)
+            assert draws.integers(0, span) == gen.integers(0, span), (step, span)
+    assert edges and spares
+    assert [draws.random() for _ in range(4)] == list(gen.random(4))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, DRAW_BLOCK, 2 * DRAW_BLOCK + 3])
+def test_skip_from_a_fresh_stream_and_to_block_edges(n):
+    draws, gen = pair(2, n)
+    draws.skip(n)   # before any block is fetched
+    gen.random(n)
+    for extra in (0, 1):
+        # A 32-bit half is pending across a skip to the block's edge, and
+        # then one word past it.
+        assert draws.integers(0, 5) == gen.integers(0, 5)
+        left = len(draws._words)
+        draws.skip(left + extra)
+        gen.random(left + extra)
+        assert draws.integers(0, 5) == gen.integers(0, 5)
+    assert draws.random() == gen.random()
+
+
 def test_span_one_consumes_nothing():
     draws, gen = pair(3, 9)
     assert [draws.integers(5, 6) for _ in range(10)] == [5] * 10

@@ -385,8 +385,9 @@ def test_dead_node_stops_participating():
 
 
 def test_no_control_packet_is_sent_to_a_dead_neighbour():
-    # After the relay dies at about 7 h its neighbours keep sending HELLOs
-    # and TCs for 9 h; none of them becomes an event.
+    # After the relay dies at about 7 h none of its neighbours' packets
+    # becomes an event; nor does any refresh applied at send, so only the
+    # packets that change a link or a topology entry are handled.
     sim = Simulator(build_battery_scenario("10s"))
     to_dead = []
     handled = []
@@ -402,14 +403,17 @@ def test_no_control_packet_is_sent_to_a_dead_neighbour():
     metrics = sim.run()
     assert metrics.deaths
     assert to_dead == []
-    assert len(handled) <= 10_500
+    assert len(handled) == 16
 
 
 # Events by kind on the 16 h relay run (seed 1).  A HELLO that only
-# refreshes a link is applied when it is sent, so only the few that change
-# a link become `ctl` events, and the laptop and the station, with one
-# neighbour each, run no TC timer.
-RELAY_16H_EVENTS = {"hello": 70_206, "tc": 5_042, "ctl": 10_094}
+# refreshes a link, and a TC of the relay's that only refreshes its
+# topology entry at the laptop or the station, both leaves, is applied
+# when it is sent, so only the few packets that change a link or an entry
+# become `ctl` events.  The laptop and the station, with one neighbour
+# each, run no TC timer, and once the relay is dead and forgotten they
+# send no HELLOs either.
+RELAY_16H_EVENTS = {"hello": 37_840, "tc": 5_042, "ctl": 16}
 
 
 def test_relay_16h_control_plane_events_by_kind():

@@ -15,22 +15,31 @@ profiles cover what the canned setups do not:
 - HELLO intervals on both sides of the longest link latency (18 ms, a
   long link's 15 ms plus 20% jitter), including exactly 18 and 19 ms,
   and a hold time shorter than the HELLO interval, so links lapse
-  between HELLOs;
+  between HELLOs, and a topology hold shorter than the TC interval, so
+  a leaf's topology entries lapse between TCs while it sends;
 - control packets that cost energy, and duty cycling with traffic;
-- backup options with thresholds, located routers and scan schedules.
+- backup options with thresholds, located routers and scan schedules,
+  and option 6 deciding by the sender's load without option 2;
+- a chain of dying battery phones off the station: a laptop between two
+  of them, whose neighbours all die, and a leaf laptop beyond them, which
+  hears its neighbour's own TCs and TCs it relays from farther away and
+  keeps injecting over lossy links once its relay is dead.
 
 A behaviour-preserving change keeps every digest.  Each run must also
-give the same bytes when HELLO refreshes take the event path, which is
-the reference for the refresh applied when a HELLO is sent.
+give the same bytes when HELLO and TC refreshes take the event path,
+which is the reference for the refresh applied when a packet is sent,
+and when quiet nodes keep their HELLO and TC timers, which is the
+reference for the HELLO draws a quiet node owes.
 """
 
+import functools
 import hashlib
 import random
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import pytest
 
-from lifeline.engine import ROLE_ASSIGN_MS, run
+from lifeline.engine import ROLE_ASSIGN_MS, Simulator, _Draws, run
 from lifeline.locating import KnownLocation
 from lifeline.messages import NodeId
 from lifeline.olsr import TopologyState
@@ -43,8 +52,11 @@ from lifeline.scenario import (
     Scenario,
     SizeSpec,
     TrafficSpec,
+    build_battery_scenario,
     build_setup,
 )
+
+from test_golden_metrics import RELAY_16H_SHA256
 
 MS_PER_HOUR = 3_600_000
 # An idle phone with a full battery (capacity 1.0) lasts 15 hours.
@@ -65,6 +77,11 @@ class Profile(NamedTuple):
     # traffic, is a phone whose battery crosses the handoff threshold
     # late in the run.
     weak_relay: bool = False
+    # The station also leads a chain of dying phones; see ORPHAN_CHAIN.
+    orphans: bool = False
+    # The TC interval and topology hold, if not 5/2 and 15/2 HELLOs.
+    tc_ms: Optional[int] = None
+    topology_hold_ms: Optional[int] = None
 
 
 PROFILES = (
@@ -88,6 +105,11 @@ PROFILES = (
                             {"option": 6, "threshold": 50.0})),
     Profile(1_000, 3_000, "short", 60_000, stranded=True),
     Profile(500, 1_500, "short", 60_000, weak_relay=True),
+    Profile(50, 150, "long", 90_000, orphans=True,
+            backup_options=({"option": 4, "threshold": 1},
+                            {"option": 6, "threshold": 2.5})),
+    Profile(50, 150, "short", 60_000, orphans=True, tc_ms=100,
+            topology_hold_ms=90),
 )
 
 CORPUS_SEEDS = range(len(PROFILES))
@@ -107,6 +129,8 @@ CORPUS_SHA256 = {
     11: "db8b25a4e6786c703864d2592c6e6ab2299fc27dcbadf1ef72bb5d798b8df842",
     12: "568b29da1a040685efb157b411ccba9948e194ae97a45829bbe1848badf9106d",
     13: "23a28933b7fcd7a0f25a6ff6db867c645735896f349f03f96d5e04b08df8a172",
+    14: "412f32e2c7c739ee1008d2ceb546a8c98fada3907d1dbd2335a25cf72882e9c1",
+    15: "051b4a871167412b868bb88428791da812e7f7c71915a33affe3f447979f2153",
 }
 
 STATION = NodeId.parse("255.255.255.1")
@@ -119,6 +143,23 @@ FORWARD_ENERGY = (1 - 7 / 15) / (7 * 360)
 # them, and the 2% floor, under which it accepts nothing, soon after.
 WEAK_RELAY_SHARE = 2 / 5
 _KIND_PREFIX = {"router": "10.0.0", "phone": "10.0.1", "laptop": "10.0.2"}
+# The orphan chain, station - GATE - HUB - LEAF_RELAY - LEAF, with TWIG
+# beside the relay: each node, its peer, the share of the run a phone's
+# battery lasts, and the destinations of the leaf's messages it forwards.
+# The twig dies first, which changes the set the relay's TCs advertise;
+# the relay next, so the leaf laptop's only neighbour is dead; the gate
+# phone last, and then both of the hub laptop's neighbours are dead.
+GATE = NodeId.parse("10.0.1.21")
+HUB = NodeId.parse("10.0.2.21")
+LEAF = NodeId.parse("10.0.2.22")
+LEAF_RELAY = NodeId.parse("10.0.1.22")
+TWIG = NodeId.parse("10.0.1.23")
+TWIG_SHARE, LEAF_RELAY_SHARE = 0.1, 0.2
+ORPHAN_CHAIN = ((GATE, STATION, 0.4, (STATION,)),
+                (HUB, GATE, None, ()),
+                (LEAF_RELAY, HUB, LEAF_RELAY_SHARE, (STATION, TWIG)),
+                (LEAF, LEAF_RELAY, None, ()),
+                (TWIG, LEAF_RELAY, TWIG_SHARE, ()))
 
 
 def _distance(rng: random.Random, links: str) -> float:
@@ -203,6 +244,34 @@ def corpus_scenario(seed: int) -> Scenario:
                        if spec.destination == STATION)
         nodes[1] = NodeSpec(nodes[1].node, "phone", battery_capacity=(
             WEAK_RELAY_SHARE * forwards * FORWARD_ENERGY))
+    if profile.orphans:
+        # The leaf sends to the station until the run ends, into its own
+        # bank once the chain is dead, and to the twig until its relay
+        # dies.  Its injects keep time with its HELLOs, and each draws one
+        # 32-bit half.
+        interval = 8 * profile.hello_ms
+        carried = {}   # by destination, the leaf messages the chain carries
+        for destination, start, end, carried_until in (
+                (STATION, 3 * profile.hello_ms, duration, LEAF_RELAY_SHARE),
+                (TWIG, 8 * profile.hello_ms, LEAF_RELAY_SHARE * duration,
+                 TWIG_SHARE)):
+            count = int(end - start) // interval
+            carried[destination] = int(
+                carried_until * duration - start) // interval
+            traffic.append(TrafficSpec(
+                LEAF, destination, count, interval_ms=interval,
+                start_ms=start, size=SizeSpec.constant(200),
+                priority=PrioritySpec.uniform()))
+        for node, peer, share, forwards in ORPHAN_CHAIN:
+            capacity = None
+            if share is not None:
+                # Idle drain up to its death, and one forward of each leaf
+                # message it carries.
+                capacity = share * duration / IDLE_LIFETIME_MS + sum(
+                    carried[d] for d in forwards) * FORWARD_ENERGY
+            nodes.append(NodeSpec(node, "phone" if share else "laptop",
+                                  battery_capacity=capacity))
+            links.append(LinkSpec(peer, node, _distance(rng, profile.links)))
     if profile.stranded:
         # Its messages never find a route, so the source's bank holds
         # them beside its station traffic and retries them.
@@ -218,12 +287,16 @@ def corpus_scenario(seed: int) -> Scenario:
         wake_window_ms=max(1, duration // 30),
         energy_per_control=profile.energy_per_control,
         hello_interval_ms=profile.hello_ms,
-        tc_interval_ms=max(1, profile.hello_ms * 5 // 2),
+        tc_interval_ms=profile.tc_ms or max(1, profile.hello_ms * 5 // 2),
         hold_time_ms=profile.hold_ms,
-        topology_hold_ms=max(1, profile.hello_ms * 15 // 2),
+        topology_hold_ms=(profile.topology_hold_ms
+                          or max(1, profile.hello_ms * 15 // 2)),
         scan_schedule=({routers[0]: 0, routers[-1]: duration // 10}
                        if seed % 3 == 0 else {}),
     )
+    if profile.orphans:
+        # The chain's phones forward until their batteries run out.
+        policies.handoff_threshold_pct = 0.0
     scenario = Scenario(name=f"corpus-{seed}", nodes=nodes, links=links,
                         traffic=traffic, policies=policies, seed=seed,
                         duration_ms=duration)
@@ -253,6 +326,83 @@ def test_corpus_bytes_match_the_event_path(seed, monkeypatch):
     # Refusing every early refresh sends each HELLO through its own event.
     monkeypatch.setattr(TopologyState, "refresh", lambda self, hello, at: False)
     assert digest(run(corpus_scenario(seed)).to_json()) == CORPUS_SHA256[seed]
+
+
+# The event paths the early rules must match: a refused TC refresh arrives
+# as an event, and a node never found quiet keeps its HELLO and TC timers.
+REFERENCE_PATHS = {
+    "tc-events": (TopologyState, "refresh_tc", lambda self, tc, at: False),
+    "never-quiet": (Simulator, "_quiet", lambda self, rt, now: False),
+}
+EQUIVALENCE_RUNS = ([f"setup-{s}" for s in SETUP_IDS]
+                    + [f"corpus-{seed}" for seed in CORPUS_SEEDS]
+                    + ["relay-16h"])
+
+
+def _equivalence_scenario(name: str) -> Scenario:
+    kind, _, arg = name.partition("-")
+    if kind == "setup":
+        return build_setup(arg, messages=200)
+    if kind == "corpus":
+        return corpus_scenario(int(arg))
+    return build_battery_scenario("10s", seed=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_digest(name: str) -> str:
+    kind, _, arg = name.partition("-")
+    if kind == "corpus":
+        return CORPUS_SHA256[int(arg)]
+    if name == "relay-16h":
+        return RELAY_16H_SHA256
+    return digest(run(_equivalence_scenario(name)).to_json())
+
+
+@pytest.mark.parametrize("path", sorted(REFERENCE_PATHS))
+@pytest.mark.parametrize("name", EQUIVALENCE_RUNS)
+def test_bytes_match_the_reference_path(name, path, monkeypatch):
+    expected = _reference_digest(name)
+    monkeypatch.setattr(*REFERENCE_PATHS[path])
+    assert digest(run(_equivalence_scenario(name)).to_json()) == expected
+
+
+def test_orphan_chain_reaches_the_quiet_and_leaf_rules(monkeypatch):
+    # The leaf and the hub fall quiet, the hub with a TC timer running;
+    # the leaf's owed words cross a block edge while a 32-bit half is
+    # pending; and the leaf hears its relay's own TCs at send and the
+    # TCs it relays as events.
+    seed = next(i for i, p in enumerate(PROFILES) if p.orphans)
+    sim = Simulator(corpus_scenario(seed))
+    quiet, edges, leaf_tcs = [], [], {"at send": 0, "relayed": 0}
+    is_quiet, skip, refresh_tc = sim._quiet, _Draws.skip, TopologyState.refresh_tc
+    on_ctl = sim._on_ctl
+
+    def quiet_check(rt, now):
+        if is_quiet(rt, now):
+            quiet.append(rt.node)
+            return True
+        return False
+
+    def counted_skip(self, n):
+        edges.append(n > len(self._words) and self._spare is not None)
+        skip(self, n)
+
+    def counted_refresh_tc(self, tc, at):
+        applied = refresh_tc(self, tc, at)
+        leaf_tcs["at send"] += applied and self.self_id == LEAF
+        return applied
+
+    def counted_ctl(now, rt, pkt):
+        leaf_tcs["relayed"] += rt.node == LEAF and pkt.origin != pkt.last_hop
+        on_ctl(now, rt, pkt)
+
+    sim._quiet, sim._on_ctl = quiet_check, counted_ctl
+    monkeypatch.setattr(_Draws, "skip", counted_skip)
+    monkeypatch.setattr(TopologyState, "refresh_tc", counted_refresh_tc)
+    sim.run()
+    assert {LEAF, HUB} <= set(quiet)
+    assert any(edges)
+    assert min(leaf_tcs.values()) > 0, leaf_tcs
 
 
 def test_a_node_with_fewer_than_two_neighbours_is_never_an_mpr(monkeypatch):

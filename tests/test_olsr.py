@@ -291,6 +291,56 @@ def test_duplicate_set_ages_out_so_wrapped_sequences_stay_fresh():
     assert len(state.seen_tc) <= DUP_HOLD_MS // tc_interval
 
 
+def test_refresh_tc_applies_only_what_process_tc_would_only_restamp():
+    # An entry set at 0 by origin c's TC is held until 15,000.
+    a, b, c = nid(1), nid(2), nid(3)
+    advertised = ((b, LinkStatus.SYMMETRIC),)
+
+    def tc(seq, neighbors=advertised):
+        return ControlPacket(ControlKind.TC, c, seq, neighbors, ttl=5,
+                             last_hop=c)
+
+    state = TopologyState(a, topology_hold_ms=15_000)
+    assert state.refresh_tc(tc(1), 10) is False   # no entry yet
+    state.process_tc(tc(1), now=0)
+    state.dirty = False   # as the node's next HELLO leaves it
+    assert state.refresh_tc(tc(2, ((b, LinkStatus.SYMMETRIC),)), 10) is False
+    assert state.refresh_tc(tc(2), 15_000) is False   # lapsed by then
+    assert state.refresh_tc(tc(1), 10) is False   # not newer
+    state.seen_tc[(c, 3)] = 5
+    assert state.refresh_tc(tc(3), 10) is False   # seen
+    assert state.topology[c] == (1, frozenset({b}), 15_000)
+    assert state.refresh_tc(tc(2), 14_999) is True
+    assert state.topology[c] == (2, frozenset({b}), 29_999)
+    assert state.seen_tc[(c, 2)] == 14_999
+    assert not state.dirty
+    # The applied TC is a duplicate from now on.
+    assert state.process_tc(tc(2), now=15_000) is False
+    assert state.duplicate_tc_dropped == 1
+
+
+def test_make_tc_reuses_its_tuple_until_a_link_changes():
+    a, b, c = nid(1), nid(2), nid(3)
+    state = TopologyState(a)
+    state.process_hello(hello_from(b, [(a, LinkStatus.SYMMETRIC)]), 0)
+    first = state.make_tc(1)
+    assert state.make_tc(2).neighbors is first.neighbors
+    state.select_mprs()   # an MPR set change leaves the advertised set
+    assert state.make_tc(3).neighbors is first.neighbors
+    state.process_hello(hello_from(c, [(a, LinkStatus.SYMMETRIC)]), 1)
+    assert state.make_tc(4).neighbors == ((b, LinkStatus.SYMMETRIC),
+                                          (c, LinkStatus.SYMMETRIC))
+
+
+def test_refreshing_the_only_link_keeps_the_expiry_bound_exact():
+    a, b = nid(1), nid(2)
+    state = TopologyState(a, hold_time_ms=6_000)
+    hello = hello_from(b, [(a, LinkStatus.SYMMETRIC)])
+    state.process_hello(hello, 0)
+    assert state.refresh(hello, 2_000) is True
+    assert state._links_due == 8_000
+
+
 def test_duplicate_held_until_dup_hold_time():
     a, b, c = nid(1), nid(2), nid(3)
     state = TopologyState(a)

@@ -154,9 +154,6 @@ ALLOWED = {
     ("backup.BackupDecision.__post_init__",
      'raise InvariantViolation("winning_option present iff a backup happens")'):
         "compile_policy builds only consistent decisions",
-    ("backup._trigger",
-     "return lambda msg, battery, load: msg.sender_load > t"):
-        "the one traced option 6 ranks after always-on option 2",
     ("backup.evaluate_policy",
      "def evaluate_policy(enabled: set[BackupOption], msg: EmergencyMessage,"):
         "the engine compiles its policy once; only tests evaluate one",
