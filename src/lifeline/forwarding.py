@@ -45,6 +45,7 @@ from .messages import (
     encode_message,
     splice_hop,
 )
+from .power import station_route
 
 DEFAULT_RAM_BUDGET = 2 * 1024 * 1024
 DELIVERED_LRU_SIZE = 4096
@@ -105,13 +106,14 @@ def terminates_at(node: NodeId, dst: NodeId) -> bool:
 
 def resolve_next_hop(routing_table: dict[NodeId, tuple[NodeId, int]],
                      dst: NodeId) -> Optional[NodeId]:
-    """Exact-match route, else any station for a station-range destination."""
+    """Exact-match route, else the nearest station's (`station_route`) for
+    a station-range destination."""
     if dst in routing_table:
         return routing_table[dst][0]
     if dst.is_station_address:
-        stations = [d for d in routing_table if d.is_station_address]
-        if stations:
-            return routing_table[min(stations)][0]
+        route = station_route(routing_table)
+        if route is not None:
+            return route[0]
     return None
 
 

@@ -64,7 +64,6 @@ _TC = ControlKind.TC
 class LinkRecord:
     neighbor: NodeId
     status: LinkStatus
-    last_heard: int
     expiry: int
     # The neighbour tuple of the HELLO that set this record: a HELLO
     # carrying the very same tuple says nothing new, so it only refreshes
@@ -155,7 +154,7 @@ class TopologyState:
         expiry = now + self.hold_time_ms
         if expiry < self._links_due:
             self._links_due = expiry
-        self.links[sender] = LinkRecord(sender, status, now, expiry,
+        self.links[sender] = LinkRecord(sender, status, expiry,
                                         hello.neighbors)
         two_hop = {
             n for n, st in listed.items()
@@ -183,7 +182,6 @@ class TopologyState:
         rec = self.links.get(hello.origin)
         if rec is None or rec.heard is not hello.neighbors or rec.expiry <= at:
             return False
-        rec.last_heard = at
         rec.expiry = at + self.hold_time_ms
         if len(self.links) == 1:
             # The only link's expiry is the exact bound, so the next scan
@@ -260,8 +258,6 @@ class TopologyState:
                 neighbors,
                 key=lambda n: (len(coverage[n] & uncovered), -n.address),
             )
-            if not coverage[best] & uncovered:
-                break  # uncoverable leftovers (inconsistent two-hop view)
             chosen.add(best)
             uncovered -= coverage[best]
 

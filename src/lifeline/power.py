@@ -223,8 +223,6 @@ def classify_roles(states: dict[NodeId, TopologyState], stations: set[NodeId],
 
 def is_awake(assignment: RoleAssignment, now_ms: int,
              window_ms: int = WAKE_WINDOW_MS) -> bool:
-    if assignment.duty_cycle >= 1.0:
-        return True
     period = max(1, round(1.0 / assignment.duty_cycle))
     return (now_ms // window_ms + assignment.wake_phase) % period == 0
 

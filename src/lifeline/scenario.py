@@ -11,11 +11,11 @@ experiments.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .backup import OPTION_PRIORITY, BackupOption
-from .locating import KnownLocation
+from .locating import DEFAULT_QUERY_HOPS, KnownLocation
 from .messages import (
     MAX_PAYLOAD_BYTES,
     PRIORITY_LEVELS,
@@ -28,7 +28,12 @@ from .olsr import (
     TC_INTERVAL_MS,
     TOPOLOGY_HOLD_MS,
 )
-from .power import DEFAULT_DUTY_CYCLE, HANDOFF_THRESHOLD_PCT, WAKE_WINDOW_MS
+from .power import (
+    DEFAULT_DUTY_CYCLE,
+    HANDOFF_THRESHOLD_PCT,
+    ROUTER_CAPACITY_FACTOR,
+    WAKE_WINDOW_MS,
+)
 
 SCENARIO_SCHEMA = "lifeline-scenario/1"
 
@@ -49,6 +54,7 @@ LONG_LINK_P_RECV_ERROR = 0.0032
 
 DEFAULT_TRAFFIC_START_MS = 15_000
 DEFAULT_TRAFFIC_INTERVAL_MS = 10
+DEFAULT_PRIORITY0_SHARE = 0.2
 
 PHONE_BATTERY_CAPACITY = 1.0
 
@@ -152,7 +158,7 @@ class PrioritySpec:
 
     kind: str = "uniform"
     value: int = 0
-    priority0_share: float = 0.2
+    priority0_share: float = DEFAULT_PRIORITY0_SHARE
 
     @classmethod
     def fixed(cls, value: int) -> "PrioritySpec":
@@ -163,7 +169,8 @@ class PrioritySpec:
         return cls("uniform")
 
     @classmethod
-    def stratified(cls, share: float = 0.2) -> "PrioritySpec":
+    def stratified(cls, share: float = DEFAULT_PRIORITY0_SHARE
+                   ) -> "PrioritySpec":
         return cls("stratified", priority0_share=share)
 
     def to_json(self) -> dict:
@@ -212,32 +219,20 @@ class Policies:
     hold_time_ms: int = HOLD_TIME_MS
     topology_hold_ms: int = TOPOLOGY_HOLD_MS
     scan_schedule: dict[NodeId, int] = field(default_factory=dict)
-    location_query_hops: int = 3
+    location_query_hops: int = DEFAULT_QUERY_HOPS
 
     def to_json(self) -> dict:
-        doc: dict = {}
-        if self.backup_options:
-            doc["backup_options"] = list(self.backup_options)
-        if self.handoff_threshold_pct != HANDOFF_THRESHOLD_PCT:
-            doc["handoff_threshold_pct"] = self.handoff_threshold_pct
-        if self.duty_cycle_enabled:
-            doc["duty_cycle_enabled"] = True
-            doc["duty_cycle"] = self.duty_cycle
-            doc["wake_window_ms"] = self.wake_window_ms
-        if self.energy_per_control:
-            doc["energy_per_control"] = self.energy_per_control
-        for name, default in (("hello_interval_ms", HELLO_INTERVAL_MS),
-                              ("tc_interval_ms", TC_INTERVAL_MS),
-                              ("hold_time_ms", HOLD_TIME_MS),
-                              ("topology_hold_ms", TOPOLOGY_HOLD_MS)):
-            if getattr(self, name) != default:
-                doc[name] = getattr(self, name)
-        if self.scan_schedule:
+        """Every field that differs from its default, by its field name;
+        the scan schedule keyed by address text."""
+        default = Policies()
+        doc = {spec.name: getattr(self, spec.name) for spec in fields(self)
+               if getattr(self, spec.name) != getattr(default, spec.name)}
+        if "scan_schedule" in doc:
             doc["scan_schedule"] = {
                 str(node): at for node, at in sorted(self.scan_schedule.items())
             }
-        if self.location_query_hops != 3:
-            doc["location_query_hops"] = self.location_query_hops
+        if "backup_options" in doc:
+            doc["backup_options"] = list(self.backup_options)
         return doc
 
     def enabled_backup_options(self) -> set[BackupOption]:
@@ -249,10 +244,9 @@ class Policies:
         enabled = set()
         for i, opt in enumerate(self.backup_options):
             path = f"policies.backup_options[{i}]"
-            number = _want(opt, "option", int, path)
-            threshold = opt.get("threshold")
-            if threshold is not None:
-                threshold = _want(opt, "threshold", float, path)
+            with _Fields(opt, path) as row:
+                number = row.get("option", int)
+                threshold = row.get("threshold", float, None)
             try:
                 enabled.add(BackupOption(number, threshold))
             except InvariantViolation as exc:
@@ -397,20 +391,51 @@ _EXPECTED_SIZE_KIND = "expected 'constant' or 'uniform'"
 _EXPECTED_PRIORITY_KIND = "expected 'fixed', 'uniform', or 'stratified'"
 
 
-def _want(doc, key, kinds, path, default=_MISSING):
-    if not isinstance(doc, dict):
-        raise MalformedScenario(f"{path}: expected an object")
-    if key not in doc:
-        if default is not _MISSING:
-            return default
-        raise MalformedScenario(f"{path}.{key}: missing required field")
-    value = doc[key]
-    wanted = (int, float) if kinds is float else kinds
-    bool_mismatch = isinstance(value, bool) and wanted is not bool
-    if not isinstance(value, wanted) or bool_mismatch:
-        name = getattr(kinds, "__name__", str(kinds))
-        raise MalformedScenario(f"{path}.{key}: expected {name}")
-    return value
+class _Fields:
+    """The fields of one JSON object at `path`, read by name.
+
+    Used as a context manager: a key that no read named by the end of
+    the block is an error, so a misspelt field is not taken for an
+    absent one.
+    """
+
+    def __init__(self, doc, path: str):
+        if not isinstance(doc, dict):
+            raise MalformedScenario(f"{path}: expected an object")
+        self.doc, self.path = doc, path
+        self._unread = dict.fromkeys(doc)
+
+    def __enter__(self) -> "_Fields":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None and self._unread:
+            key = next(iter(self._unread))
+            raise MalformedScenario(f"{self.path}.{key}: unknown field")
+
+    def get(self, key, kinds, default=_MISSING):
+        self._unread.pop(key, None)
+        if key not in self.doc:
+            if default is not _MISSING:
+                return default
+            raise MalformedScenario(
+                f"{self.path}.{key}: missing required field")
+        value = self.doc[key]
+        wanted = (int, float) if kinds is float else kinds
+        bool_mismatch = isinstance(value, bool) and wanted is not bool
+        if not isinstance(value, wanted) or bool_mismatch:
+            name = getattr(kinds, "__name__", str(kinds))
+            raise MalformedScenario(f"{self.path}.{key}: expected {name}")
+        return value
+
+    def present(self, kinds, *keys) -> dict:
+        """The keys that are present, as keyword arguments, so that the
+        constructor they go to supplies the defaults of the others."""
+        return {key: self.get(key, kinds) for key in keys if key in self.doc}
+
+    def node(self, key) -> NodeId:
+        """The field key, an address."""
+        return _parse_node_id(self.get(key, str), f"{self.path}.{key}")
 
 
 def _parse_node_id(text, path) -> NodeId:
@@ -421,129 +446,104 @@ def _parse_node_id(text, path) -> NodeId:
 
 
 def _parse_node(doc, path) -> NodeSpec:
-    node = _parse_node_id(_want(doc, "address", str, path), f"{path}.address")
-    kind = _want(doc, "kind", str, path)
-    if kind not in NODE_KINDS:
-        raise MalformedScenario(
-            f"{path}.kind: expected one of {NODE_KINDS}, got {kind!r}")
-    capacity = _want(doc, "battery_capacity", float, path, default=None)
-    screen_on = _want(doc, "screen_on", bool, path, default=False)
-    location = None
-    if doc.get("location") is not None:
-        loc_doc = doc["location"]
-        x = _want(loc_doc, "x", float, f"{path}.location")
-        y = _want(loc_doc, "y", float, f"{path}.location")
-        label = _want(loc_doc, "label", str, f"{path}.location", default="")
-        location = KnownLocation(node, (float(x), float(y)), label)
-    return NodeSpec(node, kind, capacity, screen_on, location)
+    with _Fields(doc, path) as f:
+        spec = NodeSpec(f.node("address"), f.get("kind", str),
+                        **f.present(float, "battery_capacity"),
+                        **f.present(bool, "screen_on"))
+        location = f.get("location", object, None)
+        if location is not None:
+            with _Fields(location, f"{path}.location") as at:
+                xy = (float(at.get("x", float)), float(at.get("y", float)))
+                spec.location = KnownLocation(spec.node, xy,
+                                              **at.present(str, "label"))
+    return spec
+
+
+def _parse_link(doc, path) -> LinkSpec:
+    with _Fields(doc, path) as f:
+        return LinkSpec(f.node("a"), f.node("b"),
+                        float(f.get("distance_m", float)))
 
 
 def _parse_size(doc, path) -> SizeSpec:
-    kind = _want(doc, "kind", str, path)
-    if kind == "constant":
-        return SizeSpec.constant(_want(doc, "bytes", int, path))
-    if kind == "uniform":
-        return SizeSpec.uniform(
-            _want(doc, "lo", int, path, default=10),
-            _want(doc, "hi", int, path, default=MAX_PAYLOAD_BYTES))
-    raise MalformedScenario(f"{path}.kind: {_EXPECTED_SIZE_KIND}")
+    with _Fields(doc, path) as f:
+        kind = f.get("kind", str)
+        if kind == "constant":
+            return SizeSpec.constant(f.get("bytes", int))
+        if kind == "uniform":
+            return SizeSpec.uniform(**f.present(int, "lo", "hi"))
+        raise MalformedScenario(f"{path}.kind: {_EXPECTED_SIZE_KIND}")
 
 
 def _parse_priority(doc, path) -> PrioritySpec:
-    kind = _want(doc, "kind", str, path)
-    if kind == "fixed":
-        return PrioritySpec.fixed(_want(doc, "value", int, path))
-    if kind == "uniform":
-        return PrioritySpec.uniform()
-    if kind == "stratified":
-        return PrioritySpec.stratified(float(
-            _want(doc, "priority0_share", float, path, default=0.2)))
-    raise MalformedScenario(f"{path}.kind: {_EXPECTED_PRIORITY_KIND}")
+    with _Fields(doc, path) as f:
+        kind = f.get("kind", str)
+        if kind == "fixed":
+            return PrioritySpec.fixed(f.get("value", int))
+        if kind == "uniform":
+            return PrioritySpec.uniform()
+        if kind == "stratified":
+            return PrioritySpec.stratified(float(f.get(
+                "priority0_share", float, DEFAULT_PRIORITY0_SHARE)))
+        raise MalformedScenario(f"{path}.kind: {_EXPECTED_PRIORITY_KIND}")
 
 
 def _parse_traffic(doc, path) -> TrafficSpec:
-    source = _parse_node_id(_want(doc, "source", str, path), f"{path}.source")
-    dest = _parse_node_id(_want(doc, "destination", str, path),
-                          f"{path}.destination")
-    count = _want(doc, "count", int, path)
-    interval = _want(doc, "interval_ms", int, path,
-                     default=DEFAULT_TRAFFIC_INTERVAL_MS)
-    start = _want(doc, "start_ms", int, path, default=DEFAULT_TRAFFIC_START_MS)
-    size = (SizeSpec.constant() if "size" not in doc
-            else _parse_size(doc["size"], f"{path}.size"))
-    priority = (PrioritySpec.uniform() if "priority" not in doc
-                else _parse_priority(doc["priority"], f"{path}.priority"))
-    return TrafficSpec(source, dest, count, interval, start, size, priority)
+    with _Fields(doc, path) as f:
+        spec = TrafficSpec(f.node("source"), f.node("destination"),
+                           f.get("count", int),
+                           **f.present(int, "interval_ms", "start_ms"))
+        if "size" in doc:
+            spec.size = _parse_size(f.get("size", object), f"{path}.size")
+        if "priority" in doc:
+            spec.priority = _parse_priority(f.get("priority", object),
+                                            f"{path}.priority")
+    return spec
 
 
-def _parse_policies(doc, path) -> Policies:
-    policies = Policies()
-    if doc is None:
-        return policies
-    if not isinstance(doc, dict):
-        raise MalformedScenario(f"{path}: expected an object")
-    # Checked by Policies.enabled_backup_options when the scenario validates.
-    policies.backup_options = copy.deepcopy(
-        _want(doc, "backup_options", list, path, default=[]))
-    policies.handoff_threshold_pct = float(_want(
-        doc, "handoff_threshold_pct", float, path,
-        default=HANDOFF_THRESHOLD_PCT))
-    policies.duty_cycle_enabled = _want(
-        doc, "duty_cycle_enabled", bool, path, default=False)
-    policies.duty_cycle = float(_want(
-        doc, "duty_cycle", float, path, default=DEFAULT_DUTY_CYCLE))
-    policies.wake_window_ms = _want(
-        doc, "wake_window_ms", int, path, default=WAKE_WINDOW_MS)
-    policies.energy_per_control = float(_want(
-        doc, "energy_per_control", float, path, default=0.0))
-    policies.hello_interval_ms = _want(
-        doc, "hello_interval_ms", int, path, default=HELLO_INTERVAL_MS)
-    policies.tc_interval_ms = _want(
-        doc, "tc_interval_ms", int, path, default=TC_INTERVAL_MS)
-    policies.hold_time_ms = _want(
-        doc, "hold_time_ms", int, path, default=HOLD_TIME_MS)
-    policies.topology_hold_ms = _want(
-        doc, "topology_hold_ms", int, path, default=TOPOLOGY_HOLD_MS)
-    schedule = _want(doc, "scan_schedule", dict, path, default={})
-    policies.scan_schedule = {
-        _parse_node_id(addr, f"{path}.scan_schedule"): at
-        for addr, at in schedule.items()
-    }
-    policies.location_query_hops = _want(
-        doc, "location_query_hops", int, path, default=3)
-    return policies
+def _parse_policies(doc) -> Policies:
+    """Each Policies field that is present, by its name, of its default's
+    type."""
+    default, values = Policies(), {}
+    with _Fields(doc, "policies") as f:
+        for spec in fields(Policies):
+            if spec.name in doc:
+                kind = type(getattr(default, spec.name))
+                value = f.get(spec.name, kind)
+                values[spec.name] = float(value) if kind is float else value
+    if "scan_schedule" in values:
+        values["scan_schedule"] = {
+            _parse_node_id(addr, "policies.scan_schedule"): at
+            for addr, at in values["scan_schedule"].items()
+        }
+    if "backup_options" in values:
+        # Checked by Policies.enabled_backup_options when the scenario
+        # validates.
+        values["backup_options"] = copy.deepcopy(values["backup_options"])
+    return Policies(**values)
 
 
 def _parse_scenario(doc) -> Scenario:
-    if not isinstance(doc, dict):
-        raise MalformedScenario("document: expected a JSON object")
-    schema = _want(doc, "schema", str, "document")
-    if schema != SCENARIO_SCHEMA:
-        raise MalformedScenario(
-            f"schema: expected {SCENARIO_SCHEMA!r}, got {schema!r}")
-    name = _want(doc, "name", str, "document")
-    seed = _want(doc, "seed", int, "document", default=0)
-    duration = _want(doc, "duration_ms", int, "document")
-    nodes_doc = _want(doc, "nodes", list, "document")
-    if not nodes_doc:
-        raise MalformedScenario("nodes: expected at least one node")
-    nodes = [_parse_node(n, f"nodes[{i}]") for i, n in enumerate(nodes_doc)]
-    links = []
-    for i, link_doc in enumerate(_want(doc, "links", list, "document",
-                                       default=[])):
-        a = _parse_node_id(_want(link_doc, "a", str, f"links[{i}]"),
-                           f"links[{i}].a")
-        b = _parse_node_id(_want(link_doc, "b", str, f"links[{i}]"),
-                           f"links[{i}].b")
-        distance = float(_want(link_doc, "distance_m", float, f"links[{i}]"))
-        links.append(LinkSpec(a, b, distance))
-    traffic = [
-        _parse_traffic(t, f"traffic[{i}]")
-        for i, t in enumerate(_want(doc, "traffic", list, "document",
-                                    default=[]))
-    ]
-    policies = _parse_policies(doc.get("policies"), "policies")
-    return Scenario(name, nodes, links, traffic, policies, seed, duration)
+    with _Fields(doc, "document") as f:
+        schema = f.get("schema", str)
+        if schema != SCENARIO_SCHEMA:
+            raise MalformedScenario(
+                f"schema: expected {SCENARIO_SCHEMA!r}, got {schema!r}")
+        name, seed = f.get("name", str), f.present(int, "seed")
+        duration = f.get("duration_ms", int)
+        nodes = f.get("nodes", list)
+        if not nodes:
+            raise MalformedScenario("nodes: expected at least one node")
+        return Scenario(
+            name,
+            nodes=[_parse_node(n, f"nodes[{i}]") for i, n in enumerate(nodes)],
+            links=[_parse_link(l, f"links[{i}]")
+                   for i, l in enumerate(f.get("links", list, []))],
+            traffic=[_parse_traffic(t, f"traffic[{i}]")
+                     for i, t in enumerate(f.get("traffic", list, []))],
+            policies=_parse_policies(f.get("policies", object, {})),
+            duration_ms=duration,
+            **seed)
 
 
 # -- canned setups ---------------------------------------------------------
@@ -633,7 +633,7 @@ def build_setup(setup_id: str, messages: int = 1000, seed: int = 0,
         priority = PrioritySpec.uniform()
         policies = Policies()
     else:
-        priority = PrioritySpec.stratified(0.2)
+        priority = PrioritySpec.stratified()
         option: dict = {"option": backup_option}
         if backup_option >= 3:
             option["threshold"] = (0 if backup_threshold is None
@@ -752,9 +752,9 @@ def build_duty_cycle_scenario(enabled: bool, seed: int = 0) -> Scenario:
     nodes = [NodeSpec(station, "station")]
     for pos, node in sorted(grid.items()):
         if pos == center:
-            # Routers get the usual ten-fold battery.
-            nodes.append(NodeSpec(node, "router",
-                                  battery_capacity=10 * phone_capacity))
+            nodes.append(NodeSpec(
+                node, "router",
+                battery_capacity=ROUTER_CAPACITY_FACTOR * phone_capacity))
         else:
             nodes.append(NodeSpec(node, "phone",
                                   battery_capacity=phone_capacity))

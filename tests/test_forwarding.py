@@ -493,11 +493,13 @@ def test_resolver_prefers_exact_match():
     assert resolve_next_hop(table, FAR) == NodeId(7)
 
 
-def test_resolver_falls_back_to_smallest_station():
+def test_resolver_falls_back_to_nearest_station():
+    # The low-battery handoff's rule (`station_route`): fewest hops, then
+    # the lowest address, so the nearer s2 wins over the lower s1.
     s1 = NodeId(STATION_RANGE_START + 1)
     s2 = NodeId(STATION_RANGE_START + 9)
-    table = {s2: (NodeId(8), 2), s1: (NodeId(7), 3)}
-    assert resolve_next_hop(table, STATION) == NodeId(7)
+    table = {s1: (NodeId(7), 3), s2: (NodeId(8), 2)}
+    assert resolve_next_hop(table, STATION) == NodeId(8)
 
 
 def test_resolver_returns_none_without_route():

@@ -140,7 +140,7 @@ def expected_hello(state: TopologyState) -> tuple:
 
 
 def link_view(state: TopologyState) -> dict:
-    return {n: (rec.status, rec.last_heard, rec.expiry)
+    return {n: (rec.status, rec.expiry)
             for n, rec in state.links.items()}
 
 
@@ -150,7 +150,7 @@ def heard_view(heard: dict, hold: int) -> tuple:
     for sender, (listed, at) in heard.items():
         status = (LinkStatus.SYMMETRIC if SELF in listed
                   else LinkStatus.ASYMMETRIC)
-        links[sender] = (status, at, at + hold)
+        links[sender] = (status, at + hold)
         two_hop[sender] = {n for n, st in listed.items()
                            if st is not LinkStatus.ASYMMETRIC and n != SELF}
         if listed.get(SELF) is LinkStatus.MPR:

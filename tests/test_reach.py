@@ -1,9 +1,9 @@
-"""The engine, forwarding and backup statements that no pinned run reaches.
+"""The statements of the simulation modules that no pinned run reaches.
 
 One traced pass runs setups A-G at REACH_MESSAGES messages each, every
 golden corpus seed and both low-battery handoff scenarios under
-`sys.settrace`, and records the lines of `engine.py`, `forwarding.py`
-and `backup.py` that ran.  Each line belongs to the innermost statement
+`sys.settrace`, and records the lines of `engine.py`, `forwarding.py`,
+`backup.py`, `olsr.py` and `power.py` that ran.  Each line belongs to the innermost statement
 that holds it; a compound statement also counts as run when any
 statement inside it ran.  A function none of whose statements ran is
 reported once, by its `def` line; in a function that ran, each
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from lifeline import backup, engine, forwarding
+from lifeline import backup, engine, forwarding, olsr, power
 from lifeline.engine import run
 from lifeline.scenario import SETUP_IDS, build_setup
 
@@ -34,13 +34,19 @@ from test_engine import handoff_scenario
 from test_golden_corpus import CORPUS_SEEDS, corpus_scenario
 
 REACH_MESSAGES = 200
-MODULES = {"engine": engine, "forwarding": forwarding, "backup": backup}
+MODULES = {"engine": engine, "forwarding": forwarding, "backup": backup,
+           "olsr": olsr, "power": power}
 
 _OVERFLOW = "no traced run fills a bank's 2 MiB budget; gateway-surge does"
 _DEATH = "no traced battery runs out at this point of a handler"
 _STORE_FILE = "runs use in-memory backup stores; a log file is CLI and test use"
 _READBACK = "log readback is for `dump-log` and restarts, which no run does"
 _OPTION_CHECK = "Scenario.validate rejects a bad option before it is built"
+_CRITERIA_ONLY = "only criteria 5 and 6 run OLSR without the engine"
+_AT_IMPORT = "the engine builds its calibration points at import, untraced"
+_CALIBRATION = "the engine calibrates from its own consistent points"
+_ROLES = "classify_roles builds only valid assignments"
+_ACTIVITY = "the engine charges only known activities in non-negative amounts"
 
 ALLOWED = {
     # -- engine ---------------------------------------------------------------
@@ -67,8 +73,6 @@ ALLOWED = {
         "no traced node dies with a forward tick queued",
     ("engine.Simulator._on_scan", "return"):
         "no traced scan is scheduled for a node that dies first",
-    ("engine.Simulator._reproject", "return #2"):
-        "every battery node drains at a positive rate",
     ("engine.Simulator._on_msg", "self.metrics.ignored += 1"):
         "the engine only ever sends a message's canonical bytes",
     ("engine.Simulator._on_msg", "return #5"):
@@ -81,7 +85,7 @@ ALLOWED = {
      "def run_battery_experiment(interval: str, seed: int = 0) -> float:"):
         "criterion 2 and the `battery` command call it, not the traced runs",
     # -- forwarding -----------------------------------------------------------
-    ("forwarding.resolve_next_hop", "return routing_table[min(stations)][0]"):
+    ("forwarding.resolve_next_hop", "return route[0]"):
         "traced traffic names the station's own address, always in the table",
     ("forwarding.PriorityQueueBank.receive", "self.ignored_count += 1"):
         "the engine only ever sends a message's canonical bytes",
@@ -189,6 +193,58 @@ ALLOWED = {
      "def restore_into(self, bank: PriorityQueueBank) -> int:"): _READBACK,
     ("backup.BackupStore.to_json", "def to_json(self) -> list[dict]:"):
         _READBACK,
+    # -- olsr -----------------------------------------------------------------
+    ("olsr.TopologyState.process_hello", "return #2"):
+        "the engine sends no HELLO over a loopback link; converge's callers "
+        "may pass any adjacency",
+    ("olsr.TopologyState.process_tc", "self.stale_tc_dropped += 1"):
+        "no traced TC is overtaken by a newer one from its origin: every "
+        "path's latency spread is below the TC interval",
+    ("olsr.TopologyState.refresh_tc", "return False #2"):
+        "the engine refreshes at send, before any copy of that TC can arrive",
+    ("olsr.TopologyState.refresh_tc", "self._topology_due = due"):
+        "the origin's previous key bounds the scan until it leaves the seen "
+        "set, which needs a TC interval over DUP_HOLD_MS (30 s)",
+    ("olsr.converge",
+     "def converge(adjacency: Adjacency) -> dict[NodeId, TopologyState]:"):
+        _CRITERIA_ONLY,
+    ("olsr.flood_tc",
+     "def flood_tc(states: dict[NodeId, TopologyState], adjacency: Adjacency,"):
+        _CRITERIA_ONLY,
+    # -- power ----------------------------------------------------------------
+    ("power.BatteryModel.activity_cost",
+     'raise InvariantViolation(f"negative activity amount: {amount}")'):
+        _ACTIVITY,
+    ("power.BatteryModel.activity_cost", "raise KeyError(activity)"):
+        _ACTIVITY,
+    ("power.BatteryModel.drain",
+     'raise BatteryDead("battery already exhausted")'):
+        "the engine stops charging a node once its battery ran out",
+    ("power.CalibrationPoint.idle",
+     'def idle(cls, lifetime_hours: float) -> "CalibrationPoint":'):
+        _AT_IMPORT,
+    ("power.CalibrationPoint.interval",
+     "def interval(cls, interval_s: float, lifetime_hours: float) "
+     '-> "CalibrationPoint":'):
+        _AT_IMPORT,
+    ("power.CalibrationPoint.screen",
+     'def screen(cls, lifetime_hours: float) -> "CalibrationPoint":'):
+        _AT_IMPORT,
+    ("power.RoleAssignment.__post_init__",
+     'raise InvariantViolation("boundary nodes never sleep")'): _ROLES,
+    ("power.RoleAssignment.__post_init__",
+     'raise InvariantViolation(f"duty cycle out of range: '
+     '{self.duty_cycle}")'): _ROLES,
+    ("power.calibrate", "raise InconsistentObservations("): _CALIBRATION,
+    ("power.calibrate",
+     'raise InconsistentObservations("interval profile needs a positive '
+     'period")'): _CALIBRATION,
+    ("power.calibrate",
+     'raise InconsistentObservations("messaging outlived idle")'):
+        _CALIBRATION,
+    ("power.calibrate",
+     'raise InconsistentObservations("screen-on outlived idle")'):
+        _CALIBRATION,
 }
 
 

@@ -2,12 +2,13 @@
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from lifeline.engine import Simulator
-from lifeline.scenario import MalformedScenario, Scenario
+from lifeline.scenario import MalformedScenario, Policies, Scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +34,10 @@ def test_readme_sample_error_is_what_the_parser_prints():
     with pytest.raises(MalformedScenario) as caught:
         Scenario.from_json_dict(doc)
     assert f"`{caught.value}`" in README.read_text()
+
+
+def test_readme_policies_table_lists_every_field_with_its_default():
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", README.read_text(), re.M)
+    default = Policies()
+    assert rows == [(f.name, json.dumps(getattr(default, f.name)))
+                    for f in fields(Policies)]

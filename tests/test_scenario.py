@@ -1,8 +1,12 @@
 """Scenario schema, field-path diagnostics, and the canned builders."""
 
+import json
+from dataclasses import fields
+
 import pytest
 
 from lifeline.backup import BackupOption
+from lifeline.cli import main
 from lifeline.engine import Simulator
 from lifeline.messages import NodeId
 from lifeline.scenario import (
@@ -12,6 +16,7 @@ from lifeline.scenario import (
     SETUP_IDS,
     LinkModel,
     MalformedScenario,
+    Policies,
     PrioritySpec,
     Scenario,
     SizeSpec,
@@ -412,6 +417,46 @@ def test_range_rules_hold_for_built_scenarios(setup_id, mutate, error):
     assert str(info.value) == error
 
 
+def _every_object():
+    """A document with an object at every path the schema names."""
+    doc = build_setup("G", messages=20, backup_option=4).to_json_dict()
+    doc["nodes"][1]["location"] = {"x": 3.0, "y": 4.0}
+    return doc
+
+
+# A misspelt key in any object, which the parser used to pass over
+# silently, leaving the field at its default.
+UNKNOWN_FIELDS = [
+    (lambda doc: doc, "document", "durration_ms"),
+    (lambda doc: doc["nodes"][0], "nodes[0]", "battery"),
+    (lambda doc: doc["nodes"][1]["location"], "nodes[1].location", "z"),
+    (lambda doc: doc["links"][0], "links[0]", "distance"),
+    (lambda doc: doc["traffic"][0], "traffic[0]", "intervall_ms"),
+    (lambda doc: doc["traffic"][0]["size"], "traffic[0].size", "lo"),
+    (lambda doc: doc["traffic"][0]["priority"], "traffic[0].priority",
+     "value"),
+    (lambda doc: doc["policies"], "policies", "hello_interval"),
+    (lambda doc: doc["policies"]["backup_options"][0],
+     "policies.backup_options[0]", "thresold"),
+]
+
+
+@pytest.mark.parametrize("where,path,key", UNKNOWN_FIELDS,
+                         ids=[f"{path}.{key}" for _, path, key in UNKNOWN_FIELDS])
+def test_unknown_field_is_an_error_naming_its_path(tmp_path, capsys,
+                                                   where, path, key):
+    doc = _every_object()
+    Scenario.from_json_dict(doc)
+    where(doc)[key] = 1
+    with pytest.raises(MalformedScenario) as info:
+        Scenario.from_json_dict(doc)
+    assert str(info.value) == f"{path}.{key}: unknown field"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {path}.{key}: unknown field\n"
+
+
 def test_non_object_document_rejected():
     with pytest.raises(MalformedScenario, match="document"):
         Scenario.from_json_dict(["not", "an", "object"])
@@ -431,6 +476,54 @@ def test_setup_round_trip(setup_id):
 def test_battery_round_trip(interval):
     doc = build_battery_scenario(interval).to_json_dict()
     assert Scenario.from_json_dict(doc).to_json_dict() == doc
+
+
+def _canned():
+    yield from (build_setup(s, messages=25, backup_option=4) for s in SETUP_IDS)
+    yield from (build_battery_scenario(i) for i in BATTERY_INTERVALS)
+    yield build_boot_scenario()
+    yield build_duty_cycle_scenario(True)
+    yield build_duty_cycle_scenario(False)
+
+
+# Every field away from its default, with duty cycling off: the duty
+# cycle and wake window still count (roles read them) and must survive.
+EVERY_POLICY_SET = dict(
+    backup_options=[{"option": 3, "threshold": 20}],
+    handoff_threshold_pct=15.0,
+    duty_cycle_enabled=False,
+    duty_cycle=0.25,
+    wake_window_ms=500,
+    energy_per_control=1e-5,
+    hello_interval_ms=1000,
+    tc_interval_ms=3000,
+    hold_time_ms=4000,
+    topology_hold_ms=9000,
+    scan_schedule={NodeId.parse("10.0.0.2"): 100},
+    location_query_hops=2,
+)
+
+
+def _every_policy_set():
+    scenario = build_setup("B", messages=20)
+    scenario.name = "every-policy-set"
+    scenario.policies = Policies(**EVERY_POLICY_SET)
+    return scenario
+
+
+def test_every_policy_field_is_set_away_from_its_default():
+    default = Policies()
+    assert [f.name for f in fields(Policies)
+            if f.name not in EVERY_POLICY_SET
+            or EVERY_POLICY_SET[f.name] == getattr(default, f.name)] == [
+        "duty_cycle_enabled"]
+
+
+@pytest.mark.parametrize("scenario", [*_canned(), _every_policy_set()],
+                         ids=lambda s: s.name)
+def test_object_round_trip_is_lossless(scenario):
+    scenario.validate()
+    assert Scenario.from_json_dict(scenario.to_json_dict()) == scenario
 
 
 def test_boot_and_duty_round_trip():
