@@ -38,13 +38,17 @@ has emptied is quiet (see _quiet): its HELLO and TC timers stop, and its
 random stream still owes the jitter words its HELLOs would have drawn,
 which its next inject passes over before drawing.
 A node schedules a forward tick only when its queue bank wants one; a
-bank holding only unroutable messages parks (see `forwarding`).  A
-battery node dies when its battery runs out: within a stretch of
-continuous drain, after the part of it the battery paid for, and in a
-discrete charge for a forward or a control packet, at that event.  Its
-projected death becomes a power event only when it falls within the
-run: the loop stops at the first event past the end, so a later one
-would sit in the heap undispatched.
+bank holding only unroutable messages parks (see `forwarding`).
+
+A node's death is a time, `dies_at`, and the node is dead at `now`
+exactly when `now >= dies_at`; a mains node never dies.  Its battery
+(`power.BatteryModel`) keeps integer totals and gives the death time in
+closed form: the first whole ms at which continuous drain empties it, or
+the time of the forward or control packet charge that does.  Such a
+charge moves the death time earlier, and a duty-cycle role moves it to
+the new schedule's; a handler reads the level at its own time without
+booking anything.  So no event exists to find a death, and a run's
+deaths are read from the death times when it ends.
 
 Facts that cannot change are computed once.  Per run: the link model of
 each address pair (and each node's neighbours with their links), the
@@ -84,6 +88,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -119,6 +124,7 @@ from .messages import (
 from .metrics import DeliveryRecord, RunMetrics
 from .olsr import ControlKind, ControlPacket, TopologyState
 from .power import (
+    MS_PER_HOUR,
     Activity,
     BatteryModel,
     CalibrationPoint,
@@ -138,8 +144,6 @@ from .scenario import (
     build_battery_scenario,
 )
 
-MS_PER_HOUR = 3_600_000.0
-
 # Read on every hop or charge; on Python 3.11 reading a member through its
 # enum class costs about ten times as much as reading a module global.
 _DELIVERED = OutcomeKind.DELIVERED
@@ -149,9 +153,6 @@ _BACKUP_ON_RECEIVE = BackupAction.BACKUP_ON_RECEIVE
 _BACKUP_AFTER_FORWARD = BackupAction.BACKUP_AFTER_FORWARD
 _FORWARD_MESSAGE = Activity.FORWARD_MESSAGE
 _CONTROL_PACKET = Activity.CONTROL_PACKET
-_SCREEN_HOUR = Activity.SCREEN_HOUR
-_IDLE_HOUR = Activity.IDLE_HOUR
-_SLEEP_HOUR = Activity.SLEEP_HOUR
 _HELLO = ControlKind.HELLO
 
 FORWARD_TICK_MS = 1
@@ -267,15 +268,14 @@ class _NodeRuntime:
     role: Optional[RoleAssignment] = None
     # Fewer than two static neighbours: the node never relays a TC.
     leaf: bool = False
-    alive: bool = True
+    # The node is dead from this ms on: its battery's death time.
+    dies_at: float = math.inf
     # Set once the node is quiet (see _quiet): the time of the first HELLO
     # it has not sent and whose jitter words its stream still owes.
     owed_from: Optional[int] = None
-    clock: int = 0
     tc_seq: int = 0
     msg_counter: int = 0
     tick_scheduled: bool = False
-    next_power_at: Optional[int] = None
     pending_after_forward: set = field(default_factory=set)
 
 
@@ -337,6 +337,7 @@ class Simulator:
                     drain_screen_extra=base.drain_screen_extra,
                     energy_per_message=base.energy_per_message,
                     energy_per_control=self.policies.energy_per_control,
+                    screen_on=spec.screen_on,
                 )
             key = np.array([self.seed % (1 << 64), spec.node.address],
                            dtype=np.uint64)
@@ -351,6 +352,7 @@ class Simulator:
                 boot=BootController(),
                 rng=_Draws(key),
                 battery=battery,
+                dies_at=math.inf if battery is None else battery.dies_at,
             )
         # Each node's neighbours in address order, as (runtime, base
         # latency of the link).  Kept here rather than on the runtimes,
@@ -380,7 +382,6 @@ class Simulator:
         self._do_msg = self._on_msg
         self._do_inject = self._on_inject
         self._do_scan = self._on_scan
-        self._do_power = self._on_power
 
     def _at(self, t: int, handler, *args) -> None:
         heapq.heappush(self._heap, (t, next(self._seq), handler, args))
@@ -392,76 +393,11 @@ class Simulator:
 
     # -- battery ------------------------------------------------------------
 
-    def _charge(self, rt: _NodeRuntime, now: int) -> None:
-        """Apply continuous drain from rt.clock up to now, window by window."""
-        if rt.battery is None or not rt.alive:
-            rt.clock = now
-            return
-        window = self.policies.wake_window_ms
-        while rt.clock < now:
-            seg_end = now
-            awake = True
-            if rt.role is not None:
-                awake = is_awake(rt.role, rt.clock, window)
-                boundary = (rt.clock // window + 1) * window
-                seg_end = min(now, boundary)
-            if rt.spec.screen_on and awake:
-                activity = _SCREEN_HOUR
-            elif awake:
-                activity = _IDLE_HOUR
-            else:
-                activity = _SLEEP_HOUR
-            lasted = rt.battery.drain(activity, (seg_end - rt.clock) / MS_PER_HOUR)
-            if rt.battery.level == 0.0:
-                self._kill(rt, round(rt.clock + lasted * MS_PER_HOUR))
-                return
-            rt.clock = seg_end
-
     def _drain_event(self, rt: _NodeRuntime, activity: Activity,
                      now: int) -> None:
         """One discrete energy charge (message or control packet)."""
-        if rt.battery is None or not rt.alive:
-            return
-        self._charge(rt, now)
-        if not rt.alive:
-            return
-        rt.battery.drain(activity, 1.0)
-        if rt.battery.level == 0.0:
-            self._kill(rt, now)
-        else:
-            self._reproject(rt, now)
-
-    def _continuous_rate(self, rt: _NodeRuntime) -> float:
-        """The battery's drain per hour between discrete charges."""
-        battery = rt.battery
-        if rt.spec.screen_on:
-            rate = battery.activity_cost(_SCREEN_HOUR, 1.0)
-        else:
-            rate = battery.activity_cost(_IDLE_HOUR, 1.0)
-        if rt.role is not None:
-            duty = rt.role.duty_cycle
-            sleep = battery.activity_cost(_SLEEP_HOUR, 1.0)
-            rate = duty * rate + (1.0 - duty) * sleep
-        return rate
-
-    def _reproject(self, rt: _NodeRuntime, now: int) -> None:
-        """Queue a power event just after the projected death, unless an
-        earlier one is queued or it falls after the run, whose loop stops
-        at the first event past the end and so would never dispatch it."""
-        if rt.battery is None or not rt.alive:
-            return
-        rate = self._continuous_rate(rt)
-        at = now + int(rt.battery.level / rate * MS_PER_HOUR) + 1
-        if at <= self.scenario.duration_ms and (
-                rt.next_power_at is None or at < rt.next_power_at):
-            rt.next_power_at = at
-            self._at(at, self._do_power, rt)
-
-    def _kill(self, rt: _NodeRuntime, now: int) -> None:
-        if rt.alive:
-            rt.alive = False
-            rt.clock = max(rt.clock, now)
-            self.metrics.deaths[str(rt.node)] = now
+        if rt.battery is not None and now < rt.dies_at:
+            rt.dies_at = rt.battery.drain(activity, now)
 
     # -- duty cycling ---------------------------------------------------------
 
@@ -503,7 +439,6 @@ class Simulator:
             # no MPR selector and so never sends a TC.
             if not rt.leaf:
                 self._at(FIRST_TC_MS, self._do_tc, rt)
-            self._reproject(rt, 0)
         # Every inject's sequence number is reserved here, in one block,
         # but each traffic spec keeps only its next inject on the heap.
         seq = next(self._seq)
@@ -528,10 +463,6 @@ class Simulator:
             if t > duration:
                 break
             handler(t, *args)
-
-        for rt in self.nodes.values():
-            if rt.alive:
-                self._charge(rt, duration)
         self._finalize()
         return self.metrics
 
@@ -545,7 +476,7 @@ class Simulator:
         rather than by an event."""
         if self.policies.energy_per_control > 0:
             self._drain_event(rt, _CONTROL_PACKET, now)
-            if not rt.alive:
+            if now >= rt.dies_at:
                 return
         uniform = rt.rng.uniform
         heap, seq, on_ctl = self._heap, self._seq, self._do_ctl
@@ -557,19 +488,15 @@ class Simulator:
             # for it is needed.
             jitter = uniform(-LATENCY_JITTER, LATENCY_JITTER)
             arrival = now + max(1, round(base_latency_ms * (1.0 + jitter)))
-            if not peer.alive or at_send and (
+            if now >= peer.dies_at or at_send and (
                     peer.topo.refresh(pkt, arrival) if hello
                     else peer.leaf and peer.topo.refresh_tc(pkt, arrival)):
                 continue
             heapq.heappush(heap, (arrival, next(seq), on_ctl, (peer, pkt)))
 
     def _on_hello(self, now: int, rt: _NodeRuntime) -> None:
-        if not rt.alive:
+        if now >= rt.dies_at:
             return
-        if rt.battery is not None:
-            self._charge(rt, now)
-            if not rt.alive:
-                return
         if rt.role is None or self._next_wake(rt, now) == now:
             topo = rt.topo
             topo.expire_links(now)
@@ -608,10 +535,10 @@ class Simulator:
                      or not self.policies.duty_cycle_enabled)
                 and not (topo.links or topo.topology or topo.seen_tc
                          or topo.dirty)
-                and not any(peer.alive for peer, _ in self._out_links[rt.node]))
+                and all(now >= peer.dies_at for peer, _ in self._out_links[rt.node]))
 
     def _on_tc(self, now: int, rt: _NodeRuntime) -> None:
-        if not rt.alive or rt.owed_from is not None:
+        if now >= rt.dies_at or rt.owed_from is not None:
             return
         if ((rt.role is None or self._next_wake(rt, now) == now)
                 and rt.topo.mpr_selectors):
@@ -622,12 +549,12 @@ class Simulator:
                                     next(self._seq), self._do_tc, (rt,)))
 
     def _on_ctl(self, now: int, rt: _NodeRuntime, pkt: ControlPacket) -> None:
-        if not rt.alive or not (rt.role is None
-                                or self._next_wake(rt, now) == now):
+        if now >= rt.dies_at or not (rt.role is None
+                                     or self._next_wake(rt, now) == now):
             return
         if self.policies.energy_per_control > 0:
             self._drain_event(rt, _CONTROL_PACKET, now)
-            if not rt.alive:
+            if now >= rt.dies_at:
                 return
         if pkt.kind is _HELLO:
             rt.topo.process_hello(pkt, now)
@@ -643,7 +570,7 @@ class Simulator:
                       now: int, data: bytes) -> None:
         """Apply the compiled backup policy; data is msg's encoding."""
         if self._policy_reads_node:
-            battery_pct = 100 if rt.battery is None else int(rt.battery.percent)
+            battery_pct = 100 if rt.battery is None else int(rt.battery.percent(now))
             decision = self._policy(msg, max(0, min(100, battery_pct)),
                                     self._load_percent(rt))
         else:  # the policy reads neither percentage
@@ -693,7 +620,7 @@ class Simulator:
 
     def _on_tick(self, now: int, rt: _NodeRuntime) -> None:
         rt.tick_scheduled = False
-        if not rt.alive:
+        if now >= rt.dies_at:
             return
         if rt.role is not None:
             wake = self._next_wake(rt, now)
@@ -705,7 +632,7 @@ class Simulator:
         for kind, msg, next_hop, _, data in bank.forward_tick():
             if kind is _DELIVERED:
                 self._transmit(rt, msg, next_hop, now, data)
-                if not rt.alive:
+                if now >= rt.dies_at:
                     return
             elif kind is _UNREACHABLE:
                 retry = True
@@ -714,7 +641,7 @@ class Simulator:
                                            else FORWARD_TICK_MS))
 
     def _on_msg(self, now: int, rt: _NodeRuntime, data: bytes) -> None:
-        if not rt.alive:
+        if now >= rt.dies_at:
             self.metrics.lost_to_dead_node += 1
             return
         if rt.role is not None:
@@ -723,11 +650,7 @@ class Simulator:
                 self._at(wake, self._do_msg, rt, data)
                 return
         if rt.battery is not None:
-            self._charge(rt, now)
-            if not rt.alive:
-                self.metrics.lost_to_dead_node += 1
-                return
-            p = acceptance_probability(rt.battery.percent,
+            p = acceptance_probability(rt.battery.percent(now),
                                        self.policies.handoff_threshold_pct)
             if p < 1.0 and rt.rng.random() >= p:
                 self.metrics.handoff_rejected += 1
@@ -780,7 +703,7 @@ class Simulator:
             heapq.heappush(self._heap, (now + spec.interval_ms, seq + 1,
                                         self._do_inject,
                                         (spec, rt, i + 1, seq + 1)))
-        if not rt.alive:
+        if now >= rt.dies_at:
             return
         if rt.owed_from is not None and rt.owed_from < now:
             # Every skipped HELLO before now drew ahead of this inject; one
@@ -835,8 +758,8 @@ class Simulator:
 
     def _check_handoff(self, rt: _NodeRuntime, now: int) -> None:
         """Hand off battery node rt's custody once under the threshold."""
-        if (not rt.alive
-                or rt.battery.percent >= self.policies.handoff_threshold_pct):
+        if (now >= rt.dies_at or rt.battery.percent(now)
+                >= self.policies.handoff_threshold_pct):
             return
         # Evacuate everything held toward the nearest station, else into
         # the backup log.
@@ -851,11 +774,11 @@ class Simulator:
             self._transmit(rt, msg, route[0], now, data)
 
     def _on_scan(self, now: int, rt: _NodeRuntime) -> None:
-        if not rt.alive:
+        if now >= rt.dies_at:
             return
         observations = []
         for peer, _ in self._out_links[rt.node]:
-            if not peer.alive:
+            if now >= peer.dies_at:
                 continue
             nb = peer.node
             if nb in self._station_kinds:
@@ -874,22 +797,21 @@ class Simulator:
         states = {node: rt.topo for node, rt in self.nodes.items()}
         assignments = classify_roles(states, set(self._station_kinds),
                                      self.policies.duty_cycle)
+        window = self.policies.wake_window_ms
         for node, assignment in assignments.items():
             rt = self.nodes[node]
             self.metrics.roles[str(node)] = assignment.role.value
-            if not self.policies.duty_cycle_enabled:
-                continue
-            self._charge(rt, now)
-            if assignment.duty_cycle < 1.0:  # else always awake
+            # Only a node that dozes gets a role; a live battery drains by
+            # its wake windows from now on.
+            if self.policies.duty_cycle_enabled and assignment.duty_cycle < 1.0:
                 rt.role = assignment
-            self._reproject(rt, now)
+                if rt.battery is not None and now < rt.dies_at:
+                    rt.dies_at = rt.battery.set_role(assignment, window, now)
 
     def _on_power(self, now: int, rt: _NodeRuntime) -> None:
-        if not rt.alive:
-            return
-        rt.next_power_at = None
-        self._charge(rt, now)
-        self._reproject(rt, now)
+        """Nothing schedules a power event: a death is a time (`dies_at`).
+        Kept only because perfbench/spans.py wraps every `_on_<kind>`
+        handler by name, this one included."""
 
     # -- observation ------------------------------------------------------------
 
@@ -898,23 +820,21 @@ class Simulator:
         links = set()
         mpr: dict[str, list[str]] = {}
         for node, rt in self.nodes.items():
-            if rt.alive:
-                self._charge(rt, now)
-            battery_pct = None
-            if rt.battery is not None:
-                battery_pct = round(rt.battery.percent, 6)
+            battery_pct = (None if rt.battery is None
+                           else round(rt.battery.percent(now), 6))
+            alive = now < rt.dies_at
             nodes.append({
                 "node": str(node),
                 "kind": rt.spec.kind,
                 "battery_percent": battery_pct,
-                "alive": rt.alive,
-                "awake": rt.alive and (rt.role is None
-                                       or self._next_wake(rt, now) == now),
+                "alive": alive,
+                "awake": alive and (rt.role is None
+                                    or self._next_wake(rt, now) == now),
             })
-            if not rt.alive:
+            if not alive:
                 continue
             for nb in rt.topo.symmetric_neighbors():
-                if nb in self.nodes and self.nodes[nb].alive:
+                if nb in self.nodes and now < self.nodes[nb].dies_at:
                     links.add(tuple(sorted((str(node), str(nb)))))
             if rt.topo.mpr_set:
                 mpr[str(node)] = sorted(str(m) for m in rt.topo.mpr_set)
@@ -926,6 +846,7 @@ class Simulator:
         })
 
     def _finalize(self) -> None:
+        end = self.scenario.duration_ms
         for node, rt in self.nodes.items():
             name = str(node)
             for reason, count in rt.bank.drop_reasons.items():
@@ -939,10 +860,11 @@ class Simulator:
             if rt.battery is not None:
                 self.metrics.energy[name] = {
                     act.value: amount
-                    for act, amount in sorted(rt.battery.drained_by_activity.items(),
-                                              key=lambda kv: kv[0].value)
-                }
-                self.metrics.battery_percent[name] = round(rt.battery.percent, 6)
+                    for act, amount in rt.battery.ledger(end).items()}
+                self.metrics.battery_percent[name] = round(
+                    rt.battery.percent(end), 6)
+                if rt.dies_at <= end:
+                    self.metrics.deaths[name] = rt.dies_at
         self.metrics.conservation_ok = all(
             rt.bank.conservation_holds() for rt in self.nodes.values())
 

@@ -1,31 +1,42 @@
 """Battery accounting, role-based duty cycling, and the low-battery ramp.
 
-The battery model is linear: idle and screen-on drain per hour, a fixed
-cost per forwarded message and per control packet, and a sleep discount
-while duty-cycled off.  Calibration solves those parameters from
-observed lifetimes.  Roles split a converged topology into always-awake
-Boundary nodes (relays and station neighbors) and duty-cycled Inner
-nodes.  Below the low-battery threshold a node turns incoming traffic
-away along a linear ramp; `station_route` names the neighbour toward the
-nearest station that the engine evacuates its queues to.
+A battery is kept as integer totals: the whole milliseconds it spent
+awake (idle, or with the screen on) and asleep, and the forwards and
+control packets it paid for.  Each total has a linear cost: a drain per
+hour, a sleep discount while duty-cycled off, and a fixed energy per
+forwarded message and per control packet.  The level, the percentage,
+the energy ledger and the death time are each one fixed expression of
+those totals and the time asked about, so a read books nothing and how
+often a battery is looked at never changes an answer.  Calibration
+solves the linear parameters from observed lifetimes.  Roles split a
+converged topology into always-awake Boundary nodes (relays and station
+neighbors) and duty-cycled Inner nodes.  Below the low-battery threshold
+a node turns incoming traffic away along a linear ramp; `station_route`
+names the neighbour toward the nearest station that the engine
+evacuates its queues to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .messages import InvariantViolation, NodeId
 from .olsr import TopologyState
 
+MS_PER_HOUR = 3_600_000
 SLEEP_FACTOR = 0.1
 DEFAULT_DUTY_CYCLE = 0.5
 WAKE_WINDOW_MS = 10_000
 HANDOFF_THRESHOLD_PCT = 10.0
 HANDOFF_FLOOR_PCT = 2.0
 ROUTER_CAPACITY_FACTOR = 10.0
+# A level within this share of the capacity counts as empty, so a profile
+# that nominally lasts N hours dies at N hours instead of living on float
+# dust.
+EMPTY_SHARE = 1e-9
 
 
 class BatteryDead(RuntimeError):
@@ -43,74 +54,196 @@ class Activity(Enum):
     CONTROL_PACKET = "control_packet"
     SLEEP_HOUR = "sleep_hour"
 
+    # Members are singletons that key the totals; Enum's own hash is a
+    # Python call, which every read of a count would pay.
+    __hash__ = object.__hash__
 
-# Every drain compares against these; on Python 3.11 reading a member
-# through its enum class costs about ten times as much as a module global.
-_IDLE_HOUR = Activity.IDLE_HOUR
-_SCREEN_HOUR = Activity.SCREEN_HOUR
+
+# Read on every charge; on Python 3.11 reading a member through its enum
+# class costs about ten times as much as a module global.
 _FORWARD_MESSAGE = Activity.FORWARD_MESSAGE
 _CONTROL_PACKET = Activity.CONTROL_PACKET
-_SLEEP_HOUR = Activity.SLEEP_HOUR
 
 
 @dataclass
 class BatteryModel:
+    """What a battery paid for, as integer totals read at a given time.
+
+    The battery is awake all the time until `set_role`, and from then on
+    only in the role's wake windows.  `drain` adds one forward or control
+    packet.  A read (`level`, `percent`, `totals`, `ledger`) takes the
+    time it asks about, which is never before the last booking, and
+    changes nothing.  `dies_at` is the first whole ms at which the level
+    is empty, given no more discrete charges: the time of the charge
+    that emptied it, or where continuous drain gets there (`math.inf` if
+    nothing drains between charges or that lies past the largest float).
+    """
+
     capacity: float
     drain_idle: float
     drain_screen_extra: float
     energy_per_message: float
     energy_per_control: float = 0.0
-    level: float = field(init=False)
-    drained_by_activity: dict[Activity, float] = field(init=False,
-                                                      default_factory=dict)
+    screen_on: bool = False
 
     def __post_init__(self) -> None:
-        self.level = self.capacity
+        # The cost of one unit of each total: a ms of a continuous
+        # activity, or one discrete charge.
+        self.cost = {
+            Activity.IDLE_HOUR: self.drain_idle / MS_PER_HOUR,
+            Activity.SCREEN_HOUR: (self.drain_idle + self.drain_screen_extra) / MS_PER_HOUR,
+            _FORWARD_MESSAGE: self.energy_per_message,
+            _CONTROL_PACKET: self.energy_per_control,
+            Activity.SLEEP_HOUR: self.drain_idle * SLEEP_FACTOR / MS_PER_HOUR,
+        }
+        self._awake_as = Activity.SCREEN_HOUR if self.screen_on else Activity.IDLE_HOUR
+        self._awake_cost = self.cost[self._awake_as]
+        self._sleep_cost = self.cost[Activity.SLEEP_HOUR]
+        # The forwards and control packets paid for.
+        self.charges = {_FORWARD_MESSAGE: 0, _CONTROL_PACKET: 0}
+        self._role: Optional[RoleAssignment] = None
+        self._window = WAKE_WINDOW_MS
+        # The ms awake and asleep booked up to _since, and the ms before
+        # _since that the wake rule keeps awake.
+        self._awake = self._asleep = self._since = self._woke = 0
+        self._died_of: Optional[Activity] = None
+        self._settle(0, None)
 
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.level / self.capacity
+    # -- reads ----------------------------------------------------------------
 
-    def activity_cost(self, activity: Activity, amount: float = 1.0) -> float:
-        if amount < 0:
-            raise InvariantViolation(f"negative activity amount: {amount}")
-        if activity is _IDLE_HOUR:
-            per_unit = self.drain_idle
-        elif activity is _SCREEN_HOUR:
-            per_unit = self.drain_idle + self.drain_screen_extra
-        elif activity is _FORWARD_MESSAGE:
-            per_unit = self.energy_per_message
-        elif activity is _CONTROL_PACKET:
-            per_unit = self.energy_per_control
-        elif activity is _SLEEP_HOUR:
-            per_unit = self.drain_idle * SLEEP_FACTOR
-        else:
-            raise KeyError(activity)
-        return per_unit * amount
+    def _awake_until(self, t: int) -> int:
+        """The ms before t inside the role's wake windows, plus a constant of
+        the role (only differences are read): one whole window per multiple
+        of the period below t's window number plus phase, then t's own
+        window up to t if it is a wake one (`is_awake`).  Every ms without
+        a role."""
+        role = self._role
+        if role is None:
+            return t
+        windows, into = divmod(t, self._window)
+        shifted = windows + role.wake_phase
+        return -(-shifted // role.period) * self._window + (
+            into if shifted % role.period == 0 else 0)
 
-    def drain(self, activity: Activity, amount: float = 1.0) -> float:
-        """Charge amount of activity; return how much of it was paid for.
+    def _spent(self, t: int) -> tuple[int, int]:
+        """(ms awake, ms asleep) from 0 to t."""
+        awake = self._awake_until(t) - self._woke
+        return self._awake + awake, self._asleep + (t - self._since - awake)
 
-        That is all of amount unless this drain empties the battery, and
-        then `level / activity_cost(activity)` for the level it found.
-        Only the energy present is booked, so the ledger sums to capacity
-        minus level.  A level within a relative 1e-9 of empty counts as
-        empty, so a profile that nominally lasts N hours dies on the Nth
-        drain instead of surviving on float dust.  Raises BatteryDead
-        only for a battery that was already empty.
+    def _level(self, t: int) -> float:
+        """The capacity less the cost of the totals at t, summed in the
+        order of `totals`; it ignores the death."""
+        awake, asleep = self._spent(t)
+        charges = self.charges
+        return self.capacity - (
+            awake * self._awake_cost
+            + charges[_FORWARD_MESSAGE] * self.energy_per_message
+            + charges[_CONTROL_PACKET] * self.energy_per_control
+            + asleep * self._sleep_cost)
+
+    def level(self, now: int) -> float:
+        """The charge left at now: none from the death on."""
+        return self._level(now) if now < self.dies_at else 0.0
+
+    def percent(self, now: int) -> float:
+        return 100.0 * self.level(now) / self.capacity
+
+    def totals(self, now: int) -> dict[Activity, int]:
+        """The ms of each continuous activity and the count of each
+        discrete one up to now, or up to the death."""
+        awake, asleep = self._spent(min(now, self.dies_at))
+        return {self._awake_as: awake, **self.charges,
+                Activity.SLEEP_HOUR: asleep}
+
+    def ledger(self, now: int) -> dict[Activity, float]:
+        """The energy of each activity with a non-zero total, up to now.
+
+        From the death on, the activity that emptied the battery (the
+        last charge, or the last ms of drain) is also booked the level it
+        left, which is within the empty share or overdrawn by that
+        charge, so the ledger sums to the capacity.
         """
-        level = self.level
-        if level <= 0:
+        ledger = {activity: total * self.cost[activity]
+                  for activity, total in self.totals(now).items() if total}
+        if now >= self.dies_at:
+            t = self.dies_at
+            awake = self._awake_until(t) > self._awake_until(t - 1)
+            cause = self._died_of or (self._awake_as if awake else Activity.SLEEP_HOUR)
+            ledger[cause] += self._level(t)
+        return ledger
+
+    # -- bookings ---------------------------------------------------------------
+
+    def book(self, now: int) -> None:
+        """Hold the continuous drain up to now, no later than the death, in
+        the booked totals, where a new schedule starts; no read changes."""
+        self._awake, self._asleep = self._spent(now)
+        self._since, self._woke = now, self._awake_until(now)
+
+    def set_role(self, role: RoleAssignment, window_ms: int,
+                 now: int) -> float:
+        """Sleep outside role's wake windows from now on, now being before
+        the death; return the new death time."""
+        self.book(now)
+        self._role, self._window = role, window_ms
+        self._woke = self._awake_until(now)
+        return self._settle(now, None)
+
+    def drain(self, activity: Activity, now: int) -> float:
+        """Pay for one forward or control packet at now; return the death
+        time, which is now if this charge emptied the battery.  Raises
+        BatteryDead for a battery that was already empty."""
+        if now >= self.dies_at:
             raise BatteryDead("battery already exhausted")
-        applied = min(self.activity_cost(activity, amount), level)
-        ledger = self.drained_by_activity
-        ledger[activity] = ledger.get(activity, 0.0) + applied
-        self.level = level - applied
-        if self.level > self.capacity * 1e-9:
-            return amount
-        ledger[activity] += self.level
-        self.level = 0.0
-        return level / self.activity_cost(activity)
+        self.charges[activity] += 1
+        return self._settle(now, activity)
+
+    def _settle(self, now: int, cause: Optional[Activity]) -> float:
+        """Set dies_at from the totals as of now, cause being the charge
+        just paid, if any, and return it."""
+        floor = self.capacity * EMPTY_SHARE
+        energy = self._level(now) - floor
+        if energy <= 0:
+            self.dies_at, self._died_of = now, cause
+        else:
+            # Without idle drain only a charge can empty the battery, and a
+            # death past the largest float is past any run.
+            guess = self._reach(now, energy) if self._awake_cost else math.inf
+            self.dies_at = (self._first_empty(now, guess, floor)
+                            if guess < math.inf else math.inf)
+        return self.dies_at
+
+    def _first_empty(self, after: int, guess: float, floor: float) -> int:
+        """The first whole ms past after at which the level is at most
+        floor, searched on `_level` itself by doubling steps out from the
+        estimate guess and halving back."""
+        lo, hi = after, math.inf   # _level(lo) > floor >= _level(hi)
+        t, step = max(after + 1, math.ceil(guess)), 1
+        while hi - lo > 1:
+            if self._level(t) > floor:
+                lo = t
+            else:
+                hi = t
+            t = lo + step if hi == math.inf else max(hi - step, (lo + hi) // 2)
+            step *= 2
+        return hi
+
+    def _reach(self, t: float, energy: float) -> float:
+        """About when continuous drain from t has spent energy: the windows
+        of what a whole wake period does not cover, then the whole periods
+        at once (infinite if past the largest float)."""
+        role, awake, asleep = self._role, self._awake_cost, self._sleep_cost
+        if role is None:
+            return t + energy / awake
+        window, period = self._window, role.period
+        whole, energy = divmod(energy, window * (awake + (period - 1) * asleep))
+        while True:
+            end = (t // window + 1) * window
+            cost = awake if is_awake(role, t, window) else asleep
+            if cost * (end - t) > energy:
+                return t + energy / cost + whole * period * window
+            energy -= cost * (end - t)
+            t = end
 
 
 # --- calibration ----------------------------------------------------------
@@ -191,6 +324,11 @@ class RoleAssignment:
     duty_cycle: float
     wake_phase: int = 0
 
+    @property
+    def period(self) -> int:
+        """Wake windows per wake cycle: one awake, the rest asleep."""
+        return max(1, round(1.0 / self.duty_cycle))
+
     def __post_init__(self) -> None:
         if self.role is Role.BOUNDARY and self.duty_cycle != 1.0:
             raise InvariantViolation("boundary nodes never sleep")
@@ -223,8 +361,7 @@ def classify_roles(states: dict[NodeId, TopologyState], stations: set[NodeId],
 
 def is_awake(assignment: RoleAssignment, now_ms: int,
              window_ms: int = WAKE_WINDOW_MS) -> bool:
-    period = max(1, round(1.0 / assignment.duty_cycle))
-    return (now_ms // window_ms + assignment.wake_phase) % period == 0
+    return (now_ms // window_ms + assignment.wake_phase) % assignment.period == 0
 
 
 # --- low-battery handoff -------------------------------------------------------

@@ -11,6 +11,7 @@ experiments.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -287,9 +288,11 @@ class Scenario:
                 raise MalformedScenario(
                     f"nodes[{i}].address: station must use a reserved "
                     f"station-range address, got {spec.node}")
-            if spec.battery_capacity is not None and spec.battery_capacity <= 0:
+            # A death time is closed-form arithmetic on the capacity.
+            if (spec.battery_capacity is not None
+                    and not 0 < spec.battery_capacity < math.inf):
                 raise MalformedScenario(
-                    f"nodes[{i}].battery_capacity: must be > 0")
+                    f"nodes[{i}].battery_capacity: expected a finite value > 0")
         for i, link in enumerate(self.links):
             for end, node in (("a", link.a), ("b", link.b)):
                 if node not in known:
@@ -352,6 +355,14 @@ class Scenario:
         if not 0 < policies.duty_cycle <= 1:
             raise MalformedScenario(
                 "policies.duty_cycle: expected a value in (0, 1]")
+        # A negative cost would raise the level; NaN compares false and so
+        # would charge nothing.
+        if not 0 <= policies.energy_per_control < math.inf:
+            raise MalformedScenario(
+                "policies.energy_per_control: expected a finite value >= 0")
+        if not 0 <= policies.handoff_threshold_pct <= 100:
+            raise MalformedScenario(
+                "policies.handoff_threshold_pct: expected a value in [0, 100]")
         if policies.location_query_hops < 1:
             raise MalformedScenario("policies.location_query_hops: must be >= 1")
         for node, at in policies.scan_schedule.items():

@@ -1,6 +1,7 @@
 """End-to-end simulator behaviour on the canned scenarios."""
 
 import hashlib
+import heapq
 import sys
 
 import pytest
@@ -223,31 +224,45 @@ def test_every_inject_event_runs_even_after_its_source_dies():
 # -- power events -------------------------------------------------------------------
 
 
-# Digest of battery_chain()'s metrics bytes, as they were when every
-# projected death was queued, past the end of the run or not.
-BATTERY_CHAIN_SHA256 = "49e21cdc8beff8b433d3632e12afb18ffc759e84563dc24a6a9330498dcb53a3"
+# Digest of battery_chain()'s metrics bytes.
+BATTERY_CHAIN_SHA256 = "afc2c21fd5d884d65ba8b1aafdf635b017fa9aaf449fbb72d3cbf2a112b5ed90"
 
 
 def battery_chain() -> Scenario:
-    """Setup B at 200 messages on full batteries: each router's projected
-    death lies hours past the end of the 77 s run."""
+    """Setup B at 200 messages on full batteries: each router's death
+    lies hours past the end of the 77 s run."""
     scenario = build_setup("B", messages=200, seed=0)
     for spec in scenario.nodes:
         spec.battery_capacity = 1.0
     return scenario
 
 
-def test_no_power_event_is_queued_past_the_end():
+def test_no_power_event_is_ever_queued(monkeypatch):
+    # A death is a time: nothing queues a power event, not even on runs
+    # whose batteries die between charges (relay-16h) or doze (the duty-on
+    # grid).
+    dispatched, queued = [], []
+    monkeypatch.setattr(Simulator, "_on_power",
+                        lambda self, now, rt: dispatched.append(now))
+    push = heapq.heappush
+
+    def checked_push(heap, entry):
+        if getattr(entry[2], "__func__", None) is Simulator._on_power:
+            queued.append(entry[0])
+        push(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappush", checked_push)
     sim = Simulator(battery_chain())
     metrics = sim.run()
     assert not metrics.deaths
     assert metrics.delivered == 200
-    # Each transmission reprojects its sender's death; none is queued.
-    assert not [handler for _, _, handler, _ in sim._heap
-                if getattr(handler, "__func__", None) is Simulator._on_power]
     assert len(sim._heap) <= 2 * len(sim.nodes)
     assert hashlib.sha256(metrics.to_json().encode()).hexdigest() == (
         BATTERY_CHAIN_SHA256)
+    for scenario in (build_battery_scenario("10s", seed=1),
+                     build_duty_cycle_scenario(True)):
+        assert run(scenario).deaths
+    assert dispatched == queued == []
 
 
 # -- backup experiments ------------------------------------------------------------
@@ -395,7 +410,7 @@ def test_no_control_packet_is_sent_to_a_dead_neighbour():
 
     def counting(now, rt, pkt):
         handled.append(now)
-        if not rt.alive:
+        if now >= rt.dies_at:
             to_dead.append(now)
         on_ctl(now, rt, pkt)
 
@@ -437,7 +452,7 @@ def test_relay_16h_control_plane_events_by_kind():
 
 # Digest of the handoff run's metrics bytes.  Its flush transmits the
 # bytes the bank holds, spliced, a path no golden run takes.
-HANDOFF_SHA256 = "59709e584db6de180ee4abd6a69c41eb403ef1d360b0c1af1d62527e9561bcb4"
+HANDOFF_SHA256 = "67b8d5fcf9d0cf491e950aaca302895878e81777764643106041bd5d39c62226"
 
 
 def handoff_scenario(station=True):

@@ -29,11 +29,14 @@ A behaviour-preserving change keeps every digest.  Each run must also
 give the same bytes when HELLO and TC refreshes take the event path,
 which is the reference for the refresh applied when a packet is sent,
 and when quiet nodes keep their HELLO and TC timers, which is the
-reference for the HELLO draws a quiet node owes.
+reference for the HELLO draws a quiet node owes.  A run with a battery
+must give the same bytes when every live battery is booked at extra
+random times, since reading a battery books nothing.
 """
 
 import functools
 import hashlib
+import heapq
 import random
 from typing import NamedTuple, Optional
 
@@ -53,10 +56,15 @@ from lifeline.scenario import (
     SizeSpec,
     TrafficSpec,
     build_battery_scenario,
+    build_duty_cycle_scenario,
     build_setup,
 )
 
-from test_golden_metrics import RELAY_16H_SHA256
+from test_golden_metrics import (
+    BATTERY_SHA256,
+    DUTY_CYCLE_SHA256,
+    RELAY_16H_SHA256,
+)
 
 MS_PER_HOUR = 3_600_000
 # An idle phone with a full battery (capacity 1.0) lasts 15 hours.
@@ -115,22 +123,22 @@ PROFILES = (
 CORPUS_SEEDS = range(len(PROFILES))
 
 CORPUS_SHA256 = {
-    0: "3b5fe33ffcb6120d8695c1807a3ef37c8957e92ccc495a0e052c813765b348ff",
+    0: "0b58e93c9ae94c8c19a788d4b90ddf5690075997dac4cbfc6263935ecaf5966d",
     1: "47688c6c85b17c2aea32c0b3cd8de40cb99d41c9a9fac5a4351399017937a7c8",
-    2: "a73fe24c09924a51d8dcb7e870be3ede3a18686aae659b98d84a4ec3ceb74f47",
-    3: "4c2b0bd86f11a348e3e784df378548aa0aea35b0412416720bb2a5cd490bad17",
-    4: "ac34bb4c5029f959da2c0a5adbe059125e55a58122a580b2fb6f5bedb5f9b388",
-    5: "c034b50a1d2c31a475168fd5ca26af212c7aab43650d309e2d1e279b70906f20",
-    6: "247926958da106de35bb506802b6f0c992e42b5906f6a03f9b2c1311004936bb",
-    7: "f3f3080b4f6852246aaf8f4bf8c14fbb2dc73656d4715ac9460720fbb15c5b14",
-    8: "38342f1f085bbc1c3e147c518f63efd3b329826187882da4d3104197b25fe779",
-    9: "376b620b6b1acda2e184bc5a7528ec9885e11f5e2dad720b87bd5a7c2be0019a",
-    10: "9b4e7357db011a1fae8c9762b4938ae01d07fb8e3574d713a8648dceb54278dc",
-    11: "db8b25a4e6786c703864d2592c6e6ab2299fc27dcbadf1ef72bb5d798b8df842",
-    12: "568b29da1a040685efb157b411ccba9948e194ae97a45829bbe1848badf9106d",
-    13: "23a28933b7fcd7a0f25a6ff6db867c645735896f349f03f96d5e04b08df8a172",
-    14: "412f32e2c7c739ee1008d2ceb546a8c98fada3907d1dbd2335a25cf72882e9c1",
-    15: "051b4a871167412b868bb88428791da812e7f7c71915a33affe3f447979f2153",
+    2: "e52a197a30fd6088652807dd7470071a22c6d770eeef9461514cca68046e2144",
+    3: "16a312cc64ebc26e168fc2aef3d3f84336e0b132e62828807800a7ad7fd9527f",
+    4: "985f03fa5bf98a1af728cd5ef738dbb1020fae69dcdd07520bee14c0f17f2629",
+    5: "f82c964e87bb5d81f0c17ab3424ecd66579216e84d87c1feea30304ee0370655",
+    6: "811fe7d8c7d67587c351caa0f798f5a1911f4971dec5d88e7bc3f9aa5633e3c3",
+    7: "ae427e38eb1bbba5e05d6fa47957bbb83db0573ca938c783e8c308704d7f9129",
+    8: "ad3ea76b9ff928cec5fdb27af9bcb85e60d90e38f8a2700f1e30eae0f578d6d7",
+    9: "a354196846e1012dafca4a6810de868ec635bf0efeda505bada2a211ddd583a6",
+    10: "15ce482b4e94e1a0eaa992212f4da761acfa0be55214187a6a744e7d2c7ac45d",
+    11: "9941acde9a9df5baf0404102ae254650111ae9387e611fa930e6cf95b9ab9dca",
+    12: "1081805f4071525725d4094c2d60d89951696b4d1aa9a26befa44059bca7e130",
+    13: "a149849cb14bb213f3f0089f85323201f85d4b48e79f05d44e57cf80fea3c7b2",
+    14: "be68ced039cf06b35fd246140a05376fb8987cdf4a8821e37def681618beda26",
+    15: "97b2e39fd1539a1024e3a57d52b99931a30259daa787d4da988e043f3fb3910b",
 }
 
 STATION = NodeId.parse("255.255.255.1")
@@ -364,6 +372,57 @@ def test_bytes_match_the_reference_path(name, path, monkeypatch):
     expected = _reference_digest(name)
     monkeypatch.setattr(*REFERENCE_PATHS[path])
     assert digest(run(_equivalence_scenario(name)).to_json()) == expected
+
+
+# Reading a battery books nothing, so booking its continuous drain at any
+# extra time must leave every byte where it was.  Each run books every live
+# battery at EXTRA_BOOKINGS random ms, half before and half after the
+# events of that ms.
+EXTRA_BOOKINGS = 300
+BOOKED_RUNS = ([f"corpus-{seed}" for seed in CORPUS_SEEDS
+                if any(spec.battery_capacity is not None
+                       for spec in corpus_scenario(seed).nodes)]
+               + [f"battery-{interval}" for interval in sorted(BATTERY_SHA256)]
+               + ["duty-on", "duty-off"])
+
+
+def _booked_run(name: str) -> tuple[Scenario, str]:
+    """The scenario of a BOOKED_RUNS name and its pinned digest."""
+    kind, _, arg = name.partition("-")
+    if kind == "corpus":
+        return corpus_scenario(int(arg)), CORPUS_SHA256[int(arg)]
+    if kind == "battery":
+        return build_battery_scenario(arg), BATTERY_SHA256[arg]
+    enabled = arg == "on"
+    return build_duty_cycle_scenario(enabled), DUTY_CYCLE_SHA256[enabled]
+
+
+@pytest.mark.parametrize("name", BOOKED_RUNS)
+def test_extra_battery_bookings_move_no_byte(name):
+    scenario, expected = _booked_run(name)
+    sim = Simulator(scenario)
+    rng = random.Random(name)
+    times = [rng.randrange(scenario.duration_ms + 1)
+             for _ in range(EXTRA_BOOKINGS)]
+    booked = []
+
+    def book_live(now):
+        for rt in sim.nodes.values():
+            if rt.battery is not None and now < rt.dies_at:
+                rt.battery.book(now)
+                booked.append(now)
+
+    bind = sim._bind_handlers
+
+    def bind_and_book():
+        bind()
+        for i, t in enumerate(times):
+            seq = -1 - i if i % 2 else (1 << 62) + i
+            heapq.heappush(sim._heap, (t, seq, book_live, ()))
+
+    sim._bind_handlers = bind_and_book
+    assert digest(sim.run().to_json()) == expected
+    assert booked
 
 
 def test_orphan_chain_reaches_the_quiet_and_leaf_rules(monkeypatch):

@@ -58,23 +58,23 @@ GOLDEN_SHA256 = {
     "F": "d8945d3247ef5aa7ac1f948a988f7d23fa9c1d9a679241ac0333edb591663b9c",
     "G": "d950d32502ce74cb7be8ae6c7479ea51d73047a9e4d93067e2209b9b167721b1",
 }
-RELAY_16H_SHA256 = "00f45d49c1cb408e91f47502c3940357b1387725771cd1c9933dd819d6983657"
-GATEWAY_SURGE_SHA256 = "552ed5af45ab593824e0a5011eefb9f86ab279a97058016851298d4584c0cea8"
+RELAY_16H_SHA256 = "4825423f2125019966fd58f624e240ec61fb13533edcbec0b3541cd653309f50"
+GATEWAY_SURGE_SHA256 = "289605ce2d018bb9ffd3e35b5cb12d376f46af374def99bd0c29e06eb0d961ce"
 CHAIN_BURST_10K_SHA256 = "351ca68ccff2605c157580736b42a9e0dcae0fb3bb25e383356e4f98eb232258"
 HELD_OUT_SEED = 7919
 HELD_OUT_SHA256 = {
-    "relay-16h": "1df76f40688d8cca73df5e199ece790d033d9ce7bd84f14c32fa42e4ea0086fb",
-    "gateway-surge": "ad1c55d9156e12c2a1b7833963ca270547d7de1fa3d47e6fdb951a48e1bb2a3e",
+    "relay-16h": "5d04e454c964db0f4fd7769e94dbe39e38f456698018be2ba9e2e7cfe1925f4a",
+    "gateway-surge": "e5a72e44988dca2ae568ae12e3e6c90dd3ab3fea082b91bbb058fcade9220a94",
     "chain-burst-10k": "41879eb2e43bc5da6eb445a13d84280db1b2239921166ebb19ea88975f4ba4c1",
 }
 COLLIDING_INJECTS_SHA256 = "23b68203cdade7a30cdc037cca6eec4804a484ab4a88b2723b2c6fedecbe3caa"
 BATTERY_SHA256 = {
     "screen": "6686b538470b19f0167a41ea40ab57137741a7740bde55ce870bf4feac1f7551",
-    "60s": "399f3c7dabf5fefd0551e9af3e748d2fe1faac1baaa5c53b2bd7d3fc0224921e",
+    "60s": "72cc7f99bed9be85ee4a99d931d8ac141c996c3fb1d3ec9fc86a37397c5896f4",
 }
 DUTY_CYCLE_SHA256 = {
-    True: "6290c387db8e1728737af88a915a61c504c80262ace3d5ad1bccbbc13bb282d7",
-    False: "4f655105a72d4c5d091c9a11a2a0006f0315430cd3e2344ef572170fe81d9b6c",
+    True: "929efdb892f3706cf1ecaa2a84c1ac7b4e2599cd4fb93f4cf041695ccc5e681e",
+    False: "c06ba5aceffaa794edd07b7b135640720f39315cc41a37d8a0c8245804e9e6db",
 }
 
 

@@ -2,14 +2,17 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lifeline.messages import STATION_RANGE_START, InvariantViolation, NodeId
 from lifeline.olsr import converge
 from lifeline.power import (
+    EMPTY_SHARE,
+    MS_PER_HOUR,
     Activity,
     BatteryDead,
     BatteryModel,
@@ -23,6 +26,9 @@ from lifeline.power import (
     is_awake,
     station_route,
 )
+
+FORWARD = Activity.FORWARD_MESSAGE
+CONTROL = Activity.CONTROL_PACKET
 
 MEASURED_POINTS = [
     CalibrationPoint.idle(15.0),
@@ -82,91 +88,196 @@ def test_missing_profile_is_inconsistent():
 
 def test_idle_profile_dies_at_fifteen_hours():
     model = fitted()
-    hours = 0
-    while model.level > 0:
-        hours += 1
-        model.drain(Activity.IDLE_HOUR)
-    assert hours == 15
-    assert model.level == 0.0
+    assert model.dies_at == 15 * MS_PER_HOUR
+    assert model.level(model.dies_at - 1) > 0
+    assert model.level(model.dies_at) == 0.0
 
 
 def test_screen_profile_dies_at_seven_hours():
-    model = fitted()
-    hours = 0
-    while model.level > 0:
-        hours += 1
-        model.drain(Activity.SCREEN_HOUR)
-    assert hours == 7
+    model = replace(fitted(), screen_on=True)
+    assert model.dies_at == 7 * MS_PER_HOUR
+    assert model.level(model.dies_at - 1) > 0
 
 
 def test_ten_second_forwarding_dies_at_seven_hours():
     model = fitted()
-    hours = 0
-    while model.level > 0:
-        hours += 1
-        model.drain(Activity.FORWARD_MESSAGE, 360)
-        if model.level > 0:
-            model.drain(Activity.IDLE_HOUR)
-    assert hours == 7
+    t = 10_000
+    while t < model.dies_at:
+        model.drain(FORWARD, t)
+        t += 10_000
+    assert 6 * MS_PER_HOUR < model.dies_at <= 7 * MS_PER_HOUR
+    assert model.charges[FORWARD] == 2520
 
 
 def test_sleep_hour_costs_a_tenth_of_idle():
     model = fitted()
-    assert model.activity_cost(Activity.SLEEP_HOUR) == pytest.approx(model.drain_idle * 0.1)
+    assert model.cost[Activity.SLEEP_HOUR] * MS_PER_HOUR == pytest.approx(
+        model.drain_idle * 0.1)
+    assert model.cost[Activity.SLEEP_HOUR] == pytest.approx(
+        model.cost[Activity.IDLE_HOUR] * 0.1)
 
 
 def test_dead_battery_refuses_more_drain():
     model = BatteryModel(1.0, 0.5, 0.1, 0.01)
-    assert model.drain(Activity.IDLE_HOUR, amount=3) < 3
-    assert model.level == 0.0
+    assert model.dies_at == 2 * MS_PER_HOUR
+    assert model.level(model.dies_at) == 0.0
     with pytest.raises(BatteryDead):
-        model.drain(Activity.IDLE_HOUR)
+        model.drain(FORWARD, model.dies_at)
+    # A charge the level cannot cover empties the battery at its own ms.
+    model = BatteryModel(0.005, 0.5, 0.1, 0.01)
+    assert model.drain(FORWARD, 1_000) == model.dies_at == 1_000
+    with pytest.raises(BatteryDead):
+        model.drain(FORWARD, 1_000)
+
+
+@pytest.mark.parametrize("duty", [None, 0.5])
+def test_a_battery_without_drain_or_past_float_time_never_empties(duty):
+    base = fitted()
+    role = None if duty is None else RoleAssignment(Role.INNER, duty)
+    for capacity in (1e306, 1.7e308):
+        model = BatteryModel(capacity, base.drain_idle, base.drain_screen_extra,
+                             base.energy_per_message)
+        if role is not None:
+            model.set_role(role, 10_000, 30_000)
+        assert model.dies_at == math.inf
+        assert model.level(10 ** 12) == pytest.approx(capacity)
+    # No idle drain: only a charge empties it, at that charge's ms.
+    model = BatteryModel(1.0, 0.0, 0.0, 0.5)
+    if role is not None:
+        model.set_role(role, 10_000, 30_000)
+    assert model.drain(FORWARD, 40_000) == math.inf
+    assert model.drain(FORWARD, 50_000) == model.dies_at == 50_000
 
 
 def test_emptying_drain_pays_for_what_the_level_covers():
-    model = fitted()
-    model.drain(Activity.SCREEN_HOUR, 2.5)
-    level = model.level
-    lasted = model.drain(Activity.IDLE_HOUR, 40.0)
-    assert lasted == level / model.activity_cost(Activity.IDLE_HOUR)
-    assert model.drained_by_activity[Activity.IDLE_HOUR] == level
-    assert model.level == 0.0
-
-
-def test_negative_amount_rejected():
-    model = fitted()
-    with pytest.raises(InvariantViolation):
-        model.drain(Activity.IDLE_HOUR, amount=-1)
+    model = BatteryModel(1.0, 1 / 15, 0.0, 0.3)
+    t = 0
+    while t < model.dies_at:
+        t += MS_PER_HOUR
+        found = model.level(t)
+        model.drain(FORWARD, t)
+    assert model.dies_at == t == 3 * MS_PER_HOUR
+    ledger = model.ledger(t)
+    assert ledger[FORWARD] == pytest.approx(2 * 0.3 + found)
+    assert sum(ledger.values()) == pytest.approx(model.capacity, abs=1e-12)
+    assert model.level(t) == 0.0
+    # Nothing accrues after the death.
+    assert model.ledger(10 * t) == ledger
 
 
 def test_energy_ledger_matches_level_drop():
     rng = random.Random(0xEC)
-    model = fitted()
-    activities = list(Activity)
-    for _ in range(500):
-        if model.level == 0:
+    model = replace(fitted(), energy_per_control=1e-3)
+    model.set_role(RoleAssignment(Role.INNER, 0.5, wake_phase=1), 600_000,
+                   1_000)
+    t = 1_000
+    while True:
+        t += rng.randrange(120_000)
+        if t >= model.dies_at:
             break
-        model.drain(rng.choice(activities), amount=rng.uniform(0, 0.3))
-    assert sum(model.drained_by_activity.values()) == pytest.approx(
-        model.capacity - model.level, abs=1e-9
-    )
+        model.drain(rng.choice((FORWARD, CONTROL)), t)
+        assert sum(model.ledger(t).values()) == pytest.approx(
+            model.capacity - model.level(t), abs=1e-9)
+    assert sum(model.ledger(t).values()) == pytest.approx(model.capacity,
+                                                          abs=1e-9)
 
 
-@given(st.lists(st.tuples(st.sampled_from(list(Activity)),
-                          st.floats(0, 20, allow_nan=False)), max_size=40))
+@given(st.lists(st.tuples(st.sampled_from([FORWARD, CONTROL]),
+                          st.integers(0, 2 * MS_PER_HOUR)), max_size=40))
 def test_drain_pays_in_full_until_the_battery_empties(calls):
-    model = fitted()
-    for activity, amount in calls:
-        if model.level == 0:
+    model = replace(fitted(), energy_per_control=0.01)
+    t = 0
+    for activity, gap in calls:
+        t += gap
+        if t >= model.dies_at:
             with pytest.raises(BatteryDead):
-                model.drain(activity, amount)
+                model.drain(activity, t)
             break
-        lasted = model.drain(activity, amount)
-        if model.level > 0:
-            assert lasted == amount
-        assert sum(model.drained_by_activity.values()) == pytest.approx(
-            model.capacity - model.level, abs=1e-12
-        )
+        model.drain(activity, t)
+        ledger = model.ledger(t)
+        if t < model.dies_at:
+            assert ledger[activity] == (model.charges[activity]
+                                        * model.cost[activity])
+        assert sum(ledger.values()) == pytest.approx(
+            model.capacity - model.level(t), abs=1e-12)
+
+
+def reference_death(model, role, role_at, window, charges):
+    """(death ms, totals, the activity that emptied the battery) by
+    stepping one ms at a time: the level is the capacity less each total
+    times its cost, summed in Activity order; a charge counts from its
+    own ms, and a ms of drain from the next."""
+    floor = model.capacity * EMPTY_SHARE
+    totals = dict.fromkeys(Activity, 0)
+    pending = sorted(charges, key=lambda c: c[0])
+    t, last = 0, None
+    while True:
+        level = model.capacity - sum(totals[a] * model.cost[a] for a in Activity)
+        if level <= floor:
+            return t, totals, last
+        while pending and pending[0][0] == t:
+            last = pending.pop(0)[1]
+            totals[last] += 1
+            level = model.capacity - sum(totals[a] * model.cost[a]
+                                         for a in Activity)
+            if level <= floor:
+                return t, totals, last
+        awake = role is None or t < role_at or is_awake(role, t, window)
+        if not awake:
+            last = Activity.SLEEP_HOUR
+        elif model.screen_on:
+            last = Activity.SCREEN_HOUR
+        else:
+            last = Activity.IDLE_HOUR
+        totals[last] += 1
+        t += 1
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(capacity=st.floats(1e-6, 4e-5), screen_on=st.booleans(),
+       message=st.floats(0.0, 0.5), control=st.floats(0.0, 0.5),
+       duty=st.none() | st.tuples(st.floats(0.1, 1.0), st.integers(0, 9),
+                                  st.integers(1, 1_000), st.integers(0, 500)),
+       charges=st.lists(st.tuples(st.integers(0, 4_000),
+                                  st.sampled_from([FORWARD, CONTROL])),
+                        max_size=8))
+def test_death_time_is_the_first_empty_ms(capacity, screen_on, message,
+                                          control, duty, charges):
+    base = fitted()
+    model = BatteryModel(capacity, base.drain_idle, base.drain_screen_extra,
+                         energy_per_message=message * capacity,
+                         energy_per_control=control * capacity,
+                         screen_on=screen_on)
+    role, role_at, window = None, 0, 1
+    if duty is not None:
+        duty_cycle, phase, window, role_at = duty
+        period = max(1, round(1.0 / duty_cycle))
+        role = RoleAssignment(Role.INNER, duty_cycle, wake_phase=phase % period)
+    expected, totals, cause = reference_death(model, role, role_at, window,
+                                              charges)
+    events = sorted([(t, 1, activity) for t, activity in charges]
+                    + ([(role_at, 0, None)] if role is not None else []),
+                    key=lambda e: e[:2])
+    for t, _, activity in events:
+        if t >= model.dies_at:
+            break
+        if activity is None:
+            model.set_role(role, window, t)
+        else:
+            model.drain(activity, t)
+        assert sum(model.ledger(t).values()) == pytest.approx(
+            capacity - model.level(t), abs=1e-9 * capacity)
+    assert model.dies_at == expected
+    assert model.totals(expected) == {a: n for a, n in totals.items()
+                                      if a in model.totals(expected)}
+    assert model.level(expected) == 0.0
+    # Only the activity that emptied the battery is booked the level it
+    # left, so the ledger sums to the capacity.
+    ledger = model.ledger(expected)
+    assert {a: e for a, e in ledger.items() if a is not cause} == {
+        a: n * model.cost[a] for a, n in totals.items() if n and a is not cause}
+    assert sum(ledger.values()) == pytest.approx(capacity, abs=1e-9 * capacity)
 
 
 # --- roles ------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scenario schema, field-path diagnostics, and the canned builders."""
 
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -355,7 +356,7 @@ def _policy(field, value):
 # invalid message) or runs it outside the model's ranges.
 OUT_OF_RANGE = [
     pytest.param(_node("battery_capacity", 0.0),
-                 "nodes[0].battery_capacity: must be > 0",
+                 "nodes[0].battery_capacity: expected a finite value > 0",
                  id="capacity=0"),
     pytest.param(_traffic("size", SizeSpec.constant(0)),
                  "traffic[0].size.bytes: expected 1..255",
@@ -415,6 +416,42 @@ def test_range_rules_hold_for_built_scenarios(setup_id, mutate, error):
     with pytest.raises(MalformedScenario) as info:
         Simulator(scenario)
     assert str(info.value) == error
+
+
+# Battery values that closed-form battery accounting cannot take, each of
+# which used to run: an infinite capacity raised OverflowError mid-run and
+# a NaN one ValueError; a control cost of -1e-3 or NaN ran as 0 and an
+# infinite one killed the relay at once; a handoff threshold of 150 turned
+# traffic away from a full battery.
+BAD_BATTERY_VALUES = [
+    ("nodes[0]", "battery_capacity", math.inf, "a finite value > 0"),
+    ("nodes[0]", "battery_capacity", math.nan, "a finite value > 0"),
+    ("policies", "energy_per_control", -1e-3, "a finite value >= 0"),
+    ("policies", "energy_per_control", math.nan, "a finite value >= 0"),
+    ("policies", "energy_per_control", math.inf, "a finite value >= 0"),
+    ("policies", "handoff_threshold_pct", 150.0, "a value in [0, 100]"),
+    ("policies", "handoff_threshold_pct", -1.0, "a value in [0, 100]"),
+    ("policies", "handoff_threshold_pct", math.nan, "a value in [0, 100]"),
+]
+
+
+@pytest.mark.parametrize(
+    "where,key,value,expected", BAD_BATTERY_VALUES,
+    ids=[f"{key}={value}" for _, key, value, _ in BAD_BATTERY_VALUES])
+def test_battery_values_out_of_range_are_malformed(tmp_path, capsys, where,
+                                                   key, value, expected):
+    doc = build_battery_scenario("10s").to_json_dict()
+    (doc["nodes"][0] if where == "nodes[0]" else doc["policies"])[key] = value
+    error = f"{where}.{key}: expected {expected}"
+    with pytest.raises(MalformedScenario) as info:
+        Scenario.from_json_dict(doc)
+    assert str(info.value) == error
+    # json writes these as Infinity, NaN and plain numbers, which the CLI
+    # reads back and rejects before running anything.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def _every_object():
