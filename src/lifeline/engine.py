@@ -80,8 +80,8 @@ A lossy run draws a message's send and receive error uniforms at
 inject, keeps each in its own map by message id, and spends it on the
 transmission it applies to: the send draw against the first
 transmission's link, the receive draw against the final hop's link.
-Only a node that dozes gets a duty-cycle role; `_next_wake` says when it
-wakes.
+Only a node that dozes gets a duty-cycle role, which carries its wake
+windows: `RoleAssignment.next_wake` says when it wakes.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -170,6 +170,9 @@ CALIBRATION_POINTS = (
     CalibrationPoint.screen(7.0),
     CalibrationPoint.interval(10.0, 7.0),
 )
+# The calibrated rates, of a battery of capacity 1; each node's battery is
+# a copy with its own capacity, control cost and screen.
+_BASE_BATTERY = calibrate(list(CALIBRATION_POINTS))
 
 
 # Raw 64-bit Philox outputs fetched at a time by a node's draws; a
@@ -279,10 +282,6 @@ class _NodeRuntime:
     pending_after_forward: set = field(default_factory=set)
 
 
-def _base_battery() -> BatteryModel:
-    return calibrate(list(CALIBRATION_POINTS))
-
-
 class Simulator:
     """One run of a scenario; create, call run(), read the metrics."""
 
@@ -300,7 +299,6 @@ class Simulator:
         self._send_draws: dict[int, float] = {}
         self._recv_draws: dict[int, float] = {}
 
-        base = _base_battery()
         self._static_adjacency = scenario.adjacency()
         # Link models keyed by address pair, in both directions; a send
         # over no configured link is a loopback.
@@ -331,14 +329,10 @@ class Simulator:
         for spec in sorted(scenario.nodes, key=lambda s: s.node.address):
             battery = None
             if spec.battery_capacity is not None:
-                battery = BatteryModel(
-                    capacity=spec.battery_capacity,
-                    drain_idle=base.drain_idle,
-                    drain_screen_extra=base.drain_screen_extra,
-                    energy_per_message=base.energy_per_message,
+                battery = replace(
+                    _BASE_BATTERY, capacity=spec.battery_capacity,
                     energy_per_control=self.policies.energy_per_control,
-                    screen_on=spec.screen_on,
-                )
+                    screen_on=spec.screen_on)
             key = np.array([self.seed % (1 << 64), spec.node.address],
                            dtype=np.uint64)
             self.nodes[spec.node] = _NodeRuntime(
@@ -398,16 +392,6 @@ class Simulator:
         """One discrete energy charge (message or control packet)."""
         if rt.battery is not None and now < rt.dies_at:
             rt.dies_at = rt.battery.drain(activity, now)
-
-    # -- duty cycling ---------------------------------------------------------
-
-    def _next_wake(self, rt: _NodeRuntime, now: int) -> int:
-        """The first time from now on at which dozing rt is awake."""
-        window = self.policies.wake_window_ms
-        t = now
-        while not is_awake(rt.role, t, window):
-            t = (t // window + 1) * window
-        return t
 
     # -- the run ----------------------------------------------------------------
 
@@ -497,7 +481,7 @@ class Simulator:
     def _on_hello(self, now: int, rt: _NodeRuntime) -> None:
         if now >= rt.dies_at:
             return
-        if rt.role is None or self._next_wake(rt, now) == now:
+        if rt.role is None or is_awake(rt.role, now):
             topo = rt.topo
             topo.expire_links(now)
             topo.expire_topology(now)
@@ -540,7 +524,7 @@ class Simulator:
     def _on_tc(self, now: int, rt: _NodeRuntime) -> None:
         if now >= rt.dies_at or rt.owed_from is not None:
             return
-        if ((rt.role is None or self._next_wake(rt, now) == now)
+        if ((rt.role is None or is_awake(rt.role, now))
                 and rt.topo.mpr_selectors):
             rt.tc_seq = (rt.tc_seq + 1) % (1 << 16)
             self._broadcast(rt, rt.topo.make_tc(rt.tc_seq), now,
@@ -550,7 +534,7 @@ class Simulator:
 
     def _on_ctl(self, now: int, rt: _NodeRuntime, pkt: ControlPacket) -> None:
         if now >= rt.dies_at or not (rt.role is None
-                                     or self._next_wake(rt, now) == now):
+                                     or is_awake(rt.role, now)):
             return
         if self.policies.energy_per_control > 0:
             self._drain_event(rt, _CONTROL_PACKET, now)
@@ -623,7 +607,7 @@ class Simulator:
         if now >= rt.dies_at:
             return
         if rt.role is not None:
-            wake = self._next_wake(rt, now)
+            wake = rt.role.next_wake(now)
             if wake > now:
                 self._schedule_tick(rt, wake)
                 return
@@ -645,7 +629,7 @@ class Simulator:
             self.metrics.lost_to_dead_node += 1
             return
         if rt.role is not None:
-            wake = self._next_wake(rt, now)
+            wake = rt.role.next_wake(now)
             if wake > now:
                 self._at(wake, self._do_msg, rt, data)
                 return
@@ -796,8 +780,8 @@ class Simulator:
     def _on_roles(self, now: int) -> None:
         states = {node: rt.topo for node, rt in self.nodes.items()}
         assignments = classify_roles(states, set(self._station_kinds),
-                                     self.policies.duty_cycle)
-        window = self.policies.wake_window_ms
+                                     self.policies.duty_cycle,
+                                     self.policies.wake_window_ms)
         for node, assignment in assignments.items():
             rt = self.nodes[node]
             self.metrics.roles[str(node)] = assignment.role.value
@@ -806,7 +790,7 @@ class Simulator:
             if self.policies.duty_cycle_enabled and assignment.duty_cycle < 1.0:
                 rt.role = assignment
                 if rt.battery is not None and now < rt.dies_at:
-                    rt.dies_at = rt.battery.set_role(assignment, window, now)
+                    rt.dies_at = rt.battery.set_role(assignment, now)
 
     def _on_power(self, now: int, rt: _NodeRuntime) -> None:
         """Nothing schedules a power event: a death is a time (`dies_at`).
@@ -828,8 +812,7 @@ class Simulator:
                 "kind": rt.spec.kind,
                 "battery_percent": battery_pct,
                 "alive": alive,
-                "awake": alive and (rt.role is None
-                                    or self._next_wake(rt, now) == now),
+                "awake": alive and (rt.role is None or is_awake(rt.role, now)),
             })
             if not alive:
                 continue

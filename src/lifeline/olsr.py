@@ -14,7 +14,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 from .messages import NodeId
@@ -58,6 +58,7 @@ _SYMMETRIC = LinkStatus.SYMMETRIC
 _MPR = LinkStatus.MPR
 _HELLO = ControlKind.HELLO
 _TC = ControlKind.TC
+_EXPIRY = attrgetter("expiry")
 
 
 @dataclass
@@ -121,11 +122,11 @@ class TopologyState:
         # or expires.
         self._hello: Optional[ControlPacket] = None
         self._tc_neighbors: Optional[tuple] = None
-        # Lower bounds on the earliest link expiry, and on the earliest
-        # time a topology entry or a duplicate-set key ages out.  Inserts
-        # lower them; refreshes only move expiries later (time never runs
-        # backwards), which leaves a bound early but still a bound.  The
-        # expiry scans return at once while `now` is below theirs.
+        # The earliest link expiry (see _restamp), and a lower bound on the
+        # earliest time a topology entry or a duplicate-set key ages out:
+        # inserts lower it, and refreshes, which only move expiries later
+        # (time never runs backwards), leave it early but still a bound.
+        # The expiry scans return at once while `now` is below theirs.
         self._links_due = _NEVER
         self._topology_due = _NEVER
 
@@ -152,10 +153,9 @@ class TopologyState:
             self.dirty = True
             self._hello = self._tc_neighbors = None
         expiry = now + self.hold_time_ms
-        if expiry < self._links_due:
-            self._links_due = expiry
         self.links[sender] = LinkRecord(sender, status, expiry,
                                         hello.neighbors)
+        self._restamp(None if old is None else old.expiry, expiry)
         two_hop = {
             n for n, st in listed.items()
             if (st is _SYMMETRIC or st is _MPR) and n != self.self_id
@@ -182,12 +182,18 @@ class TopologyState:
         rec = self.links.get(hello.origin)
         if rec is None or rec.heard is not hello.neighbors or rec.expiry <= at:
             return False
-        rec.expiry = at + self.hold_time_ms
-        if len(self.links) == 1:
-            # The only link's expiry is the exact bound, so the next scan
-            # comes when it can drop something.
-            self._links_due = rec.expiry
+        was, rec.expiry = rec.expiry, at + self.hold_time_ms
+        self._restamp(was, rec.expiry)
         return True
+
+    def _restamp(self, was: Optional[int], expiry: int) -> None:
+        """Keep _links_due the earliest link expiry once one link's expiry
+        moved from was (None for a new link) to expiry, so a scan comes
+        only when it can drop something."""
+        if was == self._links_due:
+            self._links_due = min(map(_EXPIRY, self.links.values()))
+        elif expiry < self._links_due:
+            self._links_due = expiry
 
     def expire_links(self, now: int) -> list[NodeId]:
         """Drop links not refreshed within the hold time."""

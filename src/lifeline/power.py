@@ -10,16 +10,19 @@ those totals and the time asked about, so a read books nothing and how
 often a battery is looked at never changes an answer.  Calibration
 solves the linear parameters from observed lifetimes.  Roles split a
 converged topology into always-awake Boundary nodes (relays and station
-neighbors) and duty-cycled Inner nodes.  Below the low-battery threshold
-a node turns incoming traffic away along a linear ramp; `station_route`
-names the neighbour toward the nearest station that the engine
-evacuates its queues to.
+neighbors) and duty-cycled Inner nodes.  A role carries its wake window
+and states the wake rule once: when it next wakes
+(`RoleAssignment.next_wake`), which the engine's handlers read, and how
+many ms it is awake, which the battery reads.  Below the low-battery
+threshold a node turns incoming traffic away along a linear ramp;
+`station_route` names the neighbour toward the nearest station that the
+engine evacuates its queues to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -72,11 +75,12 @@ class BatteryModel:
     The battery is awake all the time until `set_role`, and from then on
     only in the role's wake windows.  `drain` adds one forward or control
     packet.  A read (`level`, `percent`, `totals`, `ledger`) takes the
-    time it asks about, which is never before the last booking, and
-    changes nothing.  `dies_at` is the first whole ms at which the level
-    is empty, given no more discrete charges: the time of the charge
-    that emptied it, or where continuous drain gets there (`math.inf` if
-    nothing drains between charges or that lies past the largest float).
+    time it asks about, which is never before the last charge or the
+    role, and changes nothing.  `dies_at` is the first whole ms at which
+    the level is empty, given no more discrete charges: the time of the
+    charge that emptied it, or where continuous drain gets there
+    (`math.inf` if nothing drains between charges or that lies past the
+    largest float).
     """
 
     capacity: float
@@ -101,34 +105,22 @@ class BatteryModel:
         self._sleep_cost = self.cost[Activity.SLEEP_HOUR]
         # The forwards and control packets paid for.
         self.charges = {_FORWARD_MESSAGE: 0, _CONTROL_PACKET: 0}
+        # The duty-cycle role and the ms it was set at.
         self._role: Optional[RoleAssignment] = None
-        self._window = WAKE_WINDOW_MS
-        # The ms awake and asleep booked up to _since, and the ms before
-        # _since that the wake rule keeps awake.
-        self._awake = self._asleep = self._since = self._woke = 0
+        self._role_at = 0
         self._died_of: Optional[Activity] = None
         self._settle(0, None)
 
     # -- reads ----------------------------------------------------------------
 
-    def _awake_until(self, t: int) -> int:
-        """The ms before t inside the role's wake windows, plus a constant of
-        the role (only differences are read): one whole window per multiple
-        of the period below t's window number plus phase, then t's own
-        window up to t if it is a wake one (`is_awake`).  Every ms without
-        a role."""
+    def _spent(self, t: int) -> tuple[int, int]:
+        """(ms awake, ms asleep) from 0 to t: every ms until the role was
+        set, and from then on the role's wake ms."""
         role = self._role
         if role is None:
-            return t
-        windows, into = divmod(t, self._window)
-        shifted = windows + role.wake_phase
-        return -(-shifted // role.period) * self._window + (
-            into if shifted % role.period == 0 else 0)
-
-    def _spent(self, t: int) -> tuple[int, int]:
-        """(ms awake, ms asleep) from 0 to t."""
-        awake = self._awake_until(t) - self._woke
-        return self._awake + awake, self._asleep + (t - self._since - awake)
+            return t, 0
+        awake = self._role_at + role.awake_ms(t) - role.awake_ms(self._role_at)
+        return awake, t - awake
 
     def _level(self, t: int) -> float:
         """The capacity less the cost of the totals at t, summed in the
@@ -146,7 +138,9 @@ class BatteryModel:
         return self._level(now) if now < self.dies_at else 0.0
 
     def percent(self, now: int) -> float:
-        return 100.0 * self.level(now) / self.capacity
+        """The level as a share of the capacity, in [0, 100]; the share is
+        taken first, so no capacity overflows it."""
+        return self.level(now) / self.capacity * 100.0
 
     def totals(self, now: int) -> dict[Activity, int]:
         """The ms of each continuous activity and the count of each
@@ -167,26 +161,18 @@ class BatteryModel:
                   for activity, total in self.totals(now).items() if total}
         if now >= self.dies_at:
             t = self.dies_at
-            awake = self._awake_until(t) > self._awake_until(t - 1)
+            awake = self._spent(t)[0] > self._spent(t - 1)[0]
             cause = self._died_of or (self._awake_as if awake else Activity.SLEEP_HOUR)
             ledger[cause] += self._level(t)
         return ledger
 
     # -- bookings ---------------------------------------------------------------
 
-    def book(self, now: int) -> None:
-        """Hold the continuous drain up to now, no later than the death, in
-        the booked totals, where a new schedule starts; no read changes."""
-        self._awake, self._asleep = self._spent(now)
-        self._since, self._woke = now, self._awake_until(now)
-
-    def set_role(self, role: RoleAssignment, window_ms: int,
-                 now: int) -> float:
+    def set_role(self, role: RoleAssignment, now: int) -> float:
         """Sleep outside role's wake windows from now on, now being before
-        the death; return the new death time."""
-        self.book(now)
-        self._role, self._window = role, window_ms
-        self._woke = self._awake_until(now)
+        the death; return the new death time.  Called at most once: a
+        battery switches schedule only when roles are assigned."""
+        self._role, self._role_at = role, now
         return self._settle(now, None)
 
     def drain(self, activity: Activity, now: int) -> float:
@@ -235,11 +221,11 @@ class BatteryModel:
         role, awake, asleep = self._role, self._awake_cost, self._sleep_cost
         if role is None:
             return t + energy / awake
-        window, period = self._window, role.period
+        window, period = role.window_ms, role.period
         whole, energy = divmod(energy, window * (awake + (period - 1) * asleep))
         while True:
             end = (t // window + 1) * window
-            cost = awake if is_awake(role, t, window) else asleep
+            cost = awake if is_awake(role, t) else asleep
             if cost * (end - t) > energy:
                 return t + energy / cost + whole * period * window
             energy -= cost * (end - t)
@@ -320,9 +306,16 @@ class Role(Enum):
 
 @dataclass(frozen=True)
 class RoleAssignment:
+    """A node's role and its wake schedule: in every `period` windows of
+    window_ms it is awake in one, the window whose number plus wake_phase
+    is a multiple of the period.  So the schedule is a wake cycle of
+    period windows, shifted wake_phase windows earlier, that starts with
+    its wake window."""
+
     role: Role
     duty_cycle: float
     wake_phase: int = 0
+    window_ms: int = WAKE_WINDOW_MS
 
     @property
     def period(self) -> int:
@@ -335,9 +328,28 @@ class RoleAssignment:
         if not 0 < self.duty_cycle <= 1.0:
             raise InvariantViolation(f"duty cycle out of range: {self.duty_cycle}")
 
+    def _cycle(self, t: int) -> tuple[int, int]:
+        """(whole wake cycles, ms into the current one) at t."""
+        window = self.window_ms
+        return divmod(t + self.wake_phase * window, self.period * window)
+
+    def next_wake(self, t: int) -> int:
+        """The first ms from t on at which the role is awake."""
+        _, into = self._cycle(t)
+        if into < self.window_ms:
+            return t
+        return t - into + self.period * self.window_ms
+
+    def awake_ms(self, t: int) -> int:
+        """The ms before t inside wake windows, plus a constant of the role
+        (only differences are read)."""
+        cycles, into = self._cycle(t)
+        return cycles * self.window_ms + min(into, self.window_ms)
+
 
 def classify_roles(states: dict[NodeId, TopologyState], stations: set[NodeId],
-                   duty_cycle: float = DEFAULT_DUTY_CYCLE) -> dict[NodeId, RoleAssignment]:
+                   duty_cycle: float = DEFAULT_DUTY_CYCLE,
+                   window_ms: int = WAKE_WINDOW_MS) -> dict[NodeId, RoleAssignment]:
     """Boundary = relays plus the station fringe; everyone else dozes.
 
     Inner wake phases are staggered by address so neighboring Inner nodes
@@ -348,20 +360,15 @@ def classify_roles(states: dict[NodeId, TopologyState], stations: set[NodeId],
         boundary |= state.mpr_set
         if any(n in stations for n in state.symmetric_neighbors()):
             boundary.add(node)
-    period = max(1, round(1.0 / duty_cycle))
-    out: dict[NodeId, RoleAssignment] = {}
-    for node in states:
-        if node in boundary:
-            out[node] = RoleAssignment(Role.BOUNDARY, 1.0)
-        else:
-            out[node] = RoleAssignment(Role.INNER, duty_cycle,
-                                       wake_phase=node.address % period)
-    return out
+    always_awake = RoleAssignment(Role.BOUNDARY, 1.0, window_ms=window_ms)
+    inner = RoleAssignment(Role.INNER, duty_cycle, window_ms=window_ms)
+    return {node: always_awake if node in boundary
+            else replace(inner, wake_phase=node.address % inner.period)
+            for node in states}
 
 
-def is_awake(assignment: RoleAssignment, now_ms: int,
-             window_ms: int = WAKE_WINDOW_MS) -> bool:
-    return (now_ms // window_ms + assignment.wake_phase) % assignment.period == 0
+def is_awake(assignment: RoleAssignment, now_ms: int) -> bool:
+    return assignment.next_wake(now_ms) == now_ms
 
 
 # --- low-battery handoff -------------------------------------------------------

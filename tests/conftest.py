@@ -1,5 +1,13 @@
-"""Shared test plumbing: collect acceptance one-liners and echo them in a
-summary block once the run finishes."""
+"""Shared test plumbing: a derandomized Hypothesis profile for CI, and
+acceptance one-liners collected and echoed in a summary block once the run
+finishes."""
+
+from hypothesis import settings
+
+# `pytest --hypothesis-profile=ci` draws every property test's examples
+# from a fixed seed, so a CI failure replays locally with the same
+# examples; a plain run keeps exploring new ones.
+settings.register_profile("ci", derandomize=True)
 
 ACCEPTANCE_LINES: list[str] = []
 

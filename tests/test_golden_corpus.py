@@ -374,20 +374,20 @@ def test_bytes_match_the_reference_path(name, path, monkeypatch):
     assert digest(run(_equivalence_scenario(name)).to_json()) == expected
 
 
-# Reading a battery books nothing, so booking its continuous drain at any
-# extra time must leave every byte where it was.  Each run books every live
-# battery at EXTRA_BOOKINGS random ms, half before and half after the
-# events of that ms.
-EXTRA_BOOKINGS = 300
-BOOKED_RUNS = ([f"corpus-{seed}" for seed in CORPUS_SEEDS
-                if any(spec.battery_capacity is not None
-                       for spec in corpus_scenario(seed).nodes)]
-               + [f"battery-{interval}" for interval in sorted(BATTERY_SHA256)]
-               + ["duty-on", "duty-off"])
+# Reading a battery books nothing, so reading it at any extra time must
+# leave every byte where it was.  Each run reads every live battery (level,
+# percent, totals and ledger) at EXTRA_READS random ms, half before and half
+# after the events of that ms.
+EXTRA_READS = 300
+READ_RUNS = ([f"corpus-{seed}" for seed in CORPUS_SEEDS
+              if any(spec.battery_capacity is not None
+                     for spec in corpus_scenario(seed).nodes)]
+             + [f"battery-{interval}" for interval in sorted(BATTERY_SHA256)]
+             + ["duty-on", "duty-off"])
 
 
-def _booked_run(name: str) -> tuple[Scenario, str]:
-    """The scenario of a BOOKED_RUNS name and its pinned digest."""
+def _read_run(name: str) -> tuple[Scenario, str]:
+    """The scenario of a READ_RUNS name and its pinned digest."""
     kind, _, arg = name.partition("-")
     if kind == "corpus":
         return corpus_scenario(int(arg)), CORPUS_SHA256[int(arg)]
@@ -397,32 +397,36 @@ def _booked_run(name: str) -> tuple[Scenario, str]:
     return build_duty_cycle_scenario(enabled), DUTY_CYCLE_SHA256[enabled]
 
 
-@pytest.mark.parametrize("name", BOOKED_RUNS)
+@pytest.mark.parametrize("name", READ_RUNS)
 def test_extra_battery_bookings_move_no_byte(name):
-    scenario, expected = _booked_run(name)
+    scenario, expected = _read_run(name)
     sim = Simulator(scenario)
     rng = random.Random(name)
     times = [rng.randrange(scenario.duration_ms + 1)
-             for _ in range(EXTRA_BOOKINGS)]
-    booked = []
+             for _ in range(EXTRA_READS)]
+    read = []
 
-    def book_live(now):
+    def read_live(now):
         for rt in sim.nodes.values():
-            if rt.battery is not None and now < rt.dies_at:
-                rt.battery.book(now)
-                booked.append(now)
+            battery = rt.battery
+            if battery is not None and now < rt.dies_at:
+                battery.level(now)
+                battery.percent(now)
+                battery.totals(now)
+                battery.ledger(now)
+                read.append(now)
 
     bind = sim._bind_handlers
 
-    def bind_and_book():
+    def bind_and_read():
         bind()
         for i, t in enumerate(times):
             seq = -1 - i if i % 2 else (1 << 62) + i
-            heapq.heappush(sim._heap, (t, seq, book_live, ()))
+            heapq.heappush(sim._heap, (t, seq, read_live, ()))
 
-    sim._bind_handlers = bind_and_book
+    sim._bind_handlers = bind_and_read
     assert digest(sim.run().to_json()) == expected
-    assert booked
+    assert read
 
 
 def test_orphan_chain_reaches_the_quiet_and_leaf_rules(monkeypatch):

@@ -2,6 +2,7 @@
 MPR set and routing table are what a fresh computation would give."""
 
 import copy
+import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -192,3 +193,46 @@ def test_reused_hello_tuples_end_like_fresh_ones(hold, ops):
                 reused.mpr_selectors) == heard_view(heard, hold)
         hello = reused.make_hello().neighbors
         assert hello == fresh.make_hello().neighbors == expected_hello(reused)
+
+
+# -- the link bound is the earliest link expiry ---------------------------------
+
+# ("refresh", delay, sender, lead): the sender's last HELLO, applied as the
+# engine applies one at send, as of its arrival lead ms later.
+refreshes = st.tuples(st.just("refresh"), delays, st.sampled_from(PEERS),
+                      st.integers(1, 500))
+bound_operations = st.lists(
+    st.one_of(resendable_hellos, resendable_hellos, refreshes, expiries,
+              recomputes),
+    max_size=40)
+
+
+def hello_from(sender: NodeId, neighbors: tuple) -> ControlPacket:
+    return ControlPacket(ControlKind.HELLO, sender, 0, neighbors, ttl=1,
+                         last_hop=sender)
+
+
+@OLSR_SETTINGS
+@given(st.integers(2_000, 10_000), bound_operations)
+def test_link_bound_is_the_earliest_link_expiry(hold, ops):
+    # So expire_links scans only when a link has expired: it never scans
+    # for nothing.
+    state = TopologyState(SELF, hold_time_ms=hold)
+    last_sent: dict = {}
+    now = 0
+    for op in ops:
+        now += op[1]
+        if op[0] == "hello":
+            _, _, sender, listed, resend = op
+            if not (resend and sender in last_sent):
+                last_sent[sender] = tuple(listed.items())
+            state.process_hello(hello_from(sender, last_sent[sender]), now)
+        elif op[0] == "refresh":
+            _, _, sender, lead = op
+            if sender in last_sent:
+                state.refresh(hello_from(sender, last_sent[sender]),
+                              now + lead)
+        else:
+            apply(state, op, now)
+        assert state._links_due == min(
+            (rec.expiry for rec in state.links.values()), default=math.inf)

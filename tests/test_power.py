@@ -138,13 +138,15 @@ def test_a_battery_without_drain_or_past_float_time_never_empties(duty):
         model = BatteryModel(capacity, base.drain_idle, base.drain_screen_extra,
                              base.energy_per_message)
         if role is not None:
-            model.set_role(role, 10_000, 30_000)
+            model.set_role(role, 30_000)
         assert model.dies_at == math.inf
         assert model.level(10 ** 12) == pytest.approx(capacity)
+        assert model.percent(0) == 100.0
+        assert model.percent(10 ** 12) == pytest.approx(100.0)
     # No idle drain: only a charge empties it, at that charge's ms.
     model = BatteryModel(1.0, 0.0, 0.0, 0.5)
     if role is not None:
-        model.set_role(role, 10_000, 30_000)
+        model.set_role(role, 30_000)
     assert model.drain(FORWARD, 40_000) == math.inf
     assert model.drain(FORWARD, 50_000) == model.dies_at == 50_000
 
@@ -168,8 +170,8 @@ def test_emptying_drain_pays_for_what_the_level_covers():
 def test_energy_ledger_matches_level_drop():
     rng = random.Random(0xEC)
     model = replace(fitted(), energy_per_control=1e-3)
-    model.set_role(RoleAssignment(Role.INNER, 0.5, wake_phase=1), 600_000,
-                   1_000)
+    model.set_role(RoleAssignment(Role.INNER, 0.5, wake_phase=1,
+                                  window_ms=600_000), 1_000)
     t = 1_000
     while True:
         t += rng.randrange(120_000)
@@ -202,7 +204,21 @@ def test_drain_pays_in_full_until_the_battery_empties(calls):
             model.capacity - model.level(t), abs=1e-12)
 
 
-def reference_death(model, role, role_at, window, charges):
+@settings(max_examples=300, deadline=None, database=None)
+@given(capacity=st.floats(5e-324, 1.7976931348623157e308),
+       screen_on=st.booleans(), t=st.integers(0, 10 ** 13))
+def test_percent_is_a_finite_share_of_any_capacity(capacity, screen_on, t):
+    # The share comes first: 100 times a level above about 1.8e306 overflows.
+    base = fitted()
+    model = BatteryModel(capacity, base.drain_idle * capacity,
+                         base.drain_screen_extra * capacity,
+                         base.energy_per_message * capacity,
+                         screen_on=screen_on)
+    assert model.percent(0) == 100.0
+    assert 0.0 <= model.percent(t) <= 100.0
+
+
+def reference_death(model, role, role_at, charges):
     """(death ms, totals, the activity that emptied the battery) by
     stepping one ms at a time: the level is the capacity less each total
     times its cost, summed in Activity order; a charge counts from its
@@ -222,7 +238,8 @@ def reference_death(model, role, role_at, window, charges):
                                          for a in Activity)
             if level <= floor:
                 return t, totals, last
-        awake = role is None or t < role_at or is_awake(role, t, window)
+        awake = role is None or t < role_at or (
+            t // role.window_ms + role.wake_phase) % role.period == 0
         if not awake:
             last = Activity.SLEEP_HOUR
         elif model.screen_on:
@@ -249,13 +266,13 @@ def test_death_time_is_the_first_empty_ms(capacity, screen_on, message,
                          energy_per_message=message * capacity,
                          energy_per_control=control * capacity,
                          screen_on=screen_on)
-    role, role_at, window = None, 0, 1
+    role, role_at = None, 0
     if duty is not None:
         duty_cycle, phase, window, role_at = duty
         period = max(1, round(1.0 / duty_cycle))
-        role = RoleAssignment(Role.INNER, duty_cycle, wake_phase=phase % period)
-    expected, totals, cause = reference_death(model, role, role_at, window,
-                                              charges)
+        role = RoleAssignment(Role.INNER, duty_cycle, wake_phase=phase % period,
+                              window_ms=window)
+    expected, totals, cause = reference_death(model, role, role_at, charges)
     events = sorted([(t, 1, activity) for t, activity in charges]
                     + ([(role_at, 0, None)] if role is not None else []),
                     key=lambda e: e[:2])
@@ -263,7 +280,7 @@ def test_death_time_is_the_first_empty_ms(capacity, screen_on, message,
         if t >= model.dies_at:
             break
         if activity is None:
-            model.set_role(role, window, t)
+            model.set_role(role, t)
         else:
             model.drain(activity, t)
         assert sum(model.ledger(t).values()) == pytest.approx(
@@ -348,6 +365,30 @@ def test_inner_node_alternates_windows():
     assignment = RoleAssignment(Role.INNER, 0.5, wake_phase=0)
     awake = [is_awake(assignment, w * 10_000) for w in range(6)]
     assert awake == [True, False, True, False, True, False]
+
+
+def reference_next_wake(role, now):
+    """The first ms from now on at which role is awake, found window by
+    window as the engine did before the role carried its wake rule."""
+    window, t = role.window_ms, now
+    while (t // window + role.wake_phase) % role.period != 0:
+        t = (t // window + 1) * window
+    return t
+
+
+@settings(max_examples=1_000, deadline=None, database=None)
+@given(duty=st.floats(0.02, 1.0), phase=st.integers(0, 60),
+       window=st.integers(1, 20_000), now=st.integers(0, 10 ** 10),
+       span=st.integers(0, 1_500))
+def test_next_wake_and_awake_ms_match_the_window_by_window_rule(
+        duty, phase, window, now, span):
+    role = RoleAssignment(Role.INNER, duty, wake_phase=phase, window_ms=window)
+    wake = reference_next_wake(role, now)
+    assert role.next_wake(now) == wake
+    assert is_awake(role, now) == (wake == now)
+    # awake_ms counts the wake ms between any two times.
+    assert role.awake_ms(now + span) - role.awake_ms(now) == sum(
+        reference_next_wake(role, t) == t for t in range(now, now + span))
 
 
 def test_opposite_phases_cover_every_window():

@@ -43,8 +43,8 @@ _STORE_FILE = "runs use in-memory backup stores; a log file is CLI and test use"
 _READBACK = "log readback is for `dump-log` and restarts, which no run does"
 _OPTION_CHECK = "Scenario.validate rejects a bad option before it is built"
 _CRITERIA_ONLY = "only criteria 5 and 6 run OLSR without the engine"
-_AT_IMPORT = "the engine builds its calibration points at import, untraced"
-_CALIBRATION = "the engine calibrates from its own consistent points"
+_AT_IMPORT = ("the engine builds its calibration points and calibrates at "
+              "import, untraced")
 _ROLES = "classify_roles builds only valid assignments"
 
 ALLOWED = {
@@ -229,16 +229,11 @@ ALLOWED = {
     ("power.RoleAssignment.__post_init__",
      'raise InvariantViolation(f"duty cycle out of range: '
      '{self.duty_cycle}")'): _ROLES,
-    ("power.calibrate", "raise InconsistentObservations("): _CALIBRATION,
     ("power.calibrate",
-     'raise InconsistentObservations("interval profile needs a positive '
-     'period")'): _CALIBRATION,
-    ("power.calibrate",
-     'raise InconsistentObservations("messaging outlived idle")'):
-        _CALIBRATION,
-    ("power.calibrate",
-     'raise InconsistentObservations("screen-on outlived idle")'):
-        _CALIBRATION,
+     "def calibrate(observations: list[CalibrationPoint]) -> BatteryModel:"):
+        _AT_IMPORT,
+    ("power.calibrate.rate_of",
+     "def rate_of(point: CalibrationPoint) -> float:"): _AT_IMPORT,
 }
 
 
