@@ -32,13 +32,28 @@ runs no TC timer, and a TC its neighbour originates with the very tuple
 that set the neighbour's topology entry is applied at send the same
 way.  A control packet to a dead neighbour is not scheduled at all
 (its latency is still drawn, so the random stream does not move): a
-node never comes back to life.  So a node without battery or
-duty-cycle role whose neighbours are all dead and whose topology state
-has emptied is quiet (see _quiet): its HELLO and TC timers stop, and its
-random stream still owes the jitter words its HELLOs would have drawn,
-which its next inject passes over before drawing.
-A node schedules a forward tick only when its queue bank wants one; a
-bank holding only unroutable messages parks (see `forwarding`).
+node never comes back to life.  A node schedules a forward tick only
+when its queue bank wants one; a bank holding only unroutable messages
+parks (see `forwarding`).
+
+A node whose HELLOs can change nothing is in a stretch: it queues no
+HELLO, and its random stream owes the jitter words they would have
+drawn (`owed_from`).  A stretch never ends for a quiet node, one
+without battery or duty-cycle role whose neighbours are all dead and
+whose topology state has emptied (see _quiet), and its TC timer stops
+too.  The whole network enters one when, on the stretch's run-level
+facts (see run()), every HELLO only refreshes, no control packet is in
+flight and the only TCs are those a node applies at send to its leaf
+neighbours (see _enter_stretch); it ends at the first death or handoff
+crossing, closed forms of the battery totals armed as one event and
+re-solved once a battery node has spent a budget of forwards.  The
+owed state is read only where something needs it: a draw on a node's
+stream first passes over the owed words (_pay), a TC ages the leaves'
+duplicate sets as their owed HELLOs would have (_age), and the end
+reads each node's last owed HELLO's words where they stand and
+restamps its neighbours' links from them (_stamp).  The HELLOs then
+resume in address order, in the place the reference's would have taken
+among the events of their ms (see _end_stretch).
 
 A node's death is a time, `dies_at`, and the node is dead at `now`
 exactly when `now >= dies_at`; a mains node never dies.  Its battery
@@ -122,7 +137,7 @@ from .messages import (
     make_msg_id,
 )
 from .metrics import DeliveryRecord, RunMetrics
-from .olsr import ControlKind, ControlPacket, TopologyState
+from .olsr import DUP_HOLD_MS, SEQ_MOD, ControlKind, ControlPacket, TopologyState
 from .power import (
     MS_PER_HOUR,
     Activity,
@@ -162,6 +177,9 @@ FIRST_TC_MS = 2_500
 SNAPSHOT_SHORT_MS = 10_000
 SNAPSHOT_LONG_MS = 600_000
 SNAPSHOT_CADENCE_CUTOFF_MS = 300_000
+# Above every sequence number the counter hands out: an event with it runs
+# after every other event of its ms.
+_LAST_IN_MS = 1 << 63
 
 # Measured phone lifetimes that pin the battery model: idle, with the
 # screen on, and relaying a message every 10 seconds.
@@ -189,16 +207,31 @@ class _Draws:
     position match the Generator's exactly.
     """
 
-    __slots__ = ("_bits", "_words", "_spare")
+    __slots__ = ("_key", "_bits", "_words", "_spare", "_end")
 
     def __init__(self, key: np.ndarray):
+        self._key = key
         self._bits = np.random.Philox(key=key)
         self._words: list[int] = []   # unread raw words, next one last
         self._spare: Optional[int] = None   # high half of a split word
+        self._end = 0   # the stream position just past the fetched words
 
     def _refill(self) -> list[int]:
         self._words = self._bits.random_raw(DRAW_BLOCK).tolist()[::-1]
+        self._end += DRAW_BLOCK
         return self._words
+
+    def tell(self) -> int:
+        """The stream position: how many words come before the next."""
+        return self._end - len(self._words)
+
+    def uniforms_at(self, at: int, n: int, lo: float, hi: float) -> list[float]:
+        """The n uniform(lo, hi) draws the words from stream position at on
+        give, wherever the stream stands, without moving it.  Philox is
+        counter-based: a word's counter is its position over four."""
+        raw = np.random.Philox(key=self._key, counter=at // 4).random_raw(
+            at % 4 + n).tolist()[at % 4:]
+        return [lo + (hi - lo) * ((word >> 11) * 2.0 ** -53) for word in raw]
 
     def _next64(self) -> int:
         return (self._words or self._refill()).pop()
@@ -232,6 +265,7 @@ class _Draws:
             # Blocks are whole Philox counters (four words each), so every
             # fetch leaves the counter where advance() steps four words.
             self._bits.advance(n // 4)
+            self._end += n // 4 * 4
             words = self._refill()
             n %= 4
         del words[len(words) - n:]
@@ -273,9 +307,21 @@ class _NodeRuntime:
     leaf: bool = False
     # The node is dead from this ms on: its battery's death time.
     dies_at: float = math.inf
-    # Set once the node is quiet (see _quiet): the time of the first HELLO
-    # it has not sent and whose jitter words its stream still owes.
+    # Set while the node is in a stretch (see _enter_stretch and _quiet):
+    # the time of the first HELLO it has not sent and whose jitter words
+    # its stream still owes.
     owed_from: Optional[int] = None
+    # The node's stretch never ends (see _quiet).
+    quiet: bool = False
+    # In a stretch: the time of the last owed HELLO passed over and the
+    # stream position of its words; and the last time its duplicate set
+    # was aged.
+    last_owed: Optional[tuple] = None
+    aged_at: int = 0
+    # A battery node in a stretch: the death time its budgeted forwards
+    # leave (see _horizon); a forward that moves dies_at to or before it
+    # has spent the budget.
+    armed_death: float = -math.inf
     tc_seq: int = 0
     msg_counter: int = 0
     tick_scheduled: bool = False
@@ -284,6 +330,13 @@ class _NodeRuntime:
 
 class Simulator:
     """One run of a scenario; create, call run(), read the metrics."""
+
+    # The event elisions a run may apply, each only where its run-level
+    # facts hold (see run()): a HELLO that only refreshes a link applied as
+    # it is sent ("refresh"), a leaf's TC refresh applied as it is sent
+    # ("tc"), and HELLOs a stretch owes rather than sends ("stretch").
+    # Without them every HELLO and TC is an event: the reference path.
+    elisions = frozenset({"refresh", "tc", "stretch"})
 
     def __init__(self, scenario: Scenario, seed: Optional[int] = None):
         scenario.validate()
@@ -298,6 +351,16 @@ class Simulator:
         # _transmit for the one transmission each is spent on.
         self._send_draws: dict[int, float] = {}
         self._recv_draws: dict[int, float] = {}
+        # The stretch (see _enter_stretch): the last time something that a
+        # stretch rules out happened, the HELLO time last decided on and
+        # its decision, and while one is on, its nodes, its first owed
+        # HELLO time and the HELLO time its armed end is due at.
+        self._unsteady_at = 0
+        self._decided = (None, False)
+        self._members: list[_NodeRuntime] = []
+        self._stretch_from = 0
+        self._end_at: Optional[float] = None
+        self._slot_seq = 0
 
         self._static_adjacency = scenario.adjacency()
         # Link models keyed by address pair, in both directions; a send
@@ -392,30 +455,56 @@ class Simulator:
         """One discrete energy charge (message or control packet)."""
         if rt.battery is not None and now < rt.dies_at:
             rt.dies_at = rt.battery.drain(activity, now)
+            if rt.dies_at <= rt.armed_death:
+                self._rearm(rt, now)
 
     # -- the run ----------------------------------------------------------------
 
     def run(self) -> RunMetrics:
         duration = self.scenario.duration_ms
         self._bind_handlers()
+        elisions = self.elisions
         # A HELLO that only refreshes a link is applied when it is sent
         # (see _broadcast) when nothing can tell the two times apart: its
         # reception costs no energy, every node is always awake, and the
         # longest link latency is below the HELLO interval, so no earlier
         # HELLO from the same sender is still in flight.
-        longest = max((round(model.base_latency_ms * (1.0 + LATENCY_JITTER))
-                       for model in self._link_models.values()), default=0)
+        models = self._link_models.values()
+        self._longest = longest = max(
+            (round(model.base_latency_ms * (1.0 + LATENCY_JITTER))
+             for model in models), default=0)
         policies = self.policies
-        self._refresh_at_send = (policies.energy_per_control == 0
+        interval = policies.hello_interval_ms
+        self._refresh_at_send = ("refresh" in elisions
+                                 and policies.energy_per_control == 0
                                  and not policies.duty_cycle_enabled
-                                 and longest < policies.hello_interval_ms)
+                                 and longest < interval)
         # A leaf never relays a TC, so a TC its neighbour originates that
         # only refreshes a topology entry is applied when it is sent, on the
         # same facts, when also no earlier TC from that neighbour is still
         # in flight.  Relayed TCs stay events: copies that took different
         # paths can arrive out of order.
-        self._tc_at_send = (self._refresh_at_send
+        self._tc_at_send = ("tc" in elisions and self._refresh_at_send
                             and longest < policies.tc_interval_ms)
+        self._may_quiet = "stretch" in elisions
+        # A stretch (see _enter_stretch) needs more: a live neighbour's link
+        # and a TC origin's topology entry never lapse between refreshes;
+        # no tick, message or TC timer is queued exactly one HELLO interval
+        # ahead, so the HELLOs of one time stay one block in address order
+        # and a tick or message at a node comes after its HELLO of that
+        # ms; and a TC sequence number comes back only after its key has
+        # left the duplicate set, even one aged late (see _age).
+        slowest_message = longest + 2 * max(
+            (model.base_latency_ms for model in models
+             if model.p_send_error > 0 or model.p_recv_error > 0), default=0)
+        self._stretches = (
+            "stretch" in elisions and self._refresh_at_send
+            and policies.hold_time_ms > interval + longest
+            and policies.topology_hold_ms > policies.tc_interval_ms + longest
+            and interval > max(RETRY_TICK_MS, slowest_message)
+            and policies.tc_interval_ms != interval
+            and SEQ_MOD * policies.tc_interval_ms
+            > 2 * DUP_HOLD_MS + policies.tc_interval_ms + interval + longest)
         for rt in self.nodes.values():
             self._at(0, self._do_hello, rt)
             # A node with fewer than two neighbours lists at most one in its
@@ -442,10 +531,17 @@ class Simulator:
             self._at(t, self._on_snapshot)
 
         heap, pop = self._heap, heapq.heappop
+        stop = duration + 1
+        mark = 0 if self._stretches else stop
         while heap:
             t, _, handler, args = pop(heap)
-            if t > duration:
-                break
+            if t >= mark:
+                if t > duration:
+                    break
+                # The first ms from a HELLO time on: events queued from
+                # here sort after _slot_seq (see _end_stretch).
+                self._slot_seq = next(self._seq)
+                mark = min((t // interval + 1) * interval, stop)
             handler(t, *args)
         self._finalize()
         return self.metrics
@@ -476,16 +572,22 @@ class Simulator:
                     peer.topo.refresh(pkt, arrival) if hello
                     else peer.leaf and peer.topo.refresh_tc(pkt, arrival)):
                 continue
+            self._unsteady_at = now
             heapq.heappush(heap, (arrival, next(seq), on_ctl, (peer, pkt)))
 
-    def _on_hello(self, now: int, rt: _NodeRuntime) -> None:
+    def _on_hello(self, now: int, rt: Optional[_NodeRuntime]) -> None:
+        if rt is None:
+            self._on_stretch_end(now)
+            return
         if now >= rt.dies_at:
             return
+        interval = self.policies.hello_interval_ms
         if rt.role is None or is_awake(rt.role, now):
             topo = rt.topo
             topo.expire_links(now)
             topo.expire_topology(now)
             if topo.dirty:
+                self._unsteady_at = now
                 topo.dirty = False
                 topo.select_mprs()
                 routes = topo.compute_routes()
@@ -494,24 +596,27 @@ class Simulator:
             self._broadcast(rt, topo.make_hello(), now, self._refresh_at_send)
             if rt.battery is not None:
                 self._check_handoff(rt, now)
-            elif not topo.links and self._quiet(rt, now):
-                rt.owed_from = now + self.policies.hello_interval_ms
+            elif self._may_quiet and not topo.links and self._quiet(rt, now):
+                rt.owed_from, rt.quiet = now + interval, True
                 return
-        heapq.heappush(self._heap, (now + self.policies.hello_interval_ms,
-                                    next(self._seq), self._do_hello, (rt,)))
+            if self._stretches and self._steady(now):
+                rt.owed_from = now + interval
+                return
+        heapq.heappush(self._heap, (now + interval, next(self._seq),
+                                    self._do_hello, (rt,)))
 
     def _quiet(self, rt: _NodeRuntime, now: int) -> bool:
         """Whether the HELLOs and TCs of rt, a node with no battery, can
-        change nothing from now on.
+        change nothing from now on: its stretch never ends.
 
         So they cannot once rt has no duty-cycle role and can no longer get
         one, its static neighbours are all dead, and its topology state
         holds nothing and is not dirty: no packet can reach it, it has no
         MPR selector to send a TC for, and each HELLO would only draw one
-        jitter word per neighbour, which _on_inject pays in one skip before
-        its first draw.  No other handler draws from a quiet node's stream:
-        it has no route to transmit on and no battery to test acceptance
-        with.
+        jitter word per neighbour, which _on_inject passes over before its
+        first draw (_pay).  No other handler draws from a quiet node's
+        stream: it has no route to transmit on and no battery to test
+        acceptance with.
         """
         topo = rt.topo
         return (rt.role is None
@@ -521,18 +626,227 @@ class Simulator:
                          or topo.dirty)
                 and all(now >= peer.dies_at for peer, _ in self._out_links[rt.node]))
 
+    # -- stretches ---------------------------------------------------------------
+
+    def _steady(self, t: int) -> bool:
+        """Whether the HELLOs after those of time t are owed, not sent;
+        decided once per HELLO time, by its first HELLO (_enter_stretch)."""
+        at, steady = self._decided
+        if at != t:
+            steady = self._enter_stretch(t)
+            self._decided = (t, steady)
+        return steady
+
+    def _enter_stretch(self, t: int) -> bool:
+        """Start a stretch after the HELLOs of time t if every HELLO of
+        every live node that is not quiet can only refresh its
+        neighbours' links until something can change; arm its end.
+
+        The HELLOs of one time run as one block in address order (see
+        run()), and none of them, no control packet and no topology change
+        came since before the block a HELLO interval ago: so no node is
+        dirty, each has the HELLO every live neighbour heard from it last
+        and nothing is in flight, and this block does what the last did.
+        A node's state can then change only if a link or topology entry
+        lapses, a node dies or a battery falls under the handoff
+        threshold.  Links do not lapse: every linked neighbour is alive
+        and refreshes each link in time.  Topology entries do not: the
+        only TCs are those a node sends to neighbours that are all
+        leaves, each applied at send to an entry that TC's tuple set and
+        that holds until the next TC comes.  Deaths and handoff crossings
+        are closed forms of the battery totals (`BatteryModel.horizon`):
+        the stretch ends at the first death or the ms before the first
+        crossing, as budgeted for each battery node's next forwards, so
+        the first HELLO that could see either is sent.
+        """
+        interval = self.policies.hello_interval_ms
+        if self._unsteady_at >= t - interval:
+            return False
+        tc_arrives_by = t + self.policies.tc_interval_ms + self._longest
+        members = []
+        for rt in self.nodes.values():
+            if t >= rt.dies_at or rt.quiet:
+                continue
+            topo = rt.topo
+            if topo.dirty or any(t >= self.nodes[nb].dies_at
+                                 for nb in topo.links):
+                return False
+            out = self._out_links[rt.node]
+            for origin in topo.topology:
+                peer = out[0][0] if len(out) == 1 else None
+                if (peer is None or peer.node != origin
+                        or t >= peer.dies_at or not peer.topo.mpr_selectors):
+                    return False
+            if topo.mpr_selectors:
+                sent = topo.tc_tuple()
+                if not self._tc_at_send or sent is None or not all(
+                        t >= peer.dies_at or peer.leaf and peer.topo.holds_tc(
+                            rt.node, sent, tc_arrives_by)
+                        for peer, _ in out):
+                    return False
+            members.append(rt)
+        end = min((self._horizon(rt, t) for rt in members
+                   if rt.battery is not None), default=math.inf)
+        if end < t + interval:
+            return False
+        self._members, self._stretch_from = members, t + interval
+        self._arm(end)
+        return True
+
+    def _horizon(self, rt: _NodeRuntime, now: int) -> float:
+        """Budget battery node rt's next forwards and return the last ms
+        its stretch may run to under that budget: its death, or the ms
+        before its handoff crossing.
+
+        The budget is half the forwards that would reach the earlier of
+        the two if paid now; a forward that moves dies_at to or before
+        armed_death has spent it.
+        """
+        battery, pct = rt.battery, self.policies.handoff_threshold_pct
+        spare = battery.spare_forwards(now, pct)
+        finite = spare < math.inf
+        death, crossing = battery.horizon(now, pct,
+                                          int(spare // 2) if finite else 0)
+        rt.armed_death = death if finite else -math.inf
+        return min(death, crossing - 1)
+
+    def _arm(self, end: float) -> None:
+        """Queue the stretch's end at ms end, after every other event of
+        that ms; one past the run is not queued.  It is a HELLO event with
+        no node: it stands in for the HELLOs the stretch owes."""
+        self._end_at = end
+        if end <= self.scenario.duration_ms:
+            heapq.heappush(self._heap, (end, _LAST_IN_MS + next(self._seq),
+                                        self._do_hello, (None,)))
+
+    def _rearm(self, rt: _NodeRuntime, now: int) -> None:
+        """A forward spent battery node rt's budget: budget again, and end
+        the stretch sooner if the new budget says so."""
+        if self._end_at is None:
+            rt.armed_death = -math.inf
+            return
+        end = self._horizon(rt, now)
+        if end <= now:
+            self._end_stretch(now)
+        elif end < self._end_at:
+            self._arm(end)
+
+    def _on_stretch_end(self, now: int) -> None:
+        """The stretch's armed end, after every other event of ms now:
+        budget again, and end the stretch if a death or a handoff crossing
+        still comes by the next ms."""
+        if now != self._end_at:
+            return   # brought forward since
+        end = min((self._horizon(rt, now) if now < rt.dies_at else rt.dies_at
+                   for rt in self._members if rt.battery is not None),
+                  default=math.inf)
+        if end > now:
+            self._arm(end)
+        else:
+            self._end_stretch(now)
+
+    def _end_stretch(self, now: int) -> None:
+        """End the stretch at ms now: each node pays what it owes up to now
+        and its HELLOs resume at the next HELLO time.
+
+        The HELLOs of that time were queued, in the reference, by those of
+        the last HELLO time, as one block in address order; nothing queued
+        that ms lands on the next HELLO time but those HELLOs (see run()).
+        So the resumed ones take sequence numbers just after _slot_seq,
+        the first one taken in the ms of the last HELLO time, in address
+        order.
+        """
+        interval = self.policies.hello_interval_ms
+        last = now // interval * interval
+        heap, seq, members = self._heap, self._slot_seq, self._members
+        for rt in members:
+            self._pay(rt, now)
+            self._stamp(rt)
+        for i, rt in enumerate(members, 1):
+            rt.owed_from, rt.armed_death = None, -math.inf
+            if now < rt.dies_at:
+                rt.topo.expire_topology(last)
+                rt.aged_at = last
+                heapq.heappush(heap, (last + interval,
+                                      seq + i / (len(members) + 1),
+                                      self._do_hello, (rt,)))
+        self._members, self._end_at = [], None
+
+    def _pay(self, rt: _NodeRuntime, upto: int) -> None:
+        """Pass over the jitter words rt's owed HELLOs up to time upto draw,
+        noting where the last one's start: they set the stamps of rt's
+        links at its neighbours, which nothing reads before the stretch
+        ends (_stamp)."""
+        first, interval = rt.owed_from, self.policies.hello_interval_ms
+        last = upto if upto < rt.dies_at else rt.dies_at - 1
+        if last < first:
+            return
+        owed = (last - first) // interval + 1
+        at = first + (owed - 1) * interval
+        rt.owed_from = at + interval
+        n, rng = len(self._out_links[rt.node]), rt.rng
+        rt.last_owed = (at, rng.tell() + (owed - 1) * n)
+        rng.skip(owed * n)
+
+    def _stamp(self, rt: _NodeRuntime) -> None:
+        """Restamp each neighbour's link to rt as rt's last owed HELLO
+        would have (`TopologyState.refresh_owed`): Philox is counter-based,
+        so that HELLO's words are read where they stand, and the earlier
+        ones' are never drawn."""
+        if rt.last_owed is None:
+            return
+        at, position = rt.last_owed
+        rt.last_owed = None
+        out = self._out_links[rt.node]
+        jitters = rt.rng.uniforms_at(position, len(out), -LATENCY_JITTER,
+                                     LATENCY_JITTER)
+        hello = rt.topo.make_hello()
+        for (peer, base_latency_ms), jitter in zip(out, jitters):
+            if at < peer.dies_at:
+                peer.topo.refresh_owed(hello, at + max(
+                    1, round(base_latency_ms * (1.0 + jitter))))
+
     def _on_tc(self, now: int, rt: _NodeRuntime) -> None:
-        if now >= rt.dies_at or rt.owed_from is not None:
+        if now >= rt.dies_at or rt.quiet:
             return
         if ((rt.role is None or is_awake(rt.role, now))
                 and rt.topo.mpr_selectors):
+            if self._end_at is not None:
+                # A TC timer queued more than a HELLO interval ahead runs
+                # before that ms's HELLOs, a nearer one after them; the
+                # leaves it refreshes age their duplicate sets as their
+                # owed HELLOs would have.
+                interval = self.policies.hello_interval_ms
+                upto = (now if self.policies.tc_interval_ms < interval
+                        else now - 1)
+                self._pay(rt, upto)
+                self._age(rt, upto // interval * interval)
             rt.tc_seq = (rt.tc_seq + 1) % (1 << 16)
             self._broadcast(rt, rt.topo.make_tc(rt.tc_seq), now,
                             self._tc_at_send)
         heapq.heappush(self._heap, (now + self.policies.tc_interval_ms,
                                     next(self._seq), self._do_tc, (rt,)))
 
+    def _age(self, rt: _NodeRuntime, at: int) -> None:
+        """Age the duplicate sets of rt's leaves in the stretch as their
+        owed HELLOs up to time at would have, once every DUP_HOLD_MS.
+
+        Aging only drops keys, and in a stretch only rt's TCs read a
+        leaf's set, for their own key (`TopologyState.refresh_tc`).  So a
+        set aged late reads the same while every key it keeps is one no
+        TC of rt sends again yet: a key is gone within two DUP_HOLD_MS
+        and a TC interval of its arrival, and a sequence number comes
+        back only after 2**16 TC intervals (see run()).
+        """
+        if at < self._stretch_from:
+            return
+        for peer, _ in self._out_links[rt.node]:
+            if peer.owed_from is not None and at - peer.aged_at >= DUP_HOLD_MS:
+                peer.topo.expire_topology(at)
+                peer.aged_at = at
+
     def _on_ctl(self, now: int, rt: _NodeRuntime, pkt: ControlPacket) -> None:
+        self._unsteady_at = now
         if now >= rt.dies_at or not (rt.role is None
                                      or is_awake(rt.role, now)):
             return
@@ -611,6 +925,8 @@ class Simulator:
             if wake > now:
                 self._schedule_tick(rt, wake)
                 return
+        if rt.owed_from is not None and rt.owed_from <= now:
+            self._pay(rt, now)   # its HELLO of this ms came first
         bank = rt.bank
         retry = False
         for kind, msg, next_hop, _, data in bank.forward_tick():
@@ -690,13 +1006,10 @@ class Simulator:
         if now >= rt.dies_at:
             return
         if rt.owed_from is not None and rt.owed_from < now:
-            # Every skipped HELLO before now drew ahead of this inject; one
-            # at now comes after it, since inject sequence numbers are
+            # Every owed HELLO before now drew ahead of this inject; one at
+            # now comes after it, since inject sequence numbers are
             # reserved when the run starts.
-            interval = self.policies.hello_interval_ms
-            owed = -(-(now - rt.owed_from) // interval)
-            rt.rng.skip(owed * len(self._out_links[rt.node]))
-            rt.owed_from += owed * interval
+            self._pay(rt, now - 1)
         priority = self._draw_priority(rt, spec.priority, i)
         size = self._draw_size(rt, spec.size)
         msg = EmergencyMessage(

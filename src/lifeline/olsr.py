@@ -182,9 +182,24 @@ class TopologyState:
         rec = self.links.get(hello.origin)
         if rec is None or rec.heard is not hello.neighbors or rec.expiry <= at:
             return False
+        self.refresh_owed(hello, at)
+        return True
+
+    def refresh_owed(self, hello: ControlPacket, at: int) -> None:
+        """Stamp the sender's link as the last of a run of HELLOs that each
+        only refresh it would, this one arriving at `at`.
+
+        This is the lazy form of calling refresh for every HELLO of the
+        run: each would restamp the link to its own arrival plus the hold
+        time, so the last one decides the stamp, and _links_due follows
+        it as refresh's would.  The caller guarantees that every HELLO of
+        the run would be accepted: the link is held, set by the very
+        neighbour tuple the HELLO carries, and each HELLO arrives before
+        the previous one's stamp runs out.
+        """
+        rec = self.links[hello.origin]
         was, rec.expiry = rec.expiry, at + self.hold_time_ms
         self._restamp(was, rec.expiry)
-        return True
 
     def _restamp(self, was: Optional[int], expiry: int) -> None:
         """Keep _links_due the earliest link expiry once one link's expiry
@@ -303,6 +318,19 @@ class TopologyState:
                 (n, _SYMMETRIC) for n in self.symmetric_neighbors())
         return ControlPacket(_TC, self.self_id, sequence, self._tc_neighbors,
                              ttl=ttl, last_hop=self.self_id)
+
+    def tc_tuple(self) -> Optional[tuple]:
+        """The neighbour tuple this node's next TC carries, if make_tc has
+        built it and no link change has dropped it since."""
+        return self._tc_neighbors
+
+    def holds_tc(self, origin: NodeId, neighbors: tuple, after: int) -> bool:
+        """Whether this state holds origin's topology entry past `after`,
+        set by a TC carrying the very tuple `neighbors`: a TC with that
+        tuple and a newer sequence arriving by then only refreshes it."""
+        current = self.topology.get(origin)
+        return (current is not None and current[2] > after
+                and self._tc_heard[origin] is neighbors)
 
     # -- TC processing ----------------------------------------------------
 

@@ -109,6 +109,8 @@ class BatteryModel:
         self._role: Optional[RoleAssignment] = None
         self._role_at = 0
         self._died_of: Optional[Activity] = None
+        # A level at or under this counts as empty.
+        self._floor = self.capacity * EMPTY_SHARE
         self._settle(0, None)
 
     # -- reads ----------------------------------------------------------------
@@ -187,26 +189,67 @@ class BatteryModel:
     def _settle(self, now: int, cause: Optional[Activity]) -> float:
         """Set dies_at from the totals as of now, cause being the charge
         just paid, if any, and return it."""
-        floor = self.capacity * EMPTY_SHARE
-        energy = self._level(now) - floor
-        if energy <= 0:
-            self.dies_at, self._died_of = now, cause
-        else:
-            # Without idle drain only a charge can empty the battery, and a
-            # death past the largest float is past any run.
-            guess = self._reach(now, energy) if self._awake_cost else math.inf
-            self.dies_at = (self._first_empty(now, guess, floor)
-                            if guess < math.inf else math.inf)
+        self.dies_at = self._under(now, self._floor)
+        if self.dies_at == now:
+            self._died_of = cause
         return self.dies_at
 
-    def _first_empty(self, after: int, guess: float, floor: float) -> int:
+    def _under(self, now: int, floor: float) -> float:
+        """The first whole ms from now on at which the level is at most
+        floor, given no more charges (`math.inf` if never)."""
+        energy = self._level(now) - floor
+        if energy <= 0:
+            return now
+        # Without idle drain only a charge can empty the battery, and a
+        # time past the largest float is past any run.
+        guess = self._reach(now, energy) if self._awake_cost else math.inf
+        return (self._first(now, guess, floor)
+                if guess < math.inf else math.inf)
+
+    def horizon(self, now: int, pct: float, extra: int) -> tuple[float, float]:
+        """(death, handoff crossing) as of now if `extra` more forwards
+        were paid: the death time, and the first whole ms from now on at
+        which `percent` is under pct (`math.inf` if never).  The first
+        `extra` forwards, whenever they are paid, leave both times at
+        or after these."""
+        charges = self.charges
+        charges[_FORWARD_MESSAGE] += extra
+        try:
+            death = self._under(now, self._floor)
+            if pct <= 0:
+                return death, math.inf
+
+            def over(t: int) -> bool:
+                return self._level(t) / self.capacity * 100.0 >= pct
+
+            if not over(now):
+                return death, now
+            # The level at the threshold, for the estimate only; `over`
+            # decides.  From the death on `percent` reads 0.
+            share = pct / 100.0 * self.capacity
+            return death, min(death, self._first(
+                now, self._reach(now, self._level(now) - share), share, over)
+                if death < math.inf else math.inf)
+        finally:
+            charges[_FORWARD_MESSAGE] -= extra
+
+    def spare_forwards(self, now: int, pct: float) -> float:
+        """How many forwards paid at now would empty the battery or take
+        its level under pct percent, whichever comes first."""
+        bound = max(self._floor, pct / 100.0 * self.capacity)
+        spare = max(0.0, self._level(now) - bound)
+        return (spare / self.energy_per_message if self.energy_per_message
+                else math.inf)
+
+    def _first(self, after: int, guess: float, floor: float,
+               over=None) -> int:
         """The first whole ms past after at which the level is at most
-        floor, searched on `_level` itself by doubling steps out from the
-        estimate guess and halving back."""
-        lo, hi = after, math.inf   # _level(lo) > floor >= _level(hi)
+        floor, or, given over, at which over(t) turns false, searched by
+        doubling steps out from the estimate guess and halving back."""
+        lo, hi = after, math.inf   # lo is still over, hi no longer
         t, step = max(after + 1, math.ceil(guess)), 1
         while hi - lo > 1:
-            if self._level(t) > floor:
+            if over(t) if over else self._level(t) > floor:
                 lo = t
             else:
                 hi = t

@@ -6,8 +6,11 @@ from hypothesis import settings
 
 # `pytest --hypothesis-profile=ci` draws every property test's examples
 # from a fixed seed, so a CI failure replays locally with the same
-# examples; a plain run keeps exploring new ones.
-settings.register_profile("ci", derandomize=True)
+# examples; a plain run keeps exploring new ones.  A generated engine run
+# takes tens of ms and varies on a shared runner, so no example has a
+# deadline, and a failure prints the blob that reproduces it.
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          print_blob=True)
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -109,3 +109,26 @@ def test_construction_fetches_no_block():
     draws = _Draws(key)
     fresh = np.random.Philox(key=key)
     assert draws._bits.random_raw(3).tolist() == fresh.random_raw(3).tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_uniforms_read_where_they_stand_match_the_stream(seed):
+    # Words read by position, behind the stream or in its fetched block,
+    # are the ones its draws gave or will give, and reading moves nothing.
+    rng = random.Random(seed)
+    draws, gen = pair(seed, 0x0A000101 + seed)
+    drawn = []
+    for _ in range(rng.randrange(1, 4)):
+        drawn.extend(draws.uniform(-0.2, 0.2) for _ in range(rng.randrange(300)))
+        skipped = rng.randrange(2 * DRAW_BLOCK)
+        draws.skip(skipped)
+        drawn.extend([None] * skipped)
+    assert draws.tell() == len(drawn)
+    ahead = [gen.uniform(-0.2, 0.2) for _ in range(len(drawn) + 40)]
+    assert [x for x in drawn if x is not None] == [
+        x for x, d in zip(ahead, drawn) if d is not None]
+    for _ in range(20):
+        at, n = rng.randrange(len(drawn) + 30), rng.randrange(1, 10)
+        assert draws.uniforms_at(at, n, -0.2, 0.2) == ahead[at:at + n]
+    assert draws.tell() == len(drawn)
+    assert draws.uniform(-0.2, 0.2) == ahead[len(drawn)]

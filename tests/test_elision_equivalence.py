@@ -1,0 +1,319 @@
+"""Generated scenarios must give the same bytes with and without the
+engine's event elisions.
+
+The strategy draws small networks (3-12 nodes, as stars, trees and trees
+with cycles) with timings on both sides of the facts each elision needs:
+HELLO and TC intervals against the longest link latency, the link hold
+against the HELLO interval plus that latency, the topology hold against
+the TC interval plus it, and a HELLO interval on both sides of the retry
+tick.  Battery phones die during the run and a handoff threshold above 0
+makes some cross it first; links may be lossy, nodes may doze, backup
+options 2-6 may be on, and the traffic comes from leaves.  Each example
+must give equal bytes with `Simulator.elisions` on and off, conserve
+messages, validate against the metrics schema and give equal bytes on a
+rerun.  It must also dispatch only events the all-events run
+dispatches, in the same order, and end with the same stream positions
+and topology state once what it owes is paid.  One long run with a 7 ms
+TC interval wraps the 16-bit TC sequence while the network is in a
+stretch.
+"""
+
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lifeline.engine import Simulator
+from lifeline.messages import NodeId
+from lifeline.metrics import validate_metrics_json
+from lifeline.olsr import SEQ_MOD
+from lifeline.scenario import (
+    LinkSpec,
+    NodeSpec,
+    Policies,
+    PrioritySpec,
+    Scenario,
+    SizeSpec,
+    TrafficSpec,
+)
+
+STATION = NodeId.parse("255.255.255.1")
+# An idle phone with a full battery (capacity 1.0) lasts 15 hours.
+IDLE_LIFETIME_MS = 15 * 3_600_000
+# The longest latency of each link class: its base plus 20% jitter.
+DISTANCES = {"loopback": (0.0, 0.0), "short": (1.0, 4.5),
+             "long": (6.0, 60.0)}
+LONGEST = {"loopback": 1, "short": 6, "long": 18}
+_PREFIX = {"router": "10.0.0", "phone": "10.0.1", "laptop": "10.0.2"}
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    size = draw(st.integers(3, 12))
+    # Half the examples hold every fact a stretch needs by a margin, on a
+    # star, so that the network falls into one.
+    steady = draw(st.booleans())
+    shape = ("star" if steady
+             else draw(st.sampled_from(("star", "tree", "cycle"))))
+    kinds = draw(st.lists(st.sampled_from(("router", "phone", "phone",
+                                           "laptop")),
+                          min_size=size - 1, max_size=size - 1))
+    classes = draw(st.sampled_from(("loopback", "short", "long", "mixed")))
+
+    longest, edges = 0, set()
+    for i in range(1, size):
+        if shape == "star":
+            peer = 0 if i == 1 else 1
+        else:
+            peer = draw(st.integers(0, i - 1))
+        edges.add((peer, i))
+    if shape == "cycle":
+        for _ in range(draw(st.integers(1, 2))):
+            a, b = sorted(draw(st.lists(st.integers(0, size - 1), min_size=2,
+                                        max_size=2, unique=True)))
+            edges.add((a, b))
+    distances = []
+    for _ in sorted(edges):
+        link_class = (draw(st.sampled_from(sorted(DISTANCES)))
+                      if classes == "mixed" else classes)
+        lo, hi = DISTANCES[link_class]
+        distances.append(round(draw(st.floats(lo, hi)), 2))
+        longest = max(longest, LONGEST[link_class])
+
+    # Each limit is drawn just under, at or just over, or well clear; the
+    # run lasts tens of HELLOs, and the first TC comes 2.5 s in.
+    if steady:
+        hello = draw(st.sampled_from((101, 250, 1_000)))
+        # A TC timer queued more or less than a HELLO interval ahead runs
+        # before or after the HELLOs of its ms.
+        hold = 2 * hello + longest
+        tc = hello * draw(st.sampled_from((5, 1))) // 2
+        topology_hold = 3 * tc
+    else:
+        hello = draw(st.sampled_from((longest, longest + 1, 100, 101, 250,
+                                      1_000)))
+        hold = hello + longest + draw(st.sampled_from((-1, 0, 1, hello)))
+        tc = draw(st.sampled_from((hello, hello * 5 // 2, hello + 1,
+                                   max(longest + 1, hello // 4))))
+        topology_hold = tc + longest + draw(st.sampled_from((-1, 0, 1, tc)))
+    duration = hello * draw(st.integers(30, 120))
+    if steady:
+        duration = max(duration, 10_000)
+
+    nodes, count = [NodeSpec(STATION, "station")], dict.fromkeys(_PREFIX, 0)
+    for kind in kinds:
+        count[kind] += 1
+        node = NodeId.parse(f"{_PREFIX[kind]}.{count[kind]}")
+        capacity = None
+        if kind == "phone" and draw(st.booleans()):
+            # Dies between a fifth of the run and one and a half runs in.
+            share = draw(st.floats(0.2, 1.5))
+            capacity = share * duration / IDLE_LIFETIME_MS
+        nodes.append(NodeSpec(node, kind, battery_capacity=capacity))
+    links = [LinkSpec(nodes[a].node, nodes[b].node, distance)
+             for (a, b), distance in zip(sorted(edges), distances)]
+    options = draw(st.lists(st.sampled_from((
+        {"option": 2}, {"option": 3, "threshold": 50.0},
+        {"option": 4, "threshold": 1}, {"option": 5, "threshold": 5.0},
+        {"option": 6, "threshold": 20.0})), max_size=2,
+        unique_by=lambda o: o["option"]))
+    policies = Policies(
+        backup_options=options,
+        handoff_threshold_pct=draw(st.sampled_from((0.0, 10.0, 60.0))),
+        duty_cycle_enabled=not steady and draw(st.booleans()),
+        wake_window_ms=max(1, duration // 30),
+        energy_per_control=(0.0 if steady else
+                            draw(st.sampled_from((0.0, 0.0, 1e-7)))),
+        hello_interval_ms=hello, tc_interval_ms=tc,
+        hold_time_ms=max(1, hold), topology_hold_ms=max(1, topology_hold))
+
+    degree = dict.fromkeys(range(size), 0)
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    # A cycle can leave no leaf; then any node sends.
+    leaves = ([i for i in range(1, size) if degree[i] == 1]
+              or list(range(1, size)))
+    traffic = []
+    for _ in range(draw(st.integers(1, 3))):
+        source = nodes[draw(st.sampled_from(leaves))].node
+        destination = draw(st.sampled_from(
+            [STATION] + [spec.node for spec in nodes[1:]
+                         if spec.node != source]))
+        start = draw(st.integers(3 * hello, duration // 2))
+        messages = min(draw(st.integers(5, 30)), (duration - start) // 2)
+        traffic.append(TrafficSpec(
+            source, destination, messages,
+            interval_ms=max(1, (duration - start) // (2 * messages)),
+            start_ms=start, size=SizeSpec.uniform(10, 255),
+            priority=PrioritySpec.uniform()))
+    scenario = Scenario(name="generated", nodes=nodes, links=links,
+                        traffic=traffic, policies=policies,
+                        seed=draw(st.integers(0, 1_000)),
+                        duration_ms=duration)
+    scenario.validate()
+    return scenario
+
+
+KINDS = ("hello", "tc", "ctl", "tick", "msg", "inject", "scan", "roles",
+         "snapshot")
+
+
+def traced_run(scenario: Scenario,
+               elisions: frozenset = Simulator.elisions):
+    """The metrics bytes, the events dispatched as (ms, kind, node), and
+    each node's state once the run has ended."""
+    sim = Simulator(scenario)
+    sim.elisions = elisions
+    events = []
+    for kind in KINDS:
+        def traced(now, *args, kind=kind, handler=getattr(sim, f"_on_{kind}")):
+            rt = args[0] if args else None
+            if kind == "hello" and rt is None:
+                handler(now, *args)   # a stretch's armed end
+                return
+            node = getattr(rt, "node", None)
+            events.append((now, kind, None if node is None else str(node)))
+            handler(now, *args)
+        setattr(sim, f"_on_{kind}", traced)
+    metrics = sim.run()
+    assert metrics.conservation_ok
+    return metrics.to_json(), events, final_state(sim)
+
+
+def final_state(sim: Simulator) -> dict:
+    """Each live node's stream position and topology state at the end of
+    the run, with what a stretch or a quiet node owes paid up to it.  A
+    dead node's state is never read again, so a stretch does not restamp
+    a neighbour that died before the last owed HELLO it pays."""
+    end = sim.scenario.duration_ms
+    if sim._end_at is not None:
+        sim._end_stretch(end)
+    for rt in sim.nodes.values():
+        if rt.owed_from is not None:
+            sim._pay(rt, end)
+    return {str(node): (
+        rt.rng.tell(),
+        sorted((str(n), r.status.value, r.expiry)
+               for n, r in rt.topo.links.items()),
+        sorted((str(o), seq, expiry)
+               for o, (seq, _, expiry) in rt.topo.topology.items()),
+        sorted((str(o), seq, at) for (o, seq), at in rt.topo.seen_tc.items()),
+        rt.topo._links_due) for node, rt in sim.nodes.items()
+        if end < rt.dies_at}
+
+
+def in_order_within(events: list, reference: list) -> bool:
+    """Whether events are some of the reference's, in its order."""
+    it = iter(reference)
+    return all(event in it for event in events)
+
+
+def check(scenario: Scenario) -> None:
+    elided, events, state = traced_run(scenario)
+    validate_metrics_json(json.loads(elided))
+    reference, all_events, _ = traced_run(scenario, frozenset())
+    assert reference == elided
+    assert in_order_within(events, all_events)
+    # A refresh applied at send takes effect before its arrival, so a
+    # packet still in flight at the end leaves the two paths' states
+    # apart; without stretches alone they must agree.
+    unstretched, _, unstretched_state = traced_run(
+        scenario, Simulator.elisions - {"stretch"})
+    assert unstretched == elided
+    assert state == unstretched_state
+    assert traced_run(scenario)[0] == elided
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(scenarios())
+def test_generated_scenarios_match_the_all_events_path(scenario):
+    check(scenario)
+
+
+def test_a_wrapping_tc_sequence_in_a_stretch_matches_the_all_events_path():
+    # A hub between the station and two laptops sends a TC every 7 ms, so
+    # its sequence wraps about 459 s in; HELLOs every 200 ms only refresh
+    # once the star has formed, so the network spends the wrap in one
+    # stretch.  A laptop's messages to the station need the hub's
+    # topology entry, which a wrapped TC taken for a duplicate would let
+    # lapse.
+    hub = NodeId.parse("10.0.0.1")
+    laptops = [NodeId.parse("10.0.2.1"), NodeId.parse("10.0.2.2")]
+    tc = 7
+    duration = (SEQ_MOD + 5_000) * tc
+    scenario = Scenario(
+        name="tc-wrap",
+        nodes=[NodeSpec(STATION, "station"), NodeSpec(hub, "router")]
+        + [NodeSpec(node, "laptop") for node in laptops],
+        links=[LinkSpec(STATION, hub, 2.0)]
+        + [LinkSpec(hub, node, 3.0) for node in laptops],
+        traffic=[TrafficSpec(laptops[0], STATION, 100, interval_ms=300,
+                             start_ms=SEQ_MOD * tc - 15_000)],
+        policies=Policies(hello_interval_ms=200, hold_time_ms=600,
+                          tc_interval_ms=tc, topology_hold_ms=100),
+        seed=3, duration_ms=duration)
+    scenario.validate()
+    sim = Simulator(scenario)
+    stretches = []
+    enter = sim._enter_stretch
+
+    def counted(t):
+        entered = enter(t)
+        stretches.append(entered)
+        return entered
+
+    sim._enter_stretch = counted
+    metrics = sim.run()
+    assert any(stretches)
+    assert len(metrics.deliveries) == 100
+    assert max(rt.tc_seq for rt in sim.nodes.values()) < 5_000  # it wrapped
+    # A leaf that aged its duplicate set too little takes a wrapped TC for
+    # one it has seen.
+    assert all(rt.topo.duplicate_tc_dropped == 0 for rt in sim.nodes.values())
+    assert metrics.conservation_ok
+    assert traced_run(scenario, frozenset())[0] == metrics.to_json()
+
+
+def test_a_death_between_hello_times_resumes_the_hellos_in_place():
+    # A star whose hub sends a TC every 500 ms, between HELLOs every
+    # second, falls into a stretch; a phone's death ends it between two
+    # HELLO times, while TCs, ticks and messages of the next HELLO time
+    # are already queued.  The resumed HELLOs must take their places
+    # among them as the HELLOs queued a second earlier would have.
+    hub = NodeId.parse("10.0.1.1")
+    leaves = [("10.0.2.1", "laptop", None, 1.07),
+              ("10.0.1.2", "phone", 0.002839118704891368, 2.0),
+              ("10.0.1.3", "phone", None, 4.03),
+              ("10.0.0.1", "router", None, 3.51),
+              ("10.0.2.2", "laptop", None, 2.47),
+              ("10.0.0.2", "router", None, 3.0),
+              ("10.0.1.4", "phone", 0.0019983620739408656, 3.02)]
+    nodes = [NodeSpec(STATION, "station"), NodeSpec(hub, "phone")]
+    links = [LinkSpec(STATION, hub, 1.5)]
+    for address, kind, capacity, distance in leaves:
+        node = NodeId.parse(address)
+        nodes.append(NodeSpec(node, kind, battery_capacity=capacity))
+        links.append(LinkSpec(hub, node, distance))
+
+    def sends(source, destination, count, interval, start):
+        return TrafficSpec(NodeId.parse(source), NodeId.parse(destination),
+                           count, interval_ms=interval, start_ms=start,
+                           size=SizeSpec.uniform(10, 255),
+                           priority=PrioritySpec.uniform())
+
+    scenario = Scenario(
+        name="death-between-hellos", nodes=nodes, links=links,
+        traffic=[sends("10.0.0.1", "10.0.1.1", 22, 2_063, 24_192),
+                 sends("10.0.1.4", "10.0.1.2", 14, 3_750, 10_000),
+                 sends("10.0.2.2", "10.0.0.1", 15, 2_094, 52_166)],
+        policies=Policies(
+            backup_options=[{"option": 4, "threshold": 1},
+                            {"option": 3, "threshold": 50.0}],
+            handoff_threshold_pct=0.0, hello_interval_ms=1_000,
+            hold_time_ms=2_006, tc_interval_ms=500, topology_hold_ms=1_500),
+        seed=739, duration_ms=115_000)
+    scenario.validate()
+    check(scenario)

@@ -23,15 +23,23 @@ profiles cover what the canned setups do not:
 - a chain of dying battery phones off the station: a laptop between two
   of them, whose neighbours all die, and a leaf laptop beyond them, which
   hears its neighbour's own TCs and TCs it relays from farther away and
-  keeps injecting over lossy links once its relay is dead.
+  keeps injecting over lossy links once its relay is dead;
+- a station whose one neighbour is the hub of a star of leaves, so that
+  every HELLO only refreshes once the star has formed and the whole
+  network falls into a stretch, which a leaf phone's death, a handoff
+  crossing or a spent budget of the hub's forwards ends;
+- a TC interval of 2 ms over long links, so that a TC overtakes an older
+  one from its origin, and a TC interval over the duplicate hold under a
+  longer topology hold, so that a leaf's refresh sets its scan bound.
 
 A behaviour-preserving change keeps every digest.  Each run must also
-give the same bytes when HELLO and TC refreshes take the event path,
-which is the reference for the refresh applied when a packet is sent,
-and when quiet nodes keep their HELLO and TC timers, which is the
-reference for the HELLO draws a quiet node owes.  A run with a battery
-must give the same bytes when every live battery is booked at extra
-random times, since reading a battery books nothing.
+give the same bytes with the engine's elisions switched off
+(`Simulator.elisions`): with HELLO and TC refreshes on the event path,
+the reference for the refresh applied when a packet is sent, and with
+every HELLO sent, the reference for the HELLOs a quiet node or a stretch
+owes.  A run with a battery must give the same bytes when every live
+battery is booked at extra random times, since reading a battery books
+nothing.
 """
 
 import functools
@@ -87,6 +95,11 @@ class Profile(NamedTuple):
     weak_relay: bool = False
     # The station also leads a chain of dying phones; see ORPHAN_CHAIN.
     orphans: bool = False
+    # Every node but the first is linked to the first alone, the station's
+    # one neighbour.
+    star: bool = False
+    # The handoff threshold, if not the default.
+    handoff_pct: Optional[float] = None
     # The TC interval and topology hold, if not 5/2 and 15/2 HELLOs.
     tc_ms: Optional[int] = None
     topology_hold_ms: Optional[int] = None
@@ -118,6 +131,15 @@ PROFILES = (
                             {"option": 6, "threshold": 2.5})),
     Profile(50, 150, "short", 60_000, orphans=True, tc_ms=100,
             topology_hold_ms=90),
+    Profile(5, 15, "long", 3_000, tc_ms=2),
+    Profile(2_000, 6_000, "short", 300_000, tc_ms=40_000,
+            topology_hold_ms=100_000),
+    Profile(2_000, 6_000, "short", 1_200_000, star=True),
+    Profile(500, 1_500, "mixed", 600_000, star=True,
+            backup_options=({"option": 2},
+                            {"option": 6, "threshold": 50.0})),
+    Profile(1_000, 3_000, "short", 900_000, star=True, handoff_pct=0.0),
+    Profile(1_000, 3_000, "short", 600_000, star=True, weak_relay=True),
 )
 
 CORPUS_SEEDS = range(len(PROFILES))
@@ -139,6 +161,12 @@ CORPUS_SHA256 = {
     13: "a149849cb14bb213f3f0089f85323201f85d4b48e79f05d44e57cf80fea3c7b2",
     14: "be68ced039cf06b35fd246140a05376fb8987cdf4a8821e37def681618beda26",
     15: "97b2e39fd1539a1024e3a57d52b99931a30259daa787d4da988e043f3fb3910b",
+    16: "f9816d0e721f100da5392cb328c843f4323d426bf09189f25fdcfb8e8ee22640",
+    17: "5335bc95c778f4c62fbf17b7be46b582d4d976416aae3499b143780cc4939689",
+    18: "358bb31442d7db00e281889a8e2187413aaea261c465db2899fbbe2927570346",
+    19: "ea1bb245e02ba194f248da9e5bc717cfd0bc51a7856e2dd1b345ce9b3d8b2732",
+    20: "bf5e8ca994563656fbdf5a3e5e00bb365650dd80e8f51c02fb6e7cbc365b32c0",
+    21: "f169d7ee446ba61f857395a1b2ac08ab6ebd440c32aa3d4dfa35000849e3256b",
 }
 
 STATION = NodeId.parse("255.255.255.1")
@@ -212,10 +240,12 @@ def corpus_scenario(seed: int) -> Scenario:
         if kind == "router":
             routers.append(node)
         # A random tree: each node joins one already placed.
-        peer = STATION if i == 0 else rng.choice(nodes[1:]).node
+        peer = (STATION if i == 0
+                else nodes[1].node if profile.star
+                else rng.choice(nodes[1:]).node)
         links.append(LinkSpec(peer, node, _distance(rng, profile.links)))
         nodes.append(spec)
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(0 if profile.star else rng.randint(0, 2)):
         a, b = rng.sample(nodes[1:], 2)
         if not any({a.node, b.node} == {l.a, l.b} for l in links):
             links.append(LinkSpec(a.node, b.node, _distance(rng, profile.links)))
@@ -300,11 +330,13 @@ def corpus_scenario(seed: int) -> Scenario:
         topology_hold_ms=(profile.topology_hold_ms
                           or max(1, profile.hello_ms * 15 // 2)),
         scan_schedule=({routers[0]: 0, routers[-1]: duration // 10}
-                       if seed % 3 == 0 else {}),
+                       if seed % 3 == 0 and routers else {}),
     )
     if profile.orphans:
         # The chain's phones forward until their batteries run out.
         policies.handoff_threshold_pct = 0.0
+    if profile.handoff_pct is not None:
+        policies.handoff_threshold_pct = profile.handoff_pct
     scenario = Scenario(name=f"corpus-{seed}", nodes=nodes, links=links,
                         traffic=traffic, policies=policies, seed=seed,
                         duration_ms=duration)
@@ -331,16 +363,19 @@ def test_corpus_metrics_bytes_match_golden_digest(seed):
 
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 def test_corpus_bytes_match_the_event_path(seed, monkeypatch):
-    # Refusing every early refresh sends each HELLO through its own event.
-    monkeypatch.setattr(TopologyState, "refresh", lambda self, hello, at: False)
+    # Without elisions every HELLO and TC goes through its own event.
+    monkeypatch.setattr(Simulator, "elisions", frozenset())
     assert digest(run(corpus_scenario(seed)).to_json()) == CORPUS_SHA256[seed]
 
 
-# The event paths the early rules must match: a refused TC refresh arrives
-# as an event, and a node never found quiet keeps its HELLO and TC timers.
+# The event paths the elisions must match, each switched off through
+# `Simulator.elisions`: every TC arrives as an event; no HELLO is owed, so
+# no node falls quiet or stretches and every one keeps its HELLO and TC
+# timers; and no elision at all.
 REFERENCE_PATHS = {
-    "tc-events": (TopologyState, "refresh_tc", lambda self, tc, at: False),
-    "never-quiet": (Simulator, "_quiet", lambda self, rt, now: False),
+    "tc-events": Simulator.elisions - {"tc"},
+    "never-quiet": Simulator.elisions - {"stretch"},
+    "all-events": frozenset(),
 }
 EQUIVALENCE_RUNS = ([f"setup-{s}" for s in SETUP_IDS]
                     + [f"corpus-{seed}" for seed in CORPUS_SEEDS]
@@ -370,7 +405,7 @@ def _reference_digest(name: str) -> str:
 @pytest.mark.parametrize("name", EQUIVALENCE_RUNS)
 def test_bytes_match_the_reference_path(name, path, monkeypatch):
     expected = _reference_digest(name)
-    monkeypatch.setattr(*REFERENCE_PATHS[path])
+    monkeypatch.setattr(Simulator, "elisions", REFERENCE_PATHS[path])
     assert digest(run(_equivalence_scenario(name)).to_json()) == expected
 
 

@@ -236,3 +236,44 @@ def test_link_bound_is_the_earliest_link_expiry(hold, ops):
             apply(state, op, now)
         assert state._links_due == min(
             (rec.expiry for rec in state.links.values()), default=math.inf)
+
+
+# -- owed stamps read like a refresh at every HELLO -----------------------------
+
+# A stretch's HELLOs, as (sender, gap after that sender's last arrival), and
+# the times the stretch's stamps are read.
+stretch_operations = st.lists(
+    st.one_of(st.tuples(st.just("hello"), st.sampled_from(PEERS),
+                        st.integers(1, 1_999)),
+              st.tuples(st.just("read"))),
+    max_size=60)
+
+
+@OLSR_SETTINGS
+@given(st.integers(2_000, 10_000), stretch_operations)
+def test_owed_stamps_read_like_a_refresh_at_every_hello(hold, ops):
+    # Each sender's HELLOs arrive less than a hold time apart, as in a
+    # stretch.  The eager state refreshes at every HELLO; the lazy one
+    # only keeps each sender's last arrival and applies it when read.
+    eager, lazy = (TopologyState(SELF, hold_time_ms=hold) for _ in range(2))
+    hellos = {}
+    for sender in PEERS:
+        hellos[sender] = hello_from(sender, ((SELF, LinkStatus.SYMMETRIC),))
+        for state in (eager, lazy):
+            state.process_hello(hellos[sender], 0)
+    arrived = dict.fromkeys(PEERS, 0)
+    owed = {}
+    for op in ops + [("read",)]:
+        if op[0] == "hello":
+            _, sender, gap = op
+            arrived[sender] += gap
+            assert eager.refresh(hellos[sender], arrived[sender])
+            owed[sender] = arrived[sender]
+            continue
+        for sender, at in owed.items():
+            lazy.refresh_owed(hellos[sender], at)
+        owed.clear()
+        assert ({n: rec.expiry for n, rec in lazy.links.items()}
+                == {n: rec.expiry for n, rec in eager.links.items()})
+        assert lazy._links_due == eager._links_due == min(
+            rec.expiry for rec in eager.links.values())

@@ -297,6 +297,40 @@ def test_death_time_is_the_first_empty_ms(capacity, screen_on, message,
     assert sum(ledger.values()) == pytest.approx(capacity, abs=1e-9 * capacity)
 
 
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(capacity=st.floats(1e-6, 1.0), screen_on=st.booleans(),
+       message=st.floats(1e-4, 0.2), paid=st.integers(0, 5),
+       extra=st.integers(0, 20), now=st.integers(0, 10**6),
+       pct=st.sampled_from([0.0, 2.0, 10.0, 55.5, 99.0]))
+def test_horizon_is_the_death_and_crossing_after_extra_forwards(
+        capacity, screen_on, message, paid, extra, now, pct):
+    # The stretch's closed forms: paying `extra` forwards at now gives the
+    # death time horizon names, and `percent` first reads under pct at its
+    # crossing.
+    base = fitted()
+    model = BatteryModel(capacity, base.drain_idle, base.drain_screen_extra,
+                         energy_per_message=message * capacity,
+                         screen_on=screen_on)
+    for _ in range(paid):
+        if now < model.dies_at:
+            model.drain(FORWARD, now)
+    if now >= model.dies_at:
+        return
+    death, crossing = model.horizon(now, pct, extra)
+    paying = replace(model)   # a fresh battery with the same rates
+    for _ in range(paid + extra):
+        if now < paying.dies_at:
+            paying.drain(FORWARD, now)
+    assert death == paying.dies_at
+    if pct <= 0:
+        assert crossing == math.inf
+        return
+    assert now <= crossing <= death
+    assert paying.percent(crossing) < pct
+    assert crossing == now or paying.percent(crossing - 1) >= pct
+
+
 # --- roles ------------------------------------------------------------------------
 
 def nid(n):
