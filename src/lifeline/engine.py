@@ -46,12 +46,16 @@ facts (see run()), every HELLO only refreshes, no control packet is in
 flight and the only TCs are those a node applies at send to its leaf
 neighbours (see _enter_stretch); it ends at the first death or handoff
 crossing, closed forms of the battery totals armed as one event and
-re-solved once a battery node has spent a budget of forwards.  The
-owed state is read only where something needs it: a draw on a node's
-stream first passes over the owed words (_pay), a TC ages the leaves'
-duplicate sets as their owed HELLOs would have (_age), and the end
-reads each node's last owed HELLO's words where they stand and
-restamps its neighbours' links from them (_stamp).  The HELLOs then
+re-solved once a battery node has spent a budget of forwards.  Its TC
+timers stop too, at their first TC time in it (`tc_owed_from`): each
+TC would only refresh leaves' topology entries, on a fixed grid of
+times.  The owed state is read only where something needs it: a draw
+on a node's stream first passes over the owed HELLO and TC words, in
+the order the reference would have drawn them (_pay, with the run loop
+marking where each TC time's timers would have run, _passing), and the
+end reads the words of each node's last owed HELLO and latest owed TCs
+where they stand and restamps its neighbours' links, topology entries
+and duplicate sets from them (_stamp).  The HELLOs and TC timers then
 resume in address order, in the place the reference's would have taken
 among the events of their ms (see _end_stretch).
 
@@ -198,6 +202,12 @@ _BASE_BATTERY = calibrate(list(CALIBRATION_POINTS))
 DRAW_BLOCK = 256
 
 
+def _before(first: int, step: int, count: int, at: int, ties: bool) -> int:
+    """How many of the count times first, first + step, ... come before
+    time at, one at at itself counting when ties."""
+    return max(0, min(count, ((at if ties else at - 1) - first) // step + 1))
+
+
 class _Draws:
     """A node's random draws: what np.random.Generator(Philox(key)) returns.
 
@@ -314,10 +324,14 @@ class _NodeRuntime:
     # The node's stretch never ends (see _quiet).
     quiet: bool = False
     # In a stretch: the time of the last owed HELLO passed over and the
-    # stream position of its words; and the last time its duplicate set
-    # was aged.
+    # stream position of its words.
     last_owed: Optional[tuple] = None
-    aged_at: int = 0
+    # In a stretch, once its TC timer has stopped (see _on_tc): the time of
+    # the first TC whose words its stream still owes; and the time, stream
+    # position and sequence number of the latest owed TCs passed over, as
+    # many as _stamp needs.
+    tc_owed_from: Optional[int] = None
+    owed_tcs: list = field(default_factory=list)
     # A battery node in a stretch: the death time its budgeted forwards
     # leave (see _horizon); a forward that moves dies_at to or before it
     # has spent the budget.
@@ -345,6 +359,7 @@ class Simulator:
         self.policies = scenario.policies
         self.metrics = RunMetrics(scenario.name, self.seed,
                                   scenario.duration_ms)
+        self._last_ms = scenario.duration_ms
         self._heap: list = []
         self._seq = itertools.count()
         # A lossy run's error uniforms by message id, drawn at inject; see
@@ -353,14 +368,20 @@ class Simulator:
         self._recv_draws: dict[int, float] = {}
         # The stretch (see _enter_stretch): the last time something that a
         # stretch rules out happened, the HELLO time last decided on and
-        # its decision, and while one is on, its nodes, its first owed
-        # HELLO time and the HELLO time its armed end is due at.
+        # its decision, and while one is on, its nodes and the time its
+        # armed end is due at; once its TC timers have stopped, the last
+        # TC time passed, and the next one with the sequence number its
+        # timers would have been queued under (see _passing).
         self._unsteady_at = 0
         self._decided = (None, False)
         self._members: list[_NodeRuntime] = []
-        self._stretch_from = 0
         self._end_at: Optional[float] = None
+        self._tc_ran_to = 0
+        self._tc_due: Optional[tuple[int, int]] = None
+        # The run loop calls _passing at its first event from _mark on:
+        # the next HELLO time (_hello_due), or the next owed TC time.
         self._slot_seq = 0
+        self._hello_due = 0
 
         self._static_adjacency = scenario.adjacency()
         # Link models keyed by address pair, in both directions; a send
@@ -452,9 +473,13 @@ class Simulator:
 
     def _drain_event(self, rt: _NodeRuntime, activity: Activity,
                      now: int) -> None:
-        """One discrete energy charge (message or control packet)."""
+        """One discrete energy charge (message or control packet).  A death
+        past the run is not looked for, unless a stretch budget is armed:
+        its crossing can come inside the run while the death does not."""
         if rt.battery is not None and now < rt.dies_at:
-            rt.dies_at = rt.battery.drain(activity, now)
+            rt.dies_at = rt.battery.drain(
+                activity, now,
+                self._last_ms if rt.armed_death == -math.inf else math.inf)
             if rt.dies_at <= rt.armed_death:
                 self._rearm(rt, now)
 
@@ -492,19 +517,23 @@ class Simulator:
         # no tick, message or TC timer is queued exactly one HELLO interval
         # ahead, so the HELLOs of one time stay one block in address order
         # and a tick or message at a node comes after its HELLO of that
-        # ms; and a TC sequence number comes back only after its key has
-        # left the duplicate set, even one aged late (see _age).
+        # ms; and a TC sequence number comes back only after a leaf's
+        # HELLO has aged its key out of the duplicate set, so the keys a
+        # stretch's end restamps (_stamp) are distinct too.
         slowest_message = longest + 2 * max(
             (model.base_latency_ms for model in models
              if model.p_send_error > 0 or model.p_recv_error > 0), default=0)
+        tc_interval = policies.tc_interval_ms
         self._stretches = (
             "stretch" in elisions and self._refresh_at_send
             and policies.hold_time_ms > interval + longest
-            and policies.topology_hold_ms > policies.tc_interval_ms + longest
+            and policies.topology_hold_ms > tc_interval + longest
             and interval > max(RETRY_TICK_MS, slowest_message)
-            and policies.tc_interval_ms != interval
-            and SEQ_MOD * policies.tc_interval_ms
-            > 2 * DUP_HOLD_MS + policies.tc_interval_ms + interval + longest)
+            and tc_interval != interval
+            and SEQ_MOD * tc_interval > DUP_HOLD_MS + interval + longest)
+        # The owed TCs a stretch's end restamps from: a key of any earlier
+        # one has aged out by the end's last HELLO time.
+        self._tc_kept = -(-(DUP_HOLD_MS + interval + longest) // tc_interval)
         for rt in self.nodes.values():
             self._at(0, self._do_hello, rt)
             # A node with fewer than two neighbours lists at most one in its
@@ -531,20 +560,54 @@ class Simulator:
             self._at(t, self._on_snapshot)
 
         heap, pop = self._heap, heapq.heappop
-        stop = duration + 1
-        mark = 0 if self._stretches else stop
+        self._stop = duration + 1
+        self._mark = 0 if self._stretches else self._stop
         while heap:
-            t, _, handler, args = pop(heap)
-            if t >= mark:
+            t, seq, handler, args = pop(heap)
+            if t >= self._mark:
                 if t > duration:
                     break
-                # The first ms from a HELLO time on: events queued from
-                # here sort after _slot_seq (see _end_stretch).
-                self._slot_seq = next(self._seq)
-                mark = min((t // interval + 1) * interval, stop)
+                self._passing(t, seq)
             handler(t, *args)
         self._finalize()
         return self.metrics
+
+    def _passing(self, t: int, seq: int) -> None:
+        """Event (t, seq) runs next: first take the sequence numbers that
+        the reference's timers passed since the last call would have queued
+        their next timers under, then set the next _mark.
+
+        The HELLOs of a HELLO time run as one block and queue the next, and
+        nothing queued in their ms lands on that next time but those
+        HELLOs (see _end_stretch): the first number taken from that ms on,
+        _slot_seq, stands for theirs.  The TC timers of a TC time also run
+        as one block, in address order: they were queued so at the start,
+        and each block queues the next and nothing between.  While a
+        stretch owes them (_on_tc), the block due at _tc_due runs before
+        (t, seq) if it sorts first, and queues the next block under a
+        number taken now: after every event that ran before it, and before
+        every event queued from here on.  So the block of ms t itself runs
+        first only when (t, seq) is a stretch end, queued to run after
+        every other event of its ms (_arm).  Of the numbers taken at one
+        call, the earlier time's block or HELLOs take the first.
+        """
+        interval = self.policies.hello_interval_ms
+        hello = t >= self._hello_due
+        if hello:
+            self._hello_due = t - t % interval + interval
+        tc = self._tc_due
+        while tc is not None and (tc[0] < t or tc[0] == t and tc[1] < seq):
+            step = self.policies.tc_interval_ms
+            ran = tc[0] + max(0, (t - tc[0] - 1) // step) * step
+            if hello and ran >= t - t % interval:
+                self._slot_seq = next(self._seq)
+                hello = False
+            self._tc_ran_to = ran
+            tc = self._tc_due = (ran + step, next(self._seq))
+        if hello:
+            self._slot_seq = next(self._seq)
+        mark = min(self._hello_due, self._stop)
+        self._mark = mark if tc is None else min(mark, tc[0])
 
     # -- control plane -----------------------------------------------------------
 
@@ -689,7 +752,7 @@ class Simulator:
                    if rt.battery is not None), default=math.inf)
         if end < t + interval:
             return False
-        self._members, self._stretch_from = members, t + interval
+        self._members = members
         self._arm(end)
         return True
 
@@ -746,104 +809,142 @@ class Simulator:
             self._end_stretch(now)
 
     def _end_stretch(self, now: int) -> None:
-        """End the stretch at ms now: each node pays what it owes up to now
-        and its HELLOs resume at the next HELLO time.
+        """End the stretch at ms now: each node pays what it owes up to now,
+        and its HELLOs and stopped TC timer resume at their next times.
 
         The HELLOs of that time were queued, in the reference, by those of
         the last HELLO time, as one block in address order; nothing queued
         that ms lands on the next HELLO time but those HELLOs (see run()).
         So the resumed ones take sequence numbers just after _slot_seq,
         the first one taken in the ms of the last HELLO time, in address
-        order.
+        order.  The TC timers resume as the block _tc_due stands for.
         """
         interval = self.policies.hello_interval_ms
         last = now // interval * interval
-        heap, seq, members = self._heap, self._slot_seq, self._members
+        members = self._members
         for rt in members:
             self._pay(rt, now)
             self._stamp(rt)
-        for i, rt in enumerate(members, 1):
-            rt.owed_from, rt.armed_death = None, -math.inf
+        self._resume(members, last + interval, self._slot_seq,
+                     self._do_hello, now)
+        if self._tc_due is not None:
+            at, seq = self._tc_due
+            self._resume([rt for rt in members if rt.tc_owed_from is not None],
+                         at, seq, self._do_tc, now)
+        for rt in members:
+            rt.owed_from = rt.tc_owed_from = None
+            rt.armed_death = -math.inf
             if now < rt.dies_at:
                 rt.topo.expire_topology(last)
-                rt.aged_at = last
-                heapq.heappush(heap, (last + interval,
-                                      seq + i / (len(members) + 1),
-                                      self._do_hello, (rt,)))
-        self._members, self._end_at = [], None
+        self._members, self._end_at, self._tc_due = [], None, None
+
+    def _resume(self, stopped: list, at: int, seq: int, handler,
+                now: int) -> None:
+        """Queue the timers of the stopped nodes alive at now at time at, in
+        address order, just after sequence number seq."""
+        for i, rt in enumerate(stopped, 1):
+            if now < rt.dies_at:
+                heapq.heappush(self._heap, (at, seq + i / (len(stopped) + 1),
+                                            handler, (rt,)))
 
     def _pay(self, rt: _NodeRuntime, upto: int) -> None:
-        """Pass over the jitter words rt's owed HELLOs up to time upto draw,
-        noting where the last one's start: they set the stamps of rt's
-        links at its neighbours, which nothing reads before the stretch
-        ends (_stamp)."""
-        first, interval = rt.owed_from, self.policies.hello_interval_ms
-        last = upto if upto < rt.dies_at else rt.dies_at - 1
-        if last < first:
+        """Pass over the words rt's stream owes, one latency jitter per
+        neighbour for each owed HELLO up to time upto and each owed TC up
+        to the last TC time passed (_passing), in the reference's order: at
+        a shared ms a TC timer queued more than a HELLO interval ahead ran
+        before that ms's HELLO, a nearer one after it.
+
+        Note where the last owed HELLO's words start, and the time, words
+        and sequence number of the latest owed TCs: they set the stamps of
+        rt's links, topology entries and duplicate-set keys at its
+        neighbours, which nothing reads before the stretch ends (_stamp).
+        """
+        interval, step = (self.policies.hello_interval_ms,
+                          self.policies.tc_interval_ms)
+        dies_at, first, first_tc = rt.dies_at, rt.owed_from, rt.tc_owed_from
+        last = upto if upto < dies_at else dies_at - 1
+        hellos = (last - first) // interval + 1 if last >= first else 0
+        tcs = 0
+        if first_tc is not None and rt.topo.mpr_selectors:
+            last = (self._tc_ran_to if self._tc_ran_to < dies_at
+                    else dies_at - 1)
+            if last >= first_tc:
+                tcs = (last - first_tc) // step + 1
+        if not (hellos or tcs):
             return
-        owed = (last - first) // interval + 1
-        at = first + (owed - 1) * interval
-        rt.owed_from = at + interval
         n, rng = len(self._out_links[rt.node]), rt.rng
-        rt.last_owed = (at, rng.tell() + (owed - 1) * n)
-        rng.skip(owed * n)
+        start = rng.tell()
+        tc_first = step > interval
+        if hellos:
+            at = first + (hellos - 1) * interval
+            rt.owed_from = at + interval
+            rt.last_owed = (at, start + n * (hellos - 1 + (
+                tcs and _before(first_tc, step, tcs, at, tc_first))))
+        if tcs:
+            owed, seq, kept = rt.owed_tcs, rt.tc_seq, self._tc_kept
+            for j in range(max(0, tcs - kept), tcs):
+                at = first_tc + j * step
+                owed.append((at, start + n * (j + _before(
+                    first, interval, hellos, at, not tc_first)),
+                    (seq + j + 1) % SEQ_MOD))
+            del owed[:-kept]
+            rt.tc_seq = (seq + tcs) % SEQ_MOD
+            rt.tc_owed_from = first_tc + tcs * step
+        rng.skip((hellos + tcs) * n)
 
     def _stamp(self, rt: _NodeRuntime) -> None:
-        """Restamp each neighbour's link to rt as rt's last owed HELLO
-        would have (`TopologyState.refresh_owed`): Philox is counter-based,
-        so that HELLO's words are read where they stand, and the earlier
-        ones' are never drawn."""
-        if rt.last_owed is None:
-            return
-        at, position = rt.last_owed
-        rt.last_owed = None
+        """Restamp each live neighbour's link to rt as rt's last owed HELLO
+        would have (`TopologyState.refresh_owed`), and its topology entry
+        for rt and duplicate-set keys as rt's owed TCs would have
+        (`TopologyState.refresh_tc_owed`).  Philox is counter-based, so
+        those packets' words are read where they stand, and the words of
+        owed packets that set no stamp are never drawn."""
         out = self._out_links[rt.node]
-        jitters = rt.rng.uniforms_at(position, len(out), -LATENCY_JITTER,
-                                     LATENCY_JITTER)
-        hello = rt.topo.make_hello()
-        for (peer, base_latency_ms), jitter in zip(out, jitters):
-            if at < peer.dies_at:
-                peer.topo.refresh_owed(hello, at + max(
-                    1, round(base_latency_ms * (1.0 + jitter))))
+        if rt.last_owed is not None:
+            at, position = rt.last_owed
+            rt.last_owed = None
+            jitters = rt.rng.uniforms_at(position, len(out), -LATENCY_JITTER,
+                                         LATENCY_JITTER)
+            hello = rt.topo.make_hello()
+            for (peer, base_latency_ms), jitter in zip(out, jitters):
+                if at < peer.dies_at:
+                    peer.topo.refresh_owed(hello, at + max(
+                        1, round(base_latency_ms * (1.0 + jitter))))
+        owed = rt.owed_tcs
+        if owed:
+            rt.owed_tcs = []
+            start = owed[0][1]
+            jitters = rt.rng.uniforms_at(start, owed[-1][1] + len(out) - start,
+                                         -LATENCY_JITTER, LATENCY_JITTER)
+            for k, (peer, base_latency_ms) in enumerate(out):
+                keys = [(seq, at + max(1, round(base_latency_ms * (
+                    1.0 + jitters[position - start + k]))))
+                    for at, position, seq in owed if at < peer.dies_at]
+                if keys:
+                    peer.topo.refresh_tc_owed(rt.node, keys)
 
     def _on_tc(self, now: int, rt: _NodeRuntime) -> None:
         if now >= rt.dies_at or rt.quiet:
             return
+        if self._end_at is not None:
+            # In a stretch rt's TCs can only refresh its leaves' entries, so
+            # its timer stops and its stream owes them (_pay) until the end
+            # restamps the leaves (_stamp) and resumes it.  Its TC time's
+            # block stops with the first of it (see _passing).
+            rt.tc_owed_from = now
+            if self._tc_due is None:
+                step = self.policies.tc_interval_ms
+                self._tc_ran_to = now
+                self._tc_due = (now + step, next(self._seq))
+                self._mark = min(self._mark, now + step)
+            return
         if ((rt.role is None or is_awake(rt.role, now))
                 and rt.topo.mpr_selectors):
-            if self._end_at is not None:
-                # A TC timer queued more than a HELLO interval ahead runs
-                # before that ms's HELLOs, a nearer one after them; the
-                # leaves it refreshes age their duplicate sets as their
-                # owed HELLOs would have.
-                interval = self.policies.hello_interval_ms
-                upto = (now if self.policies.tc_interval_ms < interval
-                        else now - 1)
-                self._pay(rt, upto)
-                self._age(rt, upto // interval * interval)
-            rt.tc_seq = (rt.tc_seq + 1) % (1 << 16)
+            rt.tc_seq = (rt.tc_seq + 1) % SEQ_MOD
             self._broadcast(rt, rt.topo.make_tc(rt.tc_seq), now,
                             self._tc_at_send)
         heapq.heappush(self._heap, (now + self.policies.tc_interval_ms,
                                     next(self._seq), self._do_tc, (rt,)))
-
-    def _age(self, rt: _NodeRuntime, at: int) -> None:
-        """Age the duplicate sets of rt's leaves in the stretch as their
-        owed HELLOs up to time at would have, once every DUP_HOLD_MS.
-
-        Aging only drops keys, and in a stretch only rt's TCs read a
-        leaf's set, for their own key (`TopologyState.refresh_tc`).  So a
-        set aged late reads the same while every key it keeps is one no
-        TC of rt sends again yet: a key is gone within two DUP_HOLD_MS
-        and a TC interval of its arrival, and a sequence number comes
-        back only after 2**16 TC intervals (see run()).
-        """
-        if at < self._stretch_from:
-            return
-        for peer, _ in self._out_links[rt.node]:
-            if peer.owed_from is not None and at - peer.aged_at >= DUP_HOLD_MS:
-                peer.topo.expire_topology(at)
-                peer.aged_at = at
 
     def _on_ctl(self, now: int, rt: _NodeRuntime, pkt: ControlPacket) -> None:
         self._unsteady_at = now
@@ -925,8 +1026,9 @@ class Simulator:
             if wake > now:
                 self._schedule_tick(rt, wake)
                 return
-        if rt.owed_from is not None and rt.owed_from <= now:
-            self._pay(rt, now)   # its HELLO of this ms came first
+        if rt.owed_from is not None:
+            # Its HELLO of this ms, and the TC times passed, came first.
+            self._pay(rt, now)
         bank = rt.bank
         retry = False
         for kind, msg, next_hop, _, data in bank.forward_tick():
@@ -1005,9 +1107,9 @@ class Simulator:
                                         (spec, rt, i + 1, seq + 1)))
         if now >= rt.dies_at:
             return
-        if rt.owed_from is not None and rt.owed_from < now:
-            # Every owed HELLO before now drew ahead of this inject; one at
-            # now comes after it, since inject sequence numbers are
+        if rt.owed_from is not None:
+            # Every owed HELLO and TC before now drew ahead of this inject;
+            # one at now comes after it, since inject sequence numbers are
             # reserved when the run starts.
             self._pay(rt, now - 1)
         priority = self._draw_priority(rt, spec.priority, i)

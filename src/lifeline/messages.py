@@ -244,7 +244,16 @@ def decode_message(data: bytes) -> EmergencyMessage:
             int(created_at))
     except ValueError:  # more digits than int() converts
         raise MalformedDocument("integer field too long") from None
-    msg.validate()
+    # The grammar has no sign, so hop_count, created_at and every lower
+    # bound hold; these are the checks of validate() it leaves, in order.
+    if msg.msg_id >= 1 << 64:
+        raise InvariantViolation(f"msg_id out of range: {msg.msg_id}")
+    if msg.priority >= PRIORITY_LEVELS:
+        raise InvariantViolation(f"priority out of range: {msg.priority}")
+    if not 1 <= len(payload) <= MAX_PAYLOAD_BYTES:
+        raise InvariantViolation(f"payload length out of range: {len(payload)}")
+    if msg.sender_load > 100:
+        raise InvariantViolation(f"sender_load out of range: {msg.sender_load}")
     return msg
 
 

@@ -393,6 +393,32 @@ class TopologyState:
             self._topology_due = due
         return True
 
+    def refresh_tc_owed(self, origin: NodeId, keys: list[tuple[int, int]]
+                        ) -> None:
+        """Stamp origin's topology entry and record duplicate-set keys as a
+        run of TCs from origin that each only refresh the entry would; keys
+        holds the (sequence, arrival) of the run's latest TCs, in order.
+
+        This is the lazy form of calling refresh_tc for every TC of the
+        run: each would restamp the entry to its own arrival plus the
+        topology hold and record its key as of its arrival, so the last
+        one decides the entry.  The caller guarantees that refresh_tc
+        would accept every TC of the run, passes every one whose key an
+        expire_topology at the run's last expiry time would keep, and then
+        calls it at that time: keys only age out oldest first and arrive in
+        order, so the set then holds what the run's own refreshes and
+        expiries would have left.
+        """
+        sequence, at = keys[-1]
+        _, advertised, _ = self.topology[origin]
+        expiry = at + self.topology_hold_ms
+        self.topology[origin] = (sequence, advertised, expiry)
+        seen = self.seen_tc
+        for sequence, arrived in keys:
+            seen[origin, sequence] = arrived
+        self._topology_due = min(self._topology_due,
+                                 keys[0][1] + DUP_HOLD_MS, expiry)
+
     # -- routing ----------------------------------------------------------
 
     def known_graph(self) -> dict[NodeId, set[NodeId]]:

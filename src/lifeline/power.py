@@ -79,8 +79,8 @@ class BatteryModel:
     role, and changes nothing.  `dies_at` is the first whole ms at which
     the level is empty, given no more discrete charges: the time of the
     charge that emptied it, or where continuous drain gets there
-    (`math.inf` if nothing drains between charges or that lies past the
-    largest float).
+    (`math.inf` if nothing drains between charges, that lies past the
+    largest float, or past the time a `drain` was told to look up to).
     """
 
     capacity: float
@@ -177,13 +177,20 @@ class BatteryModel:
         self._role, self._role_at = role, now
         return self._settle(now, None)
 
-    def drain(self, activity: Activity, now: int) -> float:
+    def drain(self, activity: Activity, now: int,
+              until: float = math.inf) -> float:
         """Pay for one forward or control packet at now; return the death
-        time, which is now if this charge emptied the battery.  Raises
-        BatteryDead for a battery that was already empty."""
+        time, which is now if this charge emptied the battery.  A death
+        after until is not searched for: dies_at is then math.inf, which
+        reads the same at every time up to until.  Raises BatteryDead for a
+        battery that was already empty."""
         if now >= self.dies_at:
             raise BatteryDead("battery already exhausted")
         self.charges[activity] += 1
+        if until < math.inf and self._level(until) > self._floor:
+            # The level never rises with time, so the death lies past until.
+            self.dies_at = math.inf
+            return self.dies_at
         return self._settle(now, activity)
 
     def _settle(self, now: int, cause: Optional[Activity]) -> float:

@@ -1,5 +1,6 @@
 """Property tests of the message codec: totality, canonicity and splicing."""
 
+import binascii
 import dataclasses
 import re
 
@@ -94,6 +95,60 @@ def test_round_trip(msg):
 def held(hop_count: int, priority: int = 2) -> EmergencyMessage:
     return EmergencyMessage(7, NodeId(1), NodeId(2), priority, b"x", 0,
                             hop_count, 0)
+
+
+# Messages whose fields the grammar matches, drawn on both sides of each
+# bound validate() checks that the grammar does not: a msg_id of 2**64
+# or more, a priority of PRIORITY_LEVELS or more, an empty or too long
+# payload, a sender_load over 100.
+grammar_messages = st.builds(
+    EmergencyMessage,
+    msg_id=st.one_of(digit_boundaries(1 << 64),
+                     st.integers(1 << 64, 1 << 70)),
+    src=node_ids,
+    dst=node_ids,
+    priority=st.integers(0, 3 * PRIORITY_LEVELS),
+    payload=st.binary(max_size=MAX_PAYLOAD_BYTES + 20),
+    sender_load=st.integers(0, 300),
+    hop_count=digit_boundaries(10 ** 40),
+    created_at=digit_boundaries(10 ** 40),
+)
+
+
+def document(msg: EmergencyMessage) -> bytes:
+    """msg in the canonical layout, with no check of its fields."""
+    return (codec._TEMPLATE % (
+        msg.msg_id, msg.src, msg.dst, msg.priority,
+        binascii.b2a_base64(msg.payload, newline=False).decode("ascii"),
+        msg.sender_load, msg.hop_count, msg.created_at)).encode("ascii")
+
+
+@CODEC_SETTINGS
+@given(grammar_messages)
+@example(dataclasses.replace(held(0), msg_id=1 << 64))
+@example(dataclasses.replace(held(0), msg_id=(1 << 64) - 1))
+@example(dataclasses.replace(held(0), priority=PRIORITY_LEVELS))
+@example(dataclasses.replace(held(0), payload=b""))
+@example(dataclasses.replace(held(0), payload=bytes(MAX_PAYLOAD_BYTES + 1)))
+@example(dataclasses.replace(held(0), payload=bytes(MAX_PAYLOAD_BYTES)))
+@example(dataclasses.replace(held(0), sender_load=101))
+@example(dataclasses.replace(held(0), sender_load=100))
+@example(dataclasses.replace(held(0), msg_id=1 << 64, priority=9,
+                             payload=b"", sender_load=101))
+def test_decode_raises_exactly_when_validate_would(msg):
+    # Decode checks only the bounds the grammar leaves; on every document
+    # the grammar matches it must raise what validate() raises, first
+    # failing check first, and otherwise give the message back.
+    data = document(msg)
+    assert codec._DOCUMENT.fullmatch(data) is not None
+    try:
+        msg.validate()
+    except InvariantViolation as error:
+        with pytest.raises(InvariantViolation) as raised:
+            decode_message(data)
+        assert str(raised.value) == str(error)
+    else:
+        assert decode_message(data) == msg
 
 
 @CODEC_SETTINGS

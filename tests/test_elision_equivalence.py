@@ -12,10 +12,15 @@ options 2-6 may be on, and the traffic comes from leaves.  Each example
 must give equal bytes with `Simulator.elisions` on and off, conserve
 messages, validate against the metrics schema and give equal bytes on a
 rerun.  It must also dispatch only events the all-events run
-dispatches, in the same order, and end with the same stream positions
-and topology state once what it owes is paid.  One long run with a 7 ms
-TC interval wraps the 16-bit TC sequence while the network is in a
-stretch.
+dispatches, in the same order, and end with the same stream positions,
+TC sequence numbers and topology state, duplicate sets included, once
+what it owes is paid.  Stretching stars draw TC intervals above and
+below the HELLO interval and under the retry tick, many of whose TC
+times share an ms with a HELLO time.  One long run with a 7 ms TC
+interval wraps the 16-bit TC sequence among a stretch's owed TCs; pinned
+stars end a stretch with a death between two HELLO times, with a hub's
+death between two TC times and with a death on a TC time, and forward
+between owed TC times.
 """
 
 import json
@@ -23,7 +28,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lifeline.engine import Simulator
+from lifeline.engine import FIRST_TC_MS, Simulator
 from lifeline.messages import NodeId
 from lifeline.metrics import validate_metrics_json
 from lifeline.olsr import SEQ_MOD
@@ -85,9 +90,14 @@ def scenarios(draw) -> Scenario:
     if steady:
         hello = draw(st.sampled_from((101, 250, 1_000)))
         # A TC timer queued more or less than a HELLO interval ahead runs
-        # before or after the HELLOs of its ms.
+        # before or after the HELLOs of its ms, and one under the retry
+        # tick after or before a retry tick.  With HELLOs every 250 ms or
+        # every second, most of these intervals put every second or fourth
+        # TC time on a HELLO time, so a stretch's end often resumes both in
+        # one ms.
         hold = 2 * hello + longest
-        tc = hello * draw(st.sampled_from((5, 1))) // 2
+        tc = max(longest + 1,
+                 hello * draw(st.sampled_from((10, 2, 6, 1))) // 4)
         topology_hold = 3 * tc
     else:
         hello = draw(st.sampled_from((longest, longest + 1, 100, 101, 250,
@@ -188,12 +198,13 @@ def final_state(sim: Simulator) -> dict:
     a neighbour that died before the last owed HELLO it pays."""
     end = sim.scenario.duration_ms
     if sim._end_at is not None:
+        sim._passing(end + 1, 0)   # the TC times after the last event
         sim._end_stretch(end)
     for rt in sim.nodes.values():
         if rt.owed_from is not None:
             sim._pay(rt, end)
     return {str(node): (
-        rt.rng.tell(),
+        rt.rng.tell(), rt.tc_seq,
         sorted((str(n), r.status.value, r.expiry)
                for n, r in rt.topo.links.items()),
         sorted((str(o), seq, expiry)
@@ -237,9 +248,9 @@ def test_a_wrapping_tc_sequence_in_a_stretch_matches_the_all_events_path():
     # A hub between the station and two laptops sends a TC every 7 ms, so
     # its sequence wraps about 459 s in; HELLOs every 200 ms only refresh
     # once the star has formed, so the network spends the wrap in one
-    # stretch.  A laptop's messages to the station need the hub's
-    # topology entry, which a wrapped TC taken for a duplicate would let
-    # lapse.
+    # stretch, whose TCs are owed rather than sent.  A laptop's messages to
+    # the station need the hub's topology entry, which a wrapped TC taken
+    # for a duplicate would let lapse.
     hub = NodeId.parse("10.0.0.1")
     laptops = [NodeId.parse("10.0.2.1"), NodeId.parse("10.0.2.2")]
     tc = 7
@@ -266,15 +277,26 @@ def test_a_wrapping_tc_sequence_in_a_stretch_matches_the_all_events_path():
         return entered
 
     sim._enter_stretch = counted
+    tc_events = []
+    on_tc = sim._on_tc
+    sim._on_tc = lambda now, rt: tc_events.append(now) or on_tc(now, rt)
     metrics = sim.run()
     assert any(stretches)
     assert len(metrics.deliveries) == 100
-    assert max(rt.tc_seq for rt in sim.nodes.values()) < 5_000  # it wrapped
-    # A leaf that aged its duplicate set too little takes a wrapped TC for
-    # one it has seen.
+    # The hub's timer stopped at its first TC time in the stretch, half a
+    # second after its first TC; its 67,000 later TCs, the wrap among
+    # them, were owed.
+    assert len(tc_events) < 100 and max(tc_events) < 3_500
+    state = final_state(sim)
+    assert max(seq for _, seq, *_ in state.values()) < 5_000
+    # A TC whose key its leaf had not aged out is taken for a duplicate.
     assert all(rt.topo.duplicate_tc_dropped == 0 for rt in sim.nodes.values())
     assert metrics.conservation_ok
     assert traced_run(scenario, frozenset())[0] == metrics.to_json()
+    unstretched, _, unstretched_state = traced_run(
+        scenario, Simulator.elisions - {"stretch"})
+    assert unstretched == metrics.to_json()
+    assert state == unstretched_state
 
 
 def test_a_death_between_hello_times_resumes_the_hellos_in_place():
@@ -316,4 +338,108 @@ def test_a_death_between_hello_times_resumes_the_hellos_in_place():
             hold_time_ms=2_006, tc_interval_ms=500, topology_hold_ms=1_500),
         seed=739, duration_ms=115_000)
     scenario.validate()
+    check(scenario)
+
+
+def test_a_hub_that_dies_between_two_tc_times_ends_its_owed_tcs_there():
+    # A phone hub relays a laptop's messages to the station, sends a TC
+    # every 700 ms between HELLOs every second, and its forwards empty it
+    # 30,006 ms in, 206 ms after a TC time.  The stretch its TCs were owed
+    # in ends there: its leaves keep the entry and keys of its last owed
+    # TC, and no TC timer of a dead hub resumes.
+    hub = NodeId.parse("10.0.1.1")
+    nodes = [NodeSpec(STATION, "station"),
+             NodeSpec(hub, "phone",
+                      battery_capacity=85_000 / IDLE_LIFETIME_MS)]
+    links = [LinkSpec(STATION, hub, 1.5)]
+    for address, kind, distance in (("10.0.2.1", "laptop", 1.2),
+                                    ("10.0.0.1", "router", 3.5),
+                                    ("10.0.2.2", "laptop", 2.4)):
+        nodes.append(NodeSpec(NodeId.parse(address), kind))
+        links.append(LinkSpec(hub, NodeId.parse(address), distance))
+    scenario = Scenario(
+        name="hub-dies-between-tcs", nodes=nodes, links=links,
+        traffic=[TrafficSpec(NodeId.parse("10.0.2.1"), STATION, 20,
+                             interval_ms=2_500, start_ms=20_000,
+                             size=SizeSpec.uniform(10, 255),
+                             priority=PrioritySpec.uniform())],
+        policies=Policies(hello_interval_ms=1_000, hold_time_ms=2_010,
+                          tc_interval_ms=700, topology_hold_ms=2_100),
+        seed=11, duration_ms=120_000)
+    scenario.validate()
+    sim = Simulator(scenario)
+    ends = []
+    end_stretch = sim._end_stretch
+
+    def recorded(now):
+        ends.append((now, sim.nodes[hub].tc_owed_from))
+        end_stretch(now)
+
+    sim._end_stretch = recorded
+    sim.run()
+    dies_at = sim.nodes[hub].dies_at
+    assert (dies_at - FIRST_TC_MS) % 700 == 206
+    # The stretch ended at the death, the hub's TCs owed up to the TC time
+    # before it.
+    assert ends == [(dies_at, dies_at - 206 + 700)]
+    check(scenario)
+
+
+def test_forwards_between_owed_tc_times_pass_over_them():
+    # A hub between the station and two laptops sends a TC every 30 ms
+    # and forwards a laptop's message every 37 ms, while HELLOs come every
+    # second.  Once the star stretches, almost every forward's latency
+    # draw comes after some owed TCs and before the next HELLO time, so it
+    # must pass over exactly the TCs whose times the run has passed.
+    hub = NodeId.parse("10.0.0.1")
+    laptops = [NodeId.parse("10.0.2.1"), NodeId.parse("10.0.2.2")]
+    scenario = Scenario(
+        name="busy-hub",
+        nodes=[NodeSpec(STATION, "station"), NodeSpec(hub, "router")]
+        + [NodeSpec(node, "laptop") for node in laptops],
+        links=[LinkSpec(STATION, hub, 2.0)]
+        + [LinkSpec(hub, node, 3.0) for node in laptops],
+        traffic=[TrafficSpec(laptops[0], STATION, 300, interval_ms=37,
+                             start_ms=4_000, size=SizeSpec.uniform(10, 255),
+                             priority=PrioritySpec.uniform())],
+        policies=Policies(hello_interval_ms=1_000, hold_time_ms=2_100,
+                          tc_interval_ms=30, topology_hold_ms=100),
+        seed=5, duration_ms=20_000)
+    scenario.validate()
+    check(scenario)
+
+
+def test_a_stretch_end_on_a_tc_time_runs_after_that_tc():
+    # A leaf phone dies 10,201 ms in, on a HELLO time (every 101 ms) and a
+    # TC time (2.5 s plus every 151 ms) with no event since the TC time
+    # before: the stretch's end, queued to run last in its ms, must come
+    # after that ms's owed TC, whose key and entry the leaves then hold.
+    hub = NodeId.parse("10.0.1.1")
+    nodes = [NodeSpec(STATION, "station"), NodeSpec(hub, "phone")]
+    links = [LinkSpec(STATION, hub, 3.92)]
+    for address, capacity, distance in (
+            ("10.0.1.2", None, 1.0), ("10.0.0.1", None, 3.79),
+            ("10.0.1.6", 10_201 / IDLE_LIFETIME_MS, 3.44),
+            ("10.0.1.7", None, 2.76)):
+        node = NodeId.parse(address)
+        nodes.append(NodeSpec(node, "router" if address.startswith("10.0.0")
+                              else "phone", battery_capacity=capacity))
+        links.append(LinkSpec(hub, node, distance))
+    scenario = Scenario(
+        name="end-on-a-tc-time", nodes=nodes, links=links,
+        traffic=[TrafficSpec(NodeId.parse("10.0.1.2"),
+                             NodeId.parse("10.0.0.1"), 5, interval_ms=989,
+                             start_ms=303, size=SizeSpec.uniform(10, 255),
+                             priority=PrioritySpec.uniform())],
+        policies=Policies(handoff_threshold_pct=0.0, hello_interval_ms=101,
+                          hold_time_ms=208, tc_interval_ms=151,
+                          topology_hold_ms=453),
+        seed=2, duration_ms=12_000)
+    scenario.validate()
+    sim = Simulator(scenario)
+    ends = []
+    end_stretch = sim._end_stretch
+    sim._end_stretch = lambda now: ends.append(now) or end_stretch(now)
+    sim.run()
+    assert ends[0] == 10_201 == FIRST_TC_MS + 51 * 151
     check(scenario)

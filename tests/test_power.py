@@ -331,6 +331,40 @@ def test_horizon_is_the_death_and_crossing_after_extra_forwards(
     assert crossing == now or paying.percent(crossing - 1) >= pct
 
 
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(capacity=st.floats(1e-6, 4e-5), message=st.floats(0.0, 0.5),
+       duty=st.none() | st.tuples(st.floats(0.1, 1.0), st.integers(1, 1_000)),
+       charges=st.lists(st.tuples(st.integers(0, 4_000),
+                                  st.sampled_from([FORWARD, CONTROL])),
+                        max_size=8),
+       until=st.integers(0, 8_000))
+def test_a_drain_told_its_horizon_reads_the_same_up_to_it(
+        capacity, message, duty, charges, until):
+    # A drain that need not look past until gives the exact death when it
+    # comes by then and math.inf otherwise, and every read up to until is
+    # the exact battery's.
+    base = fitted()
+    exact = BatteryModel(capacity, base.drain_idle, base.drain_screen_extra,
+                         energy_per_message=message * capacity,
+                         energy_per_control=message * capacity)
+    lazy = replace(exact)
+    if duty is not None:
+        role = RoleAssignment(Role.INNER, duty[0], window_ms=duty[1])
+        exact.set_role(role, 0)
+        lazy.set_role(role, 0)
+    for t, activity in sorted((c for c in charges if c[0] <= until),
+                              key=lambda c: c[0]):
+        if t >= exact.dies_at:
+            break
+        exact.drain(activity, t)
+        lazy.drain(activity, t, until)
+        assert lazy.dies_at == (exact.dies_at if exact.dies_at <= until
+                                else math.inf)
+        assert lazy.percent(until) == exact.percent(until)
+        assert lazy.ledger(until) == exact.ledger(until)
+
+
 # --- roles ------------------------------------------------------------------------
 
 def nid(n):

@@ -1,9 +1,11 @@
 """The statements of the simulation modules that no pinned run reaches.
 
 One traced pass runs setups A-G at REACH_MESSAGES messages each, every
-golden corpus seed, both low-battery handoff scenarios and the 16 h relay
+golden corpus seed, both low-battery handoff scenarios, the 16 h relay
 run (seed 1), whose relay spends many budgets of forwards in one stretch,
-under `sys.settrace`, and records the lines of `engine.py`,
+and the duty-cycle grid on a fortieth of its batteries for 10 min, whose
+dozing corners pay charges that empty them inside the run, under
+`sys.settrace`, and records the lines of `engine.py`,
 `forwarding.py`, `backup.py`, `olsr.py` and `power.py` that ran.  Each line belongs to the innermost statement
 that holds it; a compound statement also counts as run when any
 statement inside it ran.  A function none of whose statements ran is
@@ -23,13 +25,19 @@ from __future__ import annotations
 
 import ast
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from lifeline import backup, engine, forwarding, olsr, power
 from lifeline.engine import run
-from lifeline.scenario import SETUP_IDS, build_battery_scenario, build_setup
+from lifeline.scenario import (
+    SETUP_IDS,
+    build_battery_scenario,
+    build_duty_cycle_scenario,
+    build_setup,
+)
 
 from test_engine import handoff_scenario
 from test_golden_corpus import CORPUS_SEEDS, corpus_scenario
@@ -39,7 +47,6 @@ MODULES = {"engine": engine, "forwarding": forwarding, "backup": backup,
            "olsr": olsr, "power": power}
 
 _OVERFLOW = "no traced run fills a bank's 2 MiB budget; gateway-surge does"
-_DEATH = "no traced battery runs out at this point of a handler"
 _STORE_FILE = "runs use in-memory backup stores; a log file is CLI and test use"
 _READBACK = "log readback is for `dump-log` and restarts, which no run does"
 _OPTION_CHECK = "Scenario.validate rejects a bad option before it is built"
@@ -63,12 +70,8 @@ ALLOWED = {
         "a draw needs rejection with odds span/2**32, under 1 in 10**7 here",
     ("engine._Draws.integers", "while m & mask < threshold:"):
         "a draw needs rejection with odds span/2**32, under 1 in 10**7 here",
-    ("engine.Simulator._broadcast", "return"): _DEATH,
-    ("engine.Simulator._on_ctl", "return #2"): _DEATH,
     ("engine.Simulator._on_tick", "return"):
         "no traced node dies with a forward tick queued",
-    ("engine.Simulator._stamp", "return"):
-        "no traced stretch ends before its first owed HELLO",
     ("engine.Simulator._on_scan", "return"):
         "no traced scan is scheduled for a node that dies first",
     ("engine.Simulator._on_msg", "self.metrics.ignored += 1"):
@@ -345,6 +348,11 @@ def _pinned_scenarios():
     yield handoff_scenario(station=True)
     yield handoff_scenario(station=False)
     yield build_battery_scenario("10s", seed=1)
+    grid = build_duty_cycle_scenario(True)
+    yield replace(grid, duration_ms=600_000, nodes=[
+        spec if spec.battery_capacity is None
+        else replace(spec, battery_capacity=spec.battery_capacity / 40)
+        for spec in grid.nodes])
 
 
 def trace_pinned_runs() -> dict[str, set[int]]:
