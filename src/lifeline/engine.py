@@ -376,6 +376,7 @@ class Simulator:
         self._decided = (None, False)
         self._members: list[_NodeRuntime] = []
         self._end_at: Optional[float] = None
+        self._end_event: Optional[tuple] = None
         self._tc_ran_to = 0
         self._tc_due: Optional[tuple[int, int]] = None
         # The run loop calls _passing at its first event from _mark on:
@@ -673,8 +674,10 @@ class Simulator:
         change nothing from now on: its stretch never ends.
 
         So they cannot once rt has no duty-cycle role and can no longer get
-        one, its static neighbours are all dead, and its topology state
-        holds nothing and is not dirty: no packet can reach it, it has no
+        one, its static neighbours have all been dead for as long as a
+        control packet takes to arrive (at least the 1 ms a 0 m link takes),
+        and its topology state holds nothing and is not dirty: no packet
+        can reach it, it has no
         MPR selector to send a TC for, and each HELLO would only draw one
         jitter word per neighbour, which _on_inject passes over before its
         first draw (_pay).  No other handler draws from a quiet node's
@@ -687,7 +690,8 @@ class Simulator:
                      or not self.policies.duty_cycle_enabled)
                 and not (topo.links or topo.topology or topo.seen_tc
                          or topo.dirty)
-                and all(now >= peer.dies_at for peer, _ in self._out_links[rt.node]))
+                and all(now - peer.dies_at >= max(1, self._longest)
+                        for peer, _ in self._out_links[rt.node]))
 
     # -- stretches ---------------------------------------------------------------
 
@@ -775,12 +779,22 @@ class Simulator:
 
     def _arm(self, end: float) -> None:
         """Queue the stretch's end at ms end, after every other event of
-        that ms; one past the run is not queued.  It is a HELLO event with
-        no node: it stands in for the HELLOs the stretch owes."""
+        that ms, in place of any end queued before; one past the run is
+        not queued.  It is a HELLO event with no node: it stands in for the
+        HELLOs the stretch owes."""
+        self._disarm()
         self._end_at = end
         if end <= self.scenario.duration_ms:
-            heapq.heappush(self._heap, (end, _LAST_IN_MS + next(self._seq),
-                                        self._do_hello, (None,)))
+            self._end_event = (end, _LAST_IN_MS + next(self._seq),
+                               self._do_hello, (None,))
+            heapq.heappush(self._heap, self._end_event)
+
+    def _disarm(self) -> None:
+        """Take the stretch's queued end, if any, off the heap."""
+        if self._end_event is not None:
+            self._heap.remove(self._end_event)
+            heapq.heapify(self._heap)
+            self._end_event = None
 
     def _rearm(self, rt: _NodeRuntime, now: int) -> None:
         """A forward spent battery node rt's budget: budget again, and end
@@ -798,8 +812,7 @@ class Simulator:
         """The stretch's armed end, after every other event of ms now:
         budget again, and end the stretch if a death or a handoff crossing
         still comes by the next ms."""
-        if now != self._end_at:
-            return   # brought forward since
+        self._end_event = None
         end = min((self._horizon(rt, now) if now < rt.dies_at else rt.dies_at
                    for rt in self._members if rt.battery is not None),
                   default=math.inf)
@@ -836,6 +849,7 @@ class Simulator:
             rt.armed_death = -math.inf
             if now < rt.dies_at:
                 rt.topo.expire_topology(last)
+        self._disarm()
         self._members, self._end_at, self._tc_due = [], None, None
 
     def _resume(self, stopped: list, at: int, seq: int, handler,

@@ -443,3 +443,32 @@ def test_a_stretch_end_on_a_tc_time_runs_after_that_tc():
     sim.run()
     assert ends[0] == 10_201 == FIRST_TC_MS + 51 * 151
     check(scenario)
+
+
+def test_a_node_falls_quiet_only_once_no_packet_can_reach_it():
+    # A router whose only neighbour is a leaf phone of a station's star,
+    # over 0 m links and with every timer 1 ms.  The phone dies about
+    # 15 ms in, and a HELLO it sent the ms before still arrives 1 ms
+    # later and makes the router's link again.  Were the router quiet
+    # before that arrival, it would never expire the link and end the run
+    # holding it, which the run without stretches does not.
+    phone, router = NodeId.parse("10.0.1.3"), NodeId.parse("10.0.0.6")
+    leaves = [NodeId.parse(f"10.0.0.{i}") for i in range(1, 6)] + [
+        NodeId.parse(f"10.0.1.{i}") for i in range(1, 4)]
+    nodes = [NodeSpec(STATION, "station")] + [
+        NodeSpec(node, "phone" if node.address >> 8 & 0xFF else "router",
+                 battery_capacity=2.7777777777777776e-07 if node == phone
+                 else None)
+        for node in leaves] + [NodeSpec(router, "router")]
+    scenario = Scenario(
+        name="quiet-after-arrival", nodes=nodes,
+        links=[LinkSpec(STATION, node, 0.0) for node in leaves]
+        + [LinkSpec(phone, router, 0.0)],
+        traffic=[TrafficSpec(leaves[0], STATION, 5, interval_ms=2,
+                             start_ms=3)],
+        policies=Policies(hello_interval_ms=1, tc_interval_ms=1,
+                          hold_time_ms=1, topology_hold_ms=1,
+                          wake_window_ms=1),
+        seed=0, duration_ms=30)
+    scenario.validate()
+    check(scenario)
