@@ -200,33 +200,39 @@ _BASE_BATTERY = calibrate(list(CALIBRATION_POINTS))
 # Raw 64-bit Philox outputs fetched at a time by a node's draws; a
 # multiple of the four a Philox counter step gives.
 DRAW_BLOCK = 256
-
-
-def _before(first: int, step: int, count: int, at: int, ties: bool) -> int:
-    """How many of the count times first, first + step, ... come before
-    time at, one at at itself counting when ties."""
-    return max(0, min(count, ((at if ties else at - 1) - first) // step + 1))
+# A node's streams by purpose, keyed by (run seed, address | purpose):
+# HELLO jitter and the jitter of the TCs the node originates each have
+# their own; everything else (the message plane and relayed TCs) draws
+# from the one keyed by the address alone.
+_HELLO_STREAM = 1 << 32
+_TC_STREAM = 2 << 32
 
 
 class _Draws:
-    """A node's random draws: what np.random.Generator(Philox(key)) returns.
+    """One random stream: what np.random.Generator(Philox(key)) returns.
 
     A scalar Generator call costs several microseconds; these read raw
-    Philox words from blocks fetched lazily (none at construction) and
-    apply numpy's own transforms, so every value and the stream's
-    position match the Generator's exactly.
+    Philox words from blocks fetched lazily and apply numpy's own
+    transforms, so every value and the stream's position match the
+    Generator's exactly.  Nothing is built before the first draw, not
+    even the Philox: a run builds only the streams it draws from.
     """
 
     __slots__ = ("_key", "_bits", "_words", "_spare", "_end")
 
-    def __init__(self, key: np.ndarray):
+    def __init__(self, key):
         self._key = key
-        self._bits = np.random.Philox(key=key)
+        self._bits: Optional[np.random.Philox] = None
         self._words: list[int] = []   # unread raw words, next one last
         self._spare: Optional[int] = None   # high half of a split word
         self._end = 0   # the stream position just past the fetched words
 
     def _refill(self) -> list[int]:
+        if self._bits is None:
+            # Philox is counter-based: a word's counter is its position
+            # over four, and _end is always a whole counter.
+            self._bits = np.random.Philox(key=self._key,
+                                          counter=self._end // 4)
         self._words = self._bits.random_raw(DRAW_BLOCK).tolist()[::-1]
         self._end += DRAW_BLOCK
         return self._words
@@ -268,17 +274,11 @@ class _Draws:
 
     def skip(self, n: int) -> None:
         """Pass over n words, as n random() calls would; a pending high
-        half stays pending, as it does in the Generator."""
-        words = self._words
-        if n > len(words):
-            n -= len(words)
-            # Blocks are whole Philox counters (four words each), so every
-            # fetch leaves the counter where advance() steps four words.
-            self._bits.advance(n // 4)
-            self._end += n // 4 * 4
-            words = self._refill()
-            n %= 4
-        del words[len(words) - n:]
+        half stays pending, as it does in the Generator.  The Philox is
+        built again at the counter of the word the stream then stands at."""
+        at = self.tell() + n
+        self._bits, self._end = None, at - at % 4
+        del self._refill()[DRAW_BLOCK - at % 4:]
 
     def integers(self, lo: int, hi: int) -> int:
         """Generator.integers(lo, hi): Lemire's bounded draw on [lo, hi)."""
@@ -310,28 +310,20 @@ class _NodeRuntime:
     bank: PriorityQueueBank
     store: BackupStore
     boot: BootController
+    # The node's streams (see _HELLO_STREAM): the message plane's and
+    # relayed TCs', its HELLOs' and its own TCs'.
     rng: _Draws
+    hello_rng: _Draws
+    tc_rng: _Draws
     battery: Optional[BatteryModel]
     role: Optional[RoleAssignment] = None
     # Fewer than two static neighbours: the node never relays a TC.
     leaf: bool = False
     # The node is dead from this ms on: its battery's death time.
     dies_at: float = math.inf
-    # Set while the node is in a stretch (see _enter_stretch and _quiet):
-    # the time of the first HELLO it has not sent and whose jitter words
-    # its stream still owes.
-    owed_from: Optional[int] = None
-    # The node's stretch never ends (see _quiet).
-    quiet: bool = False
-    # In a stretch: the time of the last owed HELLO passed over and the
-    # stream position of its words.
-    last_owed: Optional[tuple] = None
-    # In a stretch, once its TC timer has stopped (see _on_tc): the time of
-    # the first TC whose words its stream still owes; and the time, stream
-    # position and sequence number of the latest owed TCs passed over, as
-    # many as _stamp needs.
-    tc_owed_from: Optional[int] = None
-    owed_tcs: list = field(default_factory=list)
+    # Set once the node is quiet, its stretch never ending (see _quiet):
+    # the time of the first HELLO it does not send.
+    quiet: Optional[int] = None
     # A battery node in a stretch: the death time its budgeted forwards
     # leave (see _horizon); a forward that moves dies_at to or before it
     # has spent the budget.
@@ -368,16 +360,20 @@ class Simulator:
         self._recv_draws: dict[int, float] = {}
         # The stretch (see _enter_stretch): the last time something that a
         # stretch rules out happened, the HELLO time last decided on and
-        # its decision, and while one is on, its nodes and the time its
-        # armed end is due at; once its TC timers have stopped, the last
-        # TC time passed, and the next one with the sequence number its
-        # timers would have been queued under (see _passing).
+        # its decision, and while one is on, its nodes, the time of the
+        # first HELLO they owe, and the time its armed end is due at and
+        # its queued event; once its TC timers have stopped, the stopped
+        # nodes, the first TC time they owe, and the next TC time with the
+        # sequence number its timers would have been queued under (see
+        # _passing).
         self._unsteady_at = 0
         self._decided = (None, False)
         self._members: list[_NodeRuntime] = []
+        self._hello_from = 0
         self._end_at: Optional[float] = None
         self._end_event: Optional[tuple] = None
-        self._tc_ran_to = 0
+        self._tc_stopped: list[_NodeRuntime] = []
+        self._tc_from = 0
         self._tc_due: Optional[tuple[int, int]] = None
         # The run loop calls _passing at its first event from _mark on:
         # the next HELLO time (_hello_due), or the next owed TC time.
@@ -411,6 +407,7 @@ class Simulator:
         self._estimates: dict[int, dict] = {}
 
         self.nodes: dict[NodeId, _NodeRuntime] = {}
+        seed = self.seed % (1 << 64)
         for spec in sorted(scenario.nodes, key=lambda s: s.node.address):
             battery = None
             if spec.battery_capacity is not None:
@@ -418,8 +415,7 @@ class Simulator:
                     _BASE_BATTERY, capacity=spec.battery_capacity,
                     energy_per_control=self.policies.energy_per_control,
                     screen_on=spec.screen_on)
-            key = np.array([self.seed % (1 << 64), spec.node.address],
-                           dtype=np.uint64)
+            address = spec.node.address
             self.nodes[spec.node] = _NodeRuntime(
                 spec=spec,
                 node=spec.node,
@@ -429,7 +425,9 @@ class Simulator:
                 bank=PriorityQueueBank(spec.node),
                 store=BackupStore(),
                 boot=BootController(),
-                rng=_Draws(key),
+                rng=_Draws([seed, address]),
+                hello_rng=_Draws([seed, address | _HELLO_STREAM]),
+                tc_rng=_Draws([seed, address | _TC_STREAM]),
                 battery=battery,
                 dies_at=math.inf if battery is None else battery.dies_at,
             )
@@ -603,7 +601,6 @@ class Simulator:
             if hello and ran >= t - t % interval:
                 self._slot_seq = next(self._seq)
                 hello = False
-            self._tc_ran_to = ran
             tc = self._tc_due = (ran + step, next(self._seq))
         if hello:
             self._slot_seq = next(self._seq)
@@ -613,16 +610,16 @@ class Simulator:
     # -- control plane -----------------------------------------------------------
 
     def _broadcast(self, rt: _NodeRuntime, pkt: ControlPacket, now: int,
-                   at_send: bool = False) -> None:
-        """Send pkt to every neighbour.  With at_send, pkt is a HELLO or
-        rt's own TC, and a neighbour it would only refresh (any for a
-        HELLO, a leaf for a TC) is refreshed now, as of its arrival,
-        rather than by an event."""
+                   rng: _Draws, at_send: bool = False) -> None:
+        """Send pkt to every neighbour, drawing its latencies from rng.
+        With at_send, pkt is a HELLO or rt's own TC, and a neighbour it
+        would only refresh (any for a HELLO, a leaf for a TC) is refreshed
+        now, as of its arrival, rather than by an event."""
         if self.policies.energy_per_control > 0:
             self._drain_event(rt, _CONTROL_PACKET, now)
             if now >= rt.dies_at:
                 return
-        uniform = rt.rng.uniform
+        uniform = rng.uniform
         heap, seq, on_ctl = self._heap, self._seq, self._do_ctl
         hello = pkt.kind is _HELLO
         for peer, base_latency_ms in self._out_links[rt.node]:
@@ -657,14 +654,14 @@ class Simulator:
                 routes = topo.compute_routes()
                 if rt.bank.set_routes(routes) and rt.bank.wants_tick:
                     self._schedule_tick(rt, now)
-            self._broadcast(rt, topo.make_hello(), now, self._refresh_at_send)
+            self._broadcast(rt, topo.make_hello(), now, rt.hello_rng,
+                            self._refresh_at_send)
             if rt.battery is not None:
                 self._check_handoff(rt, now)
             elif self._may_quiet and not topo.links and self._quiet(rt, now):
-                rt.owed_from, rt.quiet = now + interval, True
+                rt.quiet = now + interval
                 return
             if self._stretches and self._steady(now):
-                rt.owed_from = now + interval
                 return
         heapq.heappush(self._heap, (now + interval, next(self._seq),
                                     self._do_hello, (rt,)))
@@ -679,10 +676,8 @@ class Simulator:
         and its topology state holds nothing and is not dirty: no packet
         can reach it, it has no
         MPR selector to send a TC for, and each HELLO would only draw one
-        jitter word per neighbour, which _on_inject passes over before its
-        first draw (_pay).  No other handler draws from a quiet node's
-        stream: it has no route to transmit on and no battery to test
-        acceptance with.
+        jitter word per neighbour from its own HELLO stream, which nothing
+        else reads.
         """
         topo = rt.topo
         return (rt.role is None
@@ -732,7 +727,7 @@ class Simulator:
         tc_arrives_by = t + self.policies.tc_interval_ms + self._longest
         members = []
         for rt in self.nodes.values():
-            if t >= rt.dies_at or rt.quiet:
+            if t >= rt.dies_at or rt.quiet is not None:
                 continue
             topo = rt.topo
             if topo.dirty or any(t >= self.nodes[nb].dies_at
@@ -756,7 +751,7 @@ class Simulator:
                    if rt.battery is not None), default=math.inf)
         if end < t + interval:
             return False
-        self._members = members
+        self._members, self._hello_from = members, t + interval
         self._arm(end)
         return True
 
@@ -822,140 +817,122 @@ class Simulator:
             self._end_stretch(now)
 
     def _end_stretch(self, now: int) -> None:
-        """End the stretch at ms now: each node pays what it owes up to now,
-        and its HELLOs and stopped TC timer resume at their next times.
+        """End the stretch at ms now: restamp what each node's owed HELLOs
+        and TCs would have set, and resume its HELLOs and stopped TC timer
+        at their next times.
 
         The HELLOs of that time were queued, in the reference, by those of
         the last HELLO time, as one block in address order; nothing queued
         that ms lands on the next HELLO time but those HELLOs (see run()).
         So the resumed ones take sequence numbers just after _slot_seq,
         the first one taken in the ms of the last HELLO time, in address
-        order.  The TC timers resume as the block _tc_due stands for.
+        order.  The TC timers resume as the block _tc_due stands for.  A
+        member that fell quiet owes its HELLOs as a quiet node does.
         """
         interval = self.policies.hello_interval_ms
         last = now // interval * interval
-        members = self._members
+        members = [rt for rt in self._members if rt.quiet is None]
         for rt in members:
-            self._pay(rt, now)
-            self._stamp(rt)
-        self._resume(members, last + interval, self._slot_seq,
+            self._stamp_hellos(rt, now if now < rt.dies_at else rt.dies_at - 1)
+        for rt in self._tc_stopped:
+            self._stamp_tcs(rt)
+        self._resume(members, (last + interval, self._slot_seq),
                      self._do_hello, now)
         if self._tc_due is not None:
-            at, seq = self._tc_due
-            self._resume([rt for rt in members if rt.tc_owed_from is not None],
-                         at, seq, self._do_tc, now)
+            self._resume(self._tc_stopped, self._tc_due, self._do_tc, now)
         for rt in members:
-            rt.owed_from = rt.tc_owed_from = None
             rt.armed_death = -math.inf
             if now < rt.dies_at:
                 rt.topo.expire_topology(last)
         self._disarm()
-        self._members, self._end_at, self._tc_due = [], None, None
+        self._members, self._tc_stopped = [], []
+        self._end_at = self._tc_due = None
 
-    def _resume(self, stopped: list, at: int, seq: int, handler,
-                now: int) -> None:
-        """Queue the timers of the stopped nodes alive at now at time at, in
-        address order, just after sequence number seq."""
+    def _resume(self, stopped: list, due: tuple, handler, now: int) -> None:
+        """Queue the timers of the stopped nodes alive at now at the time
+        due holds, in address order, just after its sequence number."""
         for i, rt in enumerate(stopped, 1):
             if now < rt.dies_at:
-                heapq.heappush(self._heap, (at, seq + i / (len(stopped) + 1),
-                                            handler, (rt,)))
+                heapq.heappush(self._heap, (due[0], due[1] + i / (
+                    len(stopped) + 1), handler, (rt,)))
 
-    def _pay(self, rt: _NodeRuntime, upto: int) -> None:
-        """Pass over the words rt's stream owes, one latency jitter per
-        neighbour for each owed HELLO up to time upto and each owed TC up
-        to the last TC time passed (_passing), in the reference's order: at
-        a shared ms a TC timer queued more than a HELLO interval ahead ran
-        before that ms's HELLO, a nearer one after it.
+    def _owed(self, rt: _NodeRuntime, rng: _Draws, first: int, step: int,
+              last: int, keep: int) -> tuple[int, list]:
+        """The packets rt owes, one at each of the times first, first +
+        step, ... up to last, each drawing one latency jitter per
+        neighbour from rng: their count, and the latest keep of them as
+        (index, time, arrival at each neighbour).  Stands rng past them.
 
-        Note where the last owed HELLO's words start, and the time, words
-        and sequence number of the latest owed TCs: they set the stamps of
-        rt's links, topology entries and duplicate-set keys at its
-        neighbours, which nothing reads before the stretch ends (_stamp).
-        """
-        interval, step = (self.policies.hello_interval_ms,
-                          self.policies.tc_interval_ms)
-        dies_at, first, first_tc = rt.dies_at, rt.owed_from, rt.tc_owed_from
-        last = upto if upto < dies_at else dies_at - 1
-        hellos = (last - first) // interval + 1 if last >= first else 0
-        tcs = 0
-        if first_tc is not None and rt.topo.mpr_selectors:
-            last = (self._tc_ran_to if self._tc_ran_to < dies_at
-                    else dies_at - 1)
-            if last >= first_tc:
-                tcs = (last - first_tc) // step + 1
-        if not (hellos or tcs):
-            return
-        n, rng = len(self._out_links[rt.node]), rt.rng
-        start = rng.tell()
-        tc_first = step > interval
-        if hellos:
-            at = first + (hellos - 1) * interval
-            rt.owed_from = at + interval
-            rt.last_owed = (at, start + n * (hellos - 1 + (
-                tcs and _before(first_tc, step, tcs, at, tc_first))))
-        if tcs:
-            owed, seq, kept = rt.owed_tcs, rt.tc_seq, self._tc_kept
-            for j in range(max(0, tcs - kept), tcs):
-                at = first_tc + j * step
-                owed.append((at, start + n * (j + _before(
-                    first, interval, hellos, at, not tc_first)),
-                    (seq + j + 1) % SEQ_MOD))
-            del owed[:-kept]
-            rt.tc_seq = (seq + tcs) % SEQ_MOD
-            rt.tc_owed_from = first_tc + tcs * step
-        rng.skip((hellos + tcs) * n)
-
-    def _stamp(self, rt: _NodeRuntime) -> None:
-        """Restamp each live neighbour's link to rt as rt's last owed HELLO
-        would have (`TopologyState.refresh_owed`), and its topology entry
-        for rt and duplicate-set keys as rt's owed TCs would have
-        (`TopologyState.refresh_tc_owed`).  Philox is counter-based, so
-        those packets' words are read where they stand, and the words of
-        owed packets that set no stamp are never drawn."""
+        Packet k of a node with d neighbours draws words [k·d, (k+1)·d) of
+        its stream, and Philox is counter-based, so the kept packets' words
+        are read where they stand and the others' are never drawn."""
         out = self._out_links[rt.node]
-        if rt.last_owed is not None:
-            at, position = rt.last_owed
-            rt.last_owed = None
-            jitters = rt.rng.uniforms_at(position, len(out), -LATENCY_JITTER,
-                                         LATENCY_JITTER)
-            hello = rt.topo.make_hello()
-            for (peer, base_latency_ms), jitter in zip(out, jitters):
+        n, count = len(out), max(0, (last - first) // step + 1)
+        skipped = max(0, count - keep)
+        jitters = rng.uniforms_at(rng.tell() + skipped * n,
+                                  (count - skipped) * n,
+                                  -LATENCY_JITTER, LATENCY_JITTER)
+        rng.skip(count * n)
+        return count, [(j, first + j * step, [
+            first + j * step + max(1, round(base_latency_ms * (
+                1.0 + jitters[(j - skipped) * n + k])))
+            for k, (_, base_latency_ms) in enumerate(out)])
+            for j in range(skipped, count)]
+
+    def _stamp_hellos(self, rt: _NodeRuntime, last: int) -> None:
+        """Restamp each live neighbour's link to rt as rt's last HELLO owed
+        from _hello_from up to time last would have
+        (`TopologyState.refresh_owed`)."""
+        _, owed = self._owed(rt, rt.hello_rng, self._hello_from,
+                             self.policies.hello_interval_ms, last, 1)
+        hello = rt.topo.make_hello()
+        for _, at, arrivals in owed:
+            for (peer, _), arrival in zip(self._out_links[rt.node], arrivals):
                 if at < peer.dies_at:
-                    peer.topo.refresh_owed(hello, at + max(
-                        1, round(base_latency_ms * (1.0 + jitter))))
-        owed = rt.owed_tcs
-        if owed:
-            rt.owed_tcs = []
-            start = owed[0][1]
-            jitters = rt.rng.uniforms_at(start, owed[-1][1] + len(out) - start,
-                                         -LATENCY_JITTER, LATENCY_JITTER)
-            for k, (peer, base_latency_ms) in enumerate(out):
-                keys = [(seq, at + max(1, round(base_latency_ms * (
-                    1.0 + jitters[position - start + k]))))
-                    for at, position, seq in owed if at < peer.dies_at]
-                if keys:
-                    peer.topo.refresh_tc_owed(rt.node, keys)
+                    peer.topo.refresh_owed(hello, arrival)
+
+    def _stamp_tcs(self, rt: _NodeRuntime) -> None:
+        """Restamp each live leaf's topology entry for rt and its
+        duplicate-set keys as the TCs rt's stopped timer owes would have
+        (`TopologyState.refresh_tc_owed`), and move rt's TC sequence
+        number on past them.
+
+        They are one at each TC time from _tc_from up to the last one
+        passed (_passing) while rt lives, or none if it has no MPR selector
+        to send one for.  Only the latest _tc_kept can leave a key that the
+        end's expire_topology keeps."""
+        step = self.policies.tc_interval_ms
+        last = min(self._tc_due[0] - step, rt.dies_at - 1)
+        count, owed = self._owed(
+            rt, rt.tc_rng, self._tc_from, step,
+            last if rt.topo.mpr_selectors else -1, self._tc_kept)
+        seq = rt.tc_seq
+        for k, (peer, _) in enumerate(self._out_links[rt.node]):
+            keys = [((seq + j + 1) % SEQ_MOD, arrivals[k])
+                    for j, at, arrivals in owed if at < peer.dies_at]
+            if keys:
+                peer.topo.refresh_tc_owed(rt.node, keys)
+        rt.tc_seq = (seq + count) % SEQ_MOD
 
     def _on_tc(self, now: int, rt: _NodeRuntime) -> None:
-        if now >= rt.dies_at or rt.quiet:
+        if now >= rt.dies_at or rt.quiet is not None:
             return
         if self._end_at is not None:
             # In a stretch rt's TCs can only refresh its leaves' entries, so
-            # its timer stops and its stream owes them (_pay) until the end
-            # restamps the leaves (_stamp) and resumes it.  Its TC time's
-            # block stops with the first of it (see _passing).
-            rt.tc_owed_from = now
-            if self._tc_due is None:
-                step = self.policies.tc_interval_ms
-                self._tc_ran_to = now
-                self._tc_due = (now + step, next(self._seq))
-                self._mark = min(self._mark, now + step)
+            # its timer stops until the end restamps the leaves (_stamp_tcs)
+            # and resumes it.  Its TC time's block stops with the first of
+            # it (see _passing).
+            if not self._tc_stopped:
+                self._tc_from = now
+                self._tc_due = (now + self.policies.tc_interval_ms,
+                                next(self._seq))
+                self._mark = min(self._mark, self._tc_due[0])
+            self._tc_stopped.append(rt)
             return
         if ((rt.role is None or is_awake(rt.role, now))
                 and rt.topo.mpr_selectors):
             rt.tc_seq = (rt.tc_seq + 1) % SEQ_MOD
-            self._broadcast(rt, rt.topo.make_tc(rt.tc_seq), now,
+            self._broadcast(rt, rt.topo.make_tc(rt.tc_seq), now, rt.tc_rng,
                             self._tc_at_send)
         heapq.heappush(self._heap, (now + self.policies.tc_interval_ms,
                                     next(self._seq), self._do_tc, (rt,)))
@@ -972,7 +949,7 @@ class Simulator:
         if pkt.kind is _HELLO:
             rt.topo.process_hello(pkt, now)
         elif rt.topo.process_tc(pkt, now):
-            self._broadcast(rt, pkt.relayed_by(rt.node), now)
+            self._broadcast(rt, pkt.relayed_by(rt.node), now, rt.rng)
 
     # -- message plane -----------------------------------------------------------
 
@@ -1040,9 +1017,6 @@ class Simulator:
             if wake > now:
                 self._schedule_tick(rt, wake)
                 return
-        if rt.owed_from is not None:
-            # Its HELLO of this ms, and the TC times passed, came first.
-            self._pay(rt, now)
         bank = rt.bank
         retry = False
         for kind, msg, next_hop, _, data in bank.forward_tick():
@@ -1121,11 +1095,6 @@ class Simulator:
                                         (spec, rt, i + 1, seq + 1)))
         if now >= rt.dies_at:
             return
-        if rt.owed_from is not None:
-            # Every owed HELLO and TC before now drew ahead of this inject;
-            # one at now comes after it, since inject sequence numbers are
-            # reserved when the run starts.
-            self._pay(rt, now - 1)
         priority = self._draw_priority(rt, spec.priority, i)
         size = self._draw_size(rt, spec.size)
         msg = EmergencyMessage(

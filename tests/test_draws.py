@@ -105,10 +105,12 @@ def test_empty_span_is_rejected():
 
 
 def test_construction_fetches_no_block():
+    # Nor does it build the Philox: the first draw does, at the start.
     key = np.array([11, 12], dtype=np.uint64)
     draws = _Draws(key)
+    assert draws._bits is None and draws.tell() == 0
     fresh = np.random.Philox(key=key)
-    assert draws._bits.random_raw(3).tolist() == fresh.random_raw(3).tolist()
+    assert draws.random() == np.random.Generator(fresh).random()
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -192,19 +192,22 @@ def traced_run(scenario: Scenario,
 
 
 def final_state(sim: Simulator) -> dict:
-    """Each live node's stream position and topology state at the end of
-    the run, with what a stretch or a quiet node owes paid up to it.  A
+    """Each live node's stream positions and topology state at the end of
+    the run, with what a stretch or a quiet node owes settled up to it.  A
     dead node's state is never read again, so a stretch does not restamp
-    a neighbour that died before the last owed HELLO it pays."""
+    a neighbour that died before the last owed HELLO it settles."""
     end = sim.scenario.duration_ms
     if sim._end_at is not None:
         sim._passing(end + 1, 0)   # the TC times after the last event
         sim._end_stretch(end)
+    interval = sim.policies.hello_interval_ms
     for rt in sim.nodes.values():
-        if rt.owed_from is not None:
-            sim._pay(rt, end)
+        if rt.quiet is not None and end >= rt.quiet:
+            # Its HELLOs from rt.quiet on, each one word per neighbour.
+            rt.hello_rng.skip(((end - rt.quiet) // interval + 1)
+                              * len(sim._out_links[rt.node]))
     return {str(node): (
-        rt.rng.tell(), rt.tc_seq,
+        rt.rng.tell(), rt.hello_rng.tell(), rt.tc_rng.tell(), rt.tc_seq,
         sorted((str(n), r.status.value, r.expiry)
                for n, r in rt.topo.links.items()),
         sorted((str(o), seq, expiry)
@@ -288,7 +291,7 @@ def test_a_wrapping_tc_sequence_in_a_stretch_matches_the_all_events_path():
     # them, were owed.
     assert len(tc_events) < 100 and max(tc_events) < 3_500
     state = final_state(sim)
-    assert max(seq for _, seq, *_ in state.values()) < 5_000
+    assert max(seq for _, _, _, seq, *_ in state.values()) < 5_000
     # A TC whose key its leaf had not aged out is taken for a duplicate.
     assert all(rt.topo.duplicate_tc_dropped == 0 for rt in sim.nodes.values())
     assert metrics.conservation_ok
@@ -344,7 +347,7 @@ def test_a_death_between_hello_times_resumes_the_hellos_in_place():
 def test_a_hub_that_dies_between_two_tc_times_ends_its_owed_tcs_there():
     # A phone hub relays a laptop's messages to the station, sends a TC
     # every 700 ms between HELLOs every second, and its forwards empty it
-    # 30,006 ms in, 206 ms after a TC time.  The stretch its TCs were owed
+    # 30,004 ms in, 204 ms after a TC time.  The stretch its TCs were owed
     # in ends there: its leaves keep the entry and keys of its last owed
     # TC, and no TC timer of a dead hub resumes.
     hub = NodeId.parse("10.0.1.1")
@@ -372,16 +375,16 @@ def test_a_hub_that_dies_between_two_tc_times_ends_its_owed_tcs_there():
     end_stretch = sim._end_stretch
 
     def recorded(now):
-        ends.append((now, sim.nodes[hub].tc_owed_from))
+        ends.append((now, sim._tc_due[0]))
         end_stretch(now)
 
     sim._end_stretch = recorded
     sim.run()
     dies_at = sim.nodes[hub].dies_at
-    assert (dies_at - FIRST_TC_MS) % 700 == 206
+    assert (dies_at - FIRST_TC_MS) % 700 == 204
     # The stretch ended at the death, the hub's TCs owed up to the TC time
-    # before it.
-    assert ends == [(dies_at, dies_at - 206 + 700)]
+    # before it: the next TC time was not yet passed.
+    assert ends == [(dies_at, dies_at - 204 + 700)]
     check(scenario)
 
 

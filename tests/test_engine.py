@@ -225,7 +225,7 @@ def test_every_inject_event_runs_even_after_its_source_dies():
 
 
 # Digest of battery_chain()'s metrics bytes.
-BATTERY_CHAIN_SHA256 = "afc2c21fd5d884d65ba8b1aafdf635b017fa9aaf449fbb72d3cbf2a112b5ed90"
+BATTERY_CHAIN_SHA256 = "c3e02b57ea349a6a9761ffc748e1aeaf12cac15a97ea69a5df614f30dd0731ee"
 
 
 def battery_chain() -> Scenario:

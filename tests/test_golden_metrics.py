@@ -51,30 +51,30 @@ WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads
 
 GOLDEN_SHA256 = {
     "A": "057683266ca4363b9af46eb3497153038db122ad2e963552f7b547eb0e4b4bcb",
-    "B": "5fc91bd3e4fe0b5ba9e681a65022305c2e19f87ef045907fa4ad08b86ad296a9",
-    "C": "d8a1c5e8f1b221be809522bd6f8c59789e1d728c96a64b1a1424c0c6a3fdb4c7",
-    "D": "adc594d1f4cce01543edb5047f731b741b80459129cca624f599b34d4aa000be",
+    "B": "452e2e4288c512ab6c79a785b6ae067f802e72b0feb3bbb7c7e8b11af99a62c1",
+    "C": "7b1558e370bd4d4b1bed6bab196cafb53700f0e9fe8a8f48a29c804f4592e76c",
+    "D": "75a95bd49552dd6c1b32849f310fbe5a2b99db140f5a1bc93f3021dad07c50f4",
     "E": "7f56ad6076c0cf5401be6ce913fe8fe11e76db2562e9465283d2bef800c66de1",
-    "F": "d8945d3247ef5aa7ac1f948a988f7d23fa9c1d9a679241ac0333edb591663b9c",
-    "G": "d950d32502ce74cb7be8ae6c7479ea51d73047a9e4d93067e2209b9b167721b1",
+    "F": "659e95b75fcadea51cd807e7357d04ca7e4c4a62c849ee36f8270142a8e7e596",
+    "G": "f740fb52ce1cb7c427fe3b72507e9a6245d26f6ee666750a81c10dc3379c1db7",
 }
-RELAY_16H_SHA256 = "4825423f2125019966fd58f624e240ec61fb13533edcbec0b3541cd653309f50"
-GATEWAY_SURGE_SHA256 = "289605ce2d018bb9ffd3e35b5cb12d376f46af374def99bd0c29e06eb0d961ce"
-CHAIN_BURST_10K_SHA256 = "351ca68ccff2605c157580736b42a9e0dcae0fb3bb25e383356e4f98eb232258"
+RELAY_16H_SHA256 = "41ad4c7655e82f486ce7866623d6064d71a560dc511a2f7c0e54911b3155a76b"
+GATEWAY_SURGE_SHA256 = "7f38806054170c8c10055850b3d8fa574a8ebc964749e1155697a43c6f2abe31"
+CHAIN_BURST_10K_SHA256 = "ba7ce1c437445d4fbecd3108a5e60fade747b8061821dfd20f1a32083c7ca0f3"
 HELD_OUT_SEED = 7919
 HELD_OUT_SHA256 = {
-    "relay-16h": "5d04e454c964db0f4fd7769e94dbe39e38f456698018be2ba9e2e7cfe1925f4a",
-    "gateway-surge": "e5a72e44988dca2ae568ae12e3e6c90dd3ab3fea082b91bbb058fcade9220a94",
-    "chain-burst-10k": "41879eb2e43bc5da6eb445a13d84280db1b2239921166ebb19ea88975f4ba4c1",
+    "relay-16h": "6e6df8e150c22336d90c8a5e95ef25a3f0eb069c079267fa1ff0d0c85572ee40",
+    "gateway-surge": "48d4f149bfbddcfc7edfefd929d78253712bcee19618d4061e90ac7f3457a2ab",
+    "chain-burst-10k": "0a710b3f510d264db7a2340ab590b8a5c3c6ba96747c644f0fcebf55ba58543b",
 }
-COLLIDING_INJECTS_SHA256 = "23b68203cdade7a30cdc037cca6eec4804a484ab4a88b2723b2c6fedecbe3caa"
+COLLIDING_INJECTS_SHA256 = "39ab2b03e5551ffdd9f6558a0fdb982f6e345e25306ceffc8ccbf83cd903c86d"
 BATTERY_SHA256 = {
     "screen": "6686b538470b19f0167a41ea40ab57137741a7740bde55ce870bf4feac1f7551",
-    "60s": "72cc7f99bed9be85ee4a99d931d8ac141c996c3fb1d3ec9fc86a37397c5896f4",
+    "60s": "feefa9fb1ee2053b5db84f6d04957d406cdebd3e80fdb42f0e4f99a2850b1fd2",
 }
 DUTY_CYCLE_SHA256 = {
-    True: "929efdb892f3706cf1ecaa2a84c1ac7b4e2599cd4fb93f4cf041695ccc5e681e",
-    False: "c06ba5aceffaa794edd07b7b135640720f39315cc41a37d8a0c8245804e9e6db",
+    True: "1e397bc672a4e553295ffc95d1e8ba1f11361f07f55e168c0a795fa0b898b5a9",
+    False: "90121d83150022d3fc0a1946c1779a7bb69a1939cbd5dc4132bc49cc6e322917",
 }
 
 
@@ -171,8 +171,8 @@ def test_colliding_injects_metrics_bytes_match_golden_digest():
 
 
 CSV_SHA256 = {
-    "setup-G": "3970649d1cf6ba5bbb3098fc50c9a72cd7b9308f8c17c2c4a69319c287ace898",
-    "gateway-surge": "5b677868474c2b83bca79513186c7729bd3cde219c9c6d8a8e4e585ff283b5bb",
+    "setup-G": "b0f4ced929f8acb933203301b71a2f20b3b95db78b885bb602cecfcefe5f2bae",
+    "gateway-surge": "aba192154ad2149fded21f7662ebcfc1df8b2581af1be467b774fc2f90e7361a",
 }
 
 

@@ -126,10 +126,6 @@ ALLOWED = {
         _OVERFLOW,
     ("forwarding.PriorityQueueBank.enqueue",
      "return self._drop(msg, DropReason.RAM_EXHAUSTED)"): _OVERFLOW,
-    ("forwarding.PriorityQueueBank._pop_entry", "return None"):
-        "a bank is ticked only while it holds a message",
-    ("forwarding.PriorityQueueBank.forward_tick", "return []"):
-        "a bank is ticked only while it holds a message",
     ("forwarding.PriorityQueueBank.swap_in",
      "batch, self.swap_store = self.swap_store, []"):
         "no traced bank swaps: " + _OVERFLOW,
