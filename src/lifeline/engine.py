@@ -4,12 +4,14 @@ Every node runs the real protocol objects: a topology state for link
 sensing and routing, a priority queue bank for custody of messages, a
 backup store, a boot controller, and a battery.  The event loop orders
 work by (time, insertion sequence), and every random draw comes from a
-per-node counter-based generator keyed by (run seed, node address), so
+counter-based generator keyed by (run seed, node address, purpose), so
 a given (scenario, seed) pair always produces byte-identical metrics.
-A node's draws (`_Draws`) read raw Philox words a block at a time and
-apply numpy's transforms in Python, returning exactly what a
-`np.random.Generator` over the same key would, at a fraction of the
-cost of a scalar Generator call.
+A node has three streams: its HELLOs' latency jitter, the jitter of
+the TCs it originates, and everything else (the message plane and the
+TCs it relays).  A stream (`_Draws`) builds its Philox on its first
+draw, reads raw words a block at a time and applies numpy's transforms
+in Python, returning exactly what a `np.random.Generator` over the same
+key would, at a fraction of the cost of a scalar Generator call.
 
 Emergency messages cross links as real wire bytes through each bank's
 receive path, which decodes each received hop exactly once; the backup
@@ -31,33 +33,35 @@ node with fewer than two neighbours never sends or relays a TC, so it
 runs no TC timer, and a TC its neighbour originates with the very tuple
 that set the neighbour's topology entry is applied at send the same
 way.  A control packet to a dead neighbour is not scheduled at all
-(its latency is still drawn, so the random stream does not move): a
-node never comes back to life.  A node schedules a forward tick only
-when its queue bank wants one; a bank holding only unroutable messages
-parks (see `forwarding`).
+(its latency is still drawn, so a node's k-th HELLO or TC always reads
+the same words of its stream): a node never comes back to life.  A
+node schedules a forward tick only when its queue bank wants one; a
+bank holding only unroutable messages parks (see `forwarding`).
 
 A node whose HELLOs can change nothing is in a stretch: it queues no
-HELLO, and its random stream owes the jitter words they would have
-drawn (`owed_from`).  A stretch never ends for a quiet node, one
-without battery or duty-cycle role whose neighbours are all dead and
-whose topology state has emptied (see _quiet), and its TC timer stops
-too.  The whole network enters one when, on the stretch's run-level
-facts (see run()), every HELLO only refreshes, no control packet is in
-flight and the only TCs are those a node applies at send to its leaf
-neighbours (see _enter_stretch); it ends at the first death or handoff
-crossing, closed forms of the battery totals armed as one event and
-re-solved once a battery node has spent a budget of forwards.  Its TC
-timers stop too, at their first TC time in it (`tc_owed_from`): each
-TC would only refresh leaves' topology entries, on a fixed grid of
-times.  The owed state is read only where something needs it: a draw
-on a node's stream first passes over the owed HELLO and TC words, in
-the order the reference would have drawn them (_pay, with the run loop
-marking where each TC time's timers would have run, _passing), and the
-end reads the words of each node's last owed HELLO and latest owed TCs
-where they stand and restamps its neighbours' links, topology entries
-and duplicate sets from them (_stamp).  The HELLOs and TC timers then
-resume in address order, in the place the reference's would have taken
-among the events of their ms (see _end_stretch).
+HELLO, and the HELLOs it owes are a count on the fixed grid of HELLO
+times.  A stretch never ends for a quiet node, one without battery or
+duty-cycle role whose neighbours have all been dead for longer than a
+packet takes to arrive and whose topology state has emptied (see
+_quiet), and its TC timer stops too.  The whole network enters one
+when, on the stretch's run-level facts (see run()), every HELLO only
+refreshes, no control packet is in flight and the only TCs are those a
+node applies at send to its leaf neighbours (see _enter_stretch); it
+ends at the first death or handoff crossing, closed forms of the
+battery totals armed as one event and re-solved once a battery node has
+spent a budget of forwards.  Its TC timers stop too, at their first TC
+time in it: each TC would only refresh leaves' topology entries, on a
+fixed grid of times.  Nothing owed is drawn: HELLO k of a node with d
+neighbours reads words [k·d, (k+1)·d) of its HELLO stream, and its TCs
+likewise of its TC stream, which no other draw shares.  So the end
+counts each node's owed HELLOs and TCs in closed form, reads the words
+of its last owed HELLO and latest owed TCs where they stand, restamps
+its neighbours' links, topology entries and duplicate sets from them
+(_stamp_hellos, _stamp_tcs), and skips each stream once.  The HELLOs
+and TC timers then resume in address order, in the place the
+reference's would have taken among the events of their ms (see
+_end_stretch), for which the run loop notes where each HELLO time's and
+owed TC time's timers would have queued their next ones (_passing).
 
 A node's death is a time, `dies_at`, and the node is dead at `now`
 exactly when `now >= dies_at`; a mains node never dies.  Its battery
@@ -184,6 +188,8 @@ SNAPSHOT_CADENCE_CUTOFF_MS = 300_000
 # Above every sequence number the counter hands out: an event with it runs
 # after every other event of its ms.
 _LAST_IN_MS = 1 << 63
+# A (time, sequence number) no event reaches.
+_NEVER = (math.inf, 0)
 
 # Measured phone lifetimes that pin the battery model: idle, with the
 # screen on, and relaying a message every 10 seconds.
@@ -221,7 +227,7 @@ class _Draws:
     __slots__ = ("_key", "_bits", "_words", "_spare", "_end")
 
     def __init__(self, key):
-        self._key = key
+        self._key = np.asarray(key, dtype=np.uint64)
         self._bits: Optional[np.random.Philox] = None
         self._words: list[int] = []   # unread raw words, next one last
         self._spare: Optional[int] = None   # high half of a split word
@@ -374,7 +380,7 @@ class Simulator:
         self._end_event: Optional[tuple] = None
         self._tc_stopped: list[_NodeRuntime] = []
         self._tc_from = 0
-        self._tc_due: Optional[tuple[int, int]] = None
+        self._tc_due = _NEVER
         # The run loop calls _passing at its first event from _mark on:
         # the next HELLO time (_hello_due), or the next owed TC time.
         self._slot_seq = 0
@@ -480,7 +486,7 @@ class Simulator:
                 activity, now,
                 self._last_ms if rt.armed_death == -math.inf else math.inf)
             if rt.dies_at <= rt.armed_death:
-                self._rearm(rt, now)
+                self._rebudget([rt], now)
 
     # -- the run ----------------------------------------------------------------
 
@@ -518,7 +524,7 @@ class Simulator:
         # and a tick or message at a node comes after its HELLO of that
         # ms; and a TC sequence number comes back only after a leaf's
         # HELLO has aged its key out of the duplicate set, so the keys a
-        # stretch's end restamps (_stamp) are distinct too.
+        # stretch's end restamps (_stamp_tcs) are distinct too.
         slowest_message = longest + 2 * max(
             (model.base_latency_ms for model in models
              if model.p_send_error > 0 or model.p_recv_error > 0), default=0)
@@ -595,7 +601,7 @@ class Simulator:
         if hello:
             self._hello_due = t - t % interval + interval
         tc = self._tc_due
-        while tc is not None and (tc[0] < t or tc[0] == t and tc[1] < seq):
+        while tc[0] < t or tc[0] == t and tc[1] < seq:
             step = self.policies.tc_interval_ms
             ran = tc[0] + max(0, (t - tc[0] - 1) // step) * step
             if hello and ran >= t - t % interval:
@@ -604,8 +610,7 @@ class Simulator:
             tc = self._tc_due = (ran + step, next(self._seq))
         if hello:
             self._slot_seq = next(self._seq)
-        mark = min(self._hello_due, self._stop)
-        self._mark = mark if tc is None else min(mark, tc[0])
+        self._mark = min(self._hello_due, self._stop, tc[0])
 
     # -- control plane -----------------------------------------------------------
 
@@ -625,8 +630,8 @@ class Simulator:
         for peer, base_latency_ms in self._out_links[rt.node]:
             # The link's base latency with a uniform jitter; round() of a
             # float is already an int.  Draw even for a dead neighbour, so
-            # the stream does not move; a node never revives, so no event
-            # for it is needed.
+            # every packet draws one word per neighbour (see _owed); a node
+            # never revives, so no event for it is needed.
             jitter = uniform(-LATENCY_JITTER, LATENCY_JITTER)
             arrival = now + max(1, round(base_latency_ms * (1.0 + jitter)))
             if now >= peer.dies_at or at_send and (
@@ -638,7 +643,10 @@ class Simulator:
 
     def _on_hello(self, now: int, rt: Optional[_NodeRuntime]) -> None:
         if rt is None:
-            self._on_stretch_end(now)
+            # The stretch's armed end, after every other event of ms now:
+            # budget every battery member again.
+            self._end_event, self._end_at = None, math.inf
+            self._rebudget(self._members, now)
             return
         if now >= rt.dies_at:
             return
@@ -672,12 +680,11 @@ class Simulator:
 
         So they cannot once rt has no duty-cycle role and can no longer get
         one, its static neighbours have all been dead for as long as a
-        control packet takes to arrive (at least the 1 ms a 0 m link takes),
-        and its topology state holds nothing and is not dirty: no packet
-        can reach it, it has no
-        MPR selector to send a TC for, and each HELLO would only draw one
-        jitter word per neighbour from its own HELLO stream, which nothing
-        else reads.
+        control packet takes to arrive (at least the 1 ms a 0 m link
+        takes), and its topology state holds nothing and is not dirty: no
+        packet can reach it, it has no MPR selector to send a TC for, and
+        each HELLO would only draw one jitter word per neighbour from its
+        own HELLO stream, which nothing else reads.
         """
         topo = rt.topo
         return (rt.role is None
@@ -750,6 +757,8 @@ class Simulator:
         end = min((self._horizon(rt, t) for rt in members
                    if rt.battery is not None), default=math.inf)
         if end < t + interval:
+            for rt in members:
+                rt.armed_death = -math.inf
             return False
         self._members, self._hello_from = members, t + interval
         self._arm(end)
@@ -774,47 +783,30 @@ class Simulator:
 
     def _arm(self, end: float) -> None:
         """Queue the stretch's end at ms end, after every other event of
-        that ms, in place of any end queued before; one past the run is
-        not queued.  It is a HELLO event with no node: it stands in for the
-        HELLOs the stretch owes."""
-        self._disarm()
-        self._end_at = end
+        that ms, and take any end queued before off the heap; one past the
+        run is not queued.  It is a HELLO event with no node: it stands in
+        for the HELLOs the stretch owes."""
+        if self._end_event is not None:
+            self._heap.remove(self._end_event)
+            heapq.heapify(self._heap)
+        self._end_at, self._end_event = end, None
         if end <= self.scenario.duration_ms:
             self._end_event = (end, _LAST_IN_MS + next(self._seq),
                                self._do_hello, (None,))
             heapq.heappush(self._heap, self._end_event)
 
-    def _disarm(self) -> None:
-        """Take the stretch's queued end, if any, off the heap."""
-        if self._end_event is not None:
-            self._heap.remove(self._end_event)
-            heapq.heapify(self._heap)
-            self._end_event = None
-
-    def _rearm(self, rt: _NodeRuntime, now: int) -> None:
-        """A forward spent battery node rt's budget: budget again, and end
-        the stretch sooner if the new budget says so."""
-        if self._end_at is None:
-            rt.armed_death = -math.inf
-            return
-        end = self._horizon(rt, now)
+    def _rebudget(self, nodes: list, now: int) -> None:
+        """Budget the battery nodes among nodes again, at the stretch's
+        armed end or once a forward has spent one's budget: end the
+        stretch now if a death or a handoff crossing comes by the next ms,
+        or arm its end sooner if one comes before the armed end."""
+        end = min((self._horizon(rt, now) if now < rt.dies_at else rt.dies_at
+                   for rt in nodes if rt.battery is not None),
+                  default=math.inf)
         if end <= now:
             self._end_stretch(now)
         elif end < self._end_at:
             self._arm(end)
-
-    def _on_stretch_end(self, now: int) -> None:
-        """The stretch's armed end, after every other event of ms now:
-        budget again, and end the stretch if a death or a handoff crossing
-        still comes by the next ms."""
-        self._end_event = None
-        end = min((self._horizon(rt, now) if now < rt.dies_at else rt.dies_at
-                   for rt in self._members if rt.battery is not None),
-                  default=math.inf)
-        if end > now:
-            self._arm(end)
-        else:
-            self._end_stretch(now)
 
     def _end_stretch(self, now: int) -> None:
         """End the stretch at ms now: restamp what each node's owed HELLOs
@@ -835,18 +827,18 @@ class Simulator:
         for rt in members:
             self._stamp_hellos(rt, now if now < rt.dies_at else rt.dies_at - 1)
         for rt in self._tc_stopped:
-            self._stamp_tcs(rt)
+            if rt.topo.mpr_selectors:   # else it would have sent no TC
+                self._stamp_tcs(rt)
         self._resume(members, (last + interval, self._slot_seq),
                      self._do_hello, now)
-        if self._tc_due is not None:
-            self._resume(self._tc_stopped, self._tc_due, self._do_tc, now)
+        self._resume(self._tc_stopped, self._tc_due, self._do_tc, now)
         for rt in members:
             rt.armed_death = -math.inf
             if now < rt.dies_at:
                 rt.topo.expire_topology(last)
-        self._disarm()
+        self._arm(math.inf)   # takes the queued end off the heap
         self._members, self._tc_stopped = [], []
-        self._end_at = self._tc_due = None
+        self._end_at, self._tc_due = None, _NEVER
 
     def _resume(self, stopped: list, due: tuple, handler, now: int) -> None:
         """Queue the timers of the stopped nodes alive at now at the time
@@ -898,14 +890,13 @@ class Simulator:
         number on past them.
 
         They are one at each TC time from _tc_from up to the last one
-        passed (_passing) while rt lives, or none if it has no MPR selector
-        to send one for.  Only the latest _tc_kept can leave a key that the
-        end's expire_topology keeps."""
+        passed (_passing) while rt lives: at least the one at _tc_from,
+        where the timer stopped.  Only the latest _tc_kept can leave a key
+        that the end's expire_topology keeps."""
         step = self.policies.tc_interval_ms
-        last = min(self._tc_due[0] - step, rt.dies_at - 1)
-        count, owed = self._owed(
-            rt, rt.tc_rng, self._tc_from, step,
-            last if rt.topo.mpr_selectors else -1, self._tc_kept)
+        count, owed = self._owed(rt, rt.tc_rng, self._tc_from, step,
+                                 min(self._tc_due[0] - step, rt.dies_at - 1),
+                                 self._tc_kept)
         seq = rt.tc_seq
         for k, (peer, _) in enumerate(self._out_links[rt.node]):
             keys = [((seq + j + 1) % SEQ_MOD, arrivals[k])

@@ -1,11 +1,17 @@
-"""A node's random draws match np.random.Generator over the same Philox key."""
+"""A node's random draws match np.random.Generator over the same Philox key.
+
+A node has one stream per purpose, keyed by [run seed, address | purpose
+<< 32]: 0 for the message plane and relayed TCs, 1 for its HELLOs' jitter
+and 2 for the jitter of the TCs it originates.
+"""
 
 import random
 
 import numpy as np
 import pytest
 
-from lifeline.engine import DRAW_BLOCK, _Draws
+from lifeline.engine import DRAW_BLOCK, Simulator, _Draws
+from lifeline.scenario import build_setup
 
 # Span 1 draws nothing; 2**32 takes a whole 32-bit half; above it the
 # draw switches to whole 64-bit words.
@@ -134,3 +140,38 @@ def test_uniforms_read_where_they_stand_match_the_stream(seed):
         assert draws.uniforms_at(at, n, -0.2, 0.2) == ahead[at:at + n]
     assert draws.tell() == len(drawn)
     assert draws.uniform(-0.2, 0.2) == ahead[len(drawn)]
+
+
+# Purpose << 32 in the key's second word, by the runtime's stream name.
+PURPOSES = {"rng": 0, "hello_rng": 1, "tc_rng": 2}
+
+
+@pytest.mark.parametrize("seed", [0, 7, -1])
+def test_each_purpose_draws_from_its_own_key(seed):
+    sim = Simulator(build_setup("B", messages=5), seed=seed)
+    for rt in sim.nodes.values():
+        for name, purpose in PURPOSES.items():
+            key = np.array([seed % 2**64, rt.node.address | purpose << 32],
+                           dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            draws, n = getattr(rt, name), DRAW_BLOCK + 3
+            assert [draws.uniform(-0.2, 0.2) for _ in range(n)] == [
+                gen.uniform(-0.2, 0.2) for _ in range(n)], name
+            assert draws.integers(0, 5) == gen.integers(0, 5)
+
+
+def test_constructing_a_simulator_builds_no_philox(monkeypatch):
+    # Each stream builds its Philox on its first draw: a run builds only
+    # the streams it draws from.
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["key"])
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    sim = Simulator(build_setup("B", messages=5))
+    assert built == []
+    sim.run()
+    assert built

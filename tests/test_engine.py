@@ -3,6 +3,7 @@
 import hashlib
 import heapq
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from lifeline.engine import Simulator, run, run_battery_experiment
 from lifeline.forwarding import PriorityQueueBank, ReceiveResult
 from lifeline.locating import KnownLocation, estimate_position, passive_query
 from lifeline.messages import NodeId, decode_message, encode_message, splice_hop
+from lifeline.olsr import TopologyState
 from lifeline.scenario import (
     LinkSpec,
     NodeSpec,
@@ -49,6 +51,28 @@ def test_seed_changes_jitter_not_delivery():
 def test_seed_override_is_recorded():
     metrics = run(build_setup("A", messages=10, seed=0), seed=42)
     assert metrics.seed == 42
+
+
+def test_hello_arrivals_do_not_depend_on_message_traffic(monkeypatch):
+    # A node draws its HELLOs' latency jitter from a stream of its own, so
+    # each HELLO arrives, and stamps its link, at the same ms whatever the
+    # message plane draws: setup B's chain with 200 messages and with
+    # none, every HELLO an event.
+    arrivals = []
+    process_hello = TopologyState.process_hello
+
+    def recording(self, hello, now):
+        arrivals.append((now, str(self.self_id), str(hello.origin)))
+        process_hello(self, hello, now)
+
+    monkeypatch.setattr(TopologyState, "process_hello", recording)
+    monkeypatch.setattr(Simulator, "elisions", frozenset())
+    busy = build_setup("B", messages=200)
+    assert run(busy).delivered == 200
+    heard = arrivals[:]
+    arrivals.clear()
+    run(replace(busy, traffic=[]))
+    assert len(heard) > 200 and arrivals == heard
 
 
 # -- routing and delivery --------------------------------------------------------
