@@ -12,15 +12,18 @@ options 2-6 may be on, and the traffic comes from leaves.  Each example
 must give equal bytes with `Simulator.elisions` on and off, conserve
 messages, validate against the metrics schema and give equal bytes on a
 rerun.  It must also dispatch only events the all-events run
-dispatches, in the same order, and end with the same stream positions,
-TC sequence numbers and topology state, duplicate sets included, once
-what it owes is paid.  Stretching stars draw TC intervals above and
-below the HELLO interval and under the retry tick, many of whose TC
-times share an ms with a HELLO time.  One long run with a 7 ms TC
-interval wraps the 16-bit TC sequence among a stretch's owed TCs; pinned
-stars end a stretch with a death between two HELLO times, with a hub's
-death between two TC times and with a death on a TC time, and forward
-between owed TC times.
+dispatches, in the same order, and end with the same positions of each
+node's three streams (message plane, HELLO and TC), TC sequence numbers
+and topology state, duplicate sets included, once what a stretch or a
+quiet node owes is settled.  Stretching stars draw TC intervals above
+and below the HELLO interval and under the retry tick, many of whose TC
+times share an ms with a HELLO time, where the resumed HELLOs and TC
+timers must take their places.  One long run with a 7 ms TC interval
+wraps the 16-bit TC sequence among a stretch's owed TCs; pinned stars
+end a stretch with a death between two HELLO times, with a hub's death
+between two TC times and with a death on a TC time, and forward between
+owed TC times; and a pinned router falls quiet only once the last HELLO
+its dead neighbour sent has arrived.
 """
 
 import json
