@@ -655,18 +655,21 @@ class Simulator:
             topo = rt.topo
             topo.expire_links(now)
             topo.expire_topology(now)
+            rerouted = False
             if topo.dirty:
                 self._unsteady_at = now
                 topo.dirty = False
                 topo.select_mprs()
-                routes = topo.compute_routes()
-                if rt.bank.set_routes(routes) and rt.bank.wants_tick:
-                    self._schedule_tick(rt, now)
+                rerouted = rt.bank.set_routes(topo.compute_routes())
             self._broadcast(rt, topo.make_hello(), now, rt.hello_rng,
                             self._refresh_at_send)
             if rt.battery is not None:
                 self._check_handoff(rt, now)
-            elif self._may_quiet and not topo.links and self._quiet(rt, now):
+            # After the handoff, which may have emptied the bank.
+            if rerouted and rt.bank.wants_tick:
+                self._schedule_tick(rt, now)
+            if (rt.battery is None and self._may_quiet and not topo.links
+                    and self._quiet(rt, now)):
                 rt.quiet = now + interval
                 return
             if self._stretches and self._steady(now):

@@ -520,3 +520,24 @@ def test_a_node_with_fewer_than_two_neighbours_is_never_an_mpr(monkeypatch):
         run(scenario)
         assert gained == [], scenario.name
     assert checked_leaves > len(scenarios)
+
+
+def test_no_forward_tick_runs_on_an_empty_bank_in_corpus_6():
+    # A battery phone under the handoff threshold with no station route
+    # drains its bank into the backup log on a HELLO; a route change on
+    # that HELLO must not leave a tick queued for the emptied bank.
+    sim = Simulator(corpus_scenario(6))
+    empty = []
+    on_tick = sim._on_tick
+
+    def checked(now, rt):
+        bank = rt.bank
+        awake = rt.role is None or rt.role.next_wake(now) <= now
+        if (now < rt.dies_at and awake
+                and not (any(bank.queues) or bank.swap_store)):
+            empty.append((now, str(rt.node)))
+        on_tick(now, rt)
+
+    sim._on_tick = checked
+    sim.run()
+    assert empty == []

@@ -133,6 +133,10 @@ ALLOWED = {
         "no traced bank swaps: " + _OVERFLOW,
     ("forwarding.PriorityQueueBank.swap_in", "return len(batch)"):
         "no traced bank swaps: " + _OVERFLOW,
+    ("forwarding.PriorityQueueBank._pop_entry", "return None"):
+        "a bank is ticked only while it holds a message",
+    ("forwarding.PriorityQueueBank.forward_tick", "return []"):
+        "a bank is ticked only while it holds a message",
     ("forwarding.PriorityQueueBank.snapshot", "def snapshot(self) -> dict:"):
         "the engine never asks a bank for its snapshot",
     # -- backup ---------------------------------------------------------------
