@@ -3,7 +3,10 @@
 Every node runs the real protocol objects: a topology state for link
 sensing and routing, a priority queue bank for custody of messages, a
 backup store, a boot controller, and a battery.  The event loop orders
-work by (time, insertion sequence), and every random draw comes from a
+work by time and, within a ms, by a fixed order of tiers (see
+_HELLO_TIER): events queued before the run, then HELLOs and then TC
+timers, each in address order, then every other event in the order it
+was queued, and a stretch's end last.  Every random draw comes from a
 counter-based generator keyed by (run seed, node address, purpose), so
 a given (scenario, seed) pair always produces byte-identical metrics.
 A node has three streams: its HELLOs' latency jitter, the jitter of
@@ -40,28 +43,23 @@ bank holding only unroutable messages parks (see `forwarding`).
 
 A node whose HELLOs can change nothing is in a stretch: it queues no
 HELLO, and the HELLOs it owes are a count on the fixed grid of HELLO
-times.  A stretch never ends for a quiet node, one without battery or
-duty-cycle role whose neighbours have all been dead for longer than a
-packet takes to arrive and whose topology state has emptied (see
-_quiet), and its TC timer stops too.  The whole network enters one
-when, on the stretch's run-level facts (see run()), every HELLO only
-refreshes, no control packet is in flight and the only TCs are those a
-node applies at send to its leaf neighbours (see _enter_stretch); it
-ends at the first death or handoff crossing, closed forms of the
-battery totals armed as one event and re-solved once a battery node has
-spent a budget of forwards.  Its TC timers stop too, at their first TC
-time in it: each TC would only refresh leaves' topology entries, on a
-fixed grid of times.  Nothing owed is drawn: HELLO k of a node with d
-neighbours reads words [k·d, (k+1)·d) of its HELLO stream, and its TCs
-likewise of its TC stream, which no other draw shares.  So the end
-counts each node's owed HELLOs and TCs in closed form, reads the words
-of its last owed HELLO and latest owed TCs where they stand, restamps
-its neighbours' links, topology entries and duplicate sets from them
-(_stamp_hellos, _stamp_tcs), and skips each stream once.  The HELLOs
-and TC timers then resume in address order, in the place the
-reference's would have taken among the events of their ms (see
-_end_stretch), for which the run loop notes where each HELLO time's and
-owed TC time's timers would have queued their next ones (_passing).
+times.  The whole network enters one when, on the stretch's run-level
+facts (see run()), every HELLO only refreshes, no control packet is in
+flight and the only TCs are those a node applies at send to its leaf
+neighbours (see _enter_stretch); it ends at the first death or handoff
+crossing, closed forms of the battery totals armed as one event and
+re-solved once a battery node has spent a budget of forwards.  Its TC
+timers stop too, at their first TC time in it: each TC would only
+refresh leaves' topology entries, on a fixed grid of times.  Nothing
+owed is drawn: HELLO k of a node with d neighbours reads words [k·d,
+(k+1)·d) of its HELLO stream, and its TCs likewise of its TC stream,
+which no other draw shares.  So the end counts each node's owed HELLOs
+and TCs in closed form, reads the words of its last owed HELLO and
+latest owed TCs where they stand, restamps its neighbours' links,
+topology entries and duplicate sets from them (_stamp_hellos,
+_stamp_tcs), and skips each stream once.  The HELLOs and TC timers then
+resume at the next times of their grids, where their tiers give them the
+places the reference's take (see _end_stretch).
 
 A node's death is a time, `dies_at`, and the node is dead at `now`
 exactly when `now >= dies_at`; a mains node never dies.  Its battery
@@ -185,11 +183,17 @@ FIRST_TC_MS = 2_500
 SNAPSHOT_SHORT_MS = 10_000
 SNAPSHOT_LONG_MS = 600_000
 SNAPSHOT_CADENCE_CUTOFF_MS = 300_000
-# Above every sequence number the counter hands out: an event with it runs
-# after every other event of its ms.
+# The events of one ms run in tiers of their sequence numbers: first
+# those queued before the run loop starts (injects, snapshots, role
+# assignment, first scans), under the counter's first numbers; then the
+# HELLOs and then the TC timers, each under its tier plus the node's
+# address, so in address order; then every other event, under the
+# counter restarted at _EVENT_TIER, in the order it was queued; and last
+# a stretch's end.
+_HELLO_TIER = 1 << 40
+_TC_TIER = 2 << 40
+_EVENT_TIER = 3 << 40
 _LAST_IN_MS = 1 << 63
-# A (time, sequence number) no event reaches.
-_NEVER = (math.inf, 0)
 
 # Measured phone lifetimes that pin the battery model: idle, with the
 # screen on, and relaying a message every 10 seconds.
@@ -327,9 +331,6 @@ class _NodeRuntime:
     leaf: bool = False
     # The node is dead from this ms on: its battery's death time.
     dies_at: float = math.inf
-    # Set once the node is quiet, its stretch never ending (see _quiet):
-    # the time of the first HELLO it does not send.
-    quiet: Optional[int] = None
     # A battery node in a stretch: the death time its budgeted forwards
     # leave (see _horizon); a forward that moves dies_at to or before it
     # has spent the budget.
@@ -369,9 +370,7 @@ class Simulator:
         # its decision, and while one is on, its nodes, the time of the
         # first HELLO they owe, and the time its armed end is due at and
         # its queued event; once its TC timers have stopped, the stopped
-        # nodes, the first TC time they owe, and the next TC time with the
-        # sequence number its timers would have been queued under (see
-        # _passing).
+        # nodes and the first TC time they owe.
         self._unsteady_at = 0
         self._decided = (None, False)
         self._members: list[_NodeRuntime] = []
@@ -380,11 +379,6 @@ class Simulator:
         self._end_event: Optional[tuple] = None
         self._tc_stopped: list[_NodeRuntime] = []
         self._tc_from = 0
-        self._tc_due = _NEVER
-        # The run loop calls _passing at its first event from _mark on:
-        # the next HELLO time (_hello_due), or the next owed TC time.
-        self._slot_seq = 0
-        self._hello_due = 0
 
         self._static_adjacency = scenario.adjacency()
         # Link models keyed by address pair, in both directions; a send
@@ -469,6 +463,10 @@ class Simulator:
     def _at(self, t: int, handler, *args) -> None:
         heapq.heappush(self._heap, (t, next(self._seq), handler, args))
 
+    def _timer(self, t: int, tier: int, handler, rt: _NodeRuntime) -> None:
+        """Queue rt's HELLO or TC timer at t, in its tier's address order."""
+        heapq.heappush(self._heap, (t, tier + rt.node.address, handler, (rt,)))
+
     def _schedule_tick(self, rt: _NodeRuntime, t: int) -> None:
         if not rt.tick_scheduled:
             rt.tick_scheduled = True
@@ -516,36 +514,27 @@ class Simulator:
         # paths can arrive out of order.
         self._tc_at_send = ("tc" in elisions and self._refresh_at_send
                             and longest < policies.tc_interval_ms)
-        self._may_quiet = "stretch" in elisions
         # A stretch (see _enter_stretch) needs more: a live neighbour's link
         # and a TC origin's topology entry never lapse between refreshes;
-        # no tick, message or TC timer is queued exactly one HELLO interval
-        # ahead, so the HELLOs of one time stay one block in address order
-        # and a tick or message at a node comes after its HELLO of that
-        # ms; and a TC sequence number comes back only after a leaf's
-        # HELLO has aged its key out of the duplicate set, so the keys a
-        # stretch's end restamps (_stamp_tcs) are distinct too.
-        slowest_message = longest + 2 * max(
-            (model.base_latency_ms for model in models
-             if model.p_send_error > 0 or model.p_recv_error > 0), default=0)
+        # and a TC sequence number comes back only after a leaf's HELLO has
+        # aged its key out of the duplicate set, so the keys a stretch's
+        # end restamps (_stamp_tcs) are distinct too.
         tc_interval = policies.tc_interval_ms
         self._stretches = (
             "stretch" in elisions and self._refresh_at_send
             and policies.hold_time_ms > interval + longest
             and policies.topology_hold_ms > tc_interval + longest
-            and interval > max(RETRY_TICK_MS, slowest_message)
-            and tc_interval != interval
             and SEQ_MOD * tc_interval > DUP_HOLD_MS + interval + longest)
         # The owed TCs a stretch's end restamps from: a key of any earlier
         # one has aged out by the end's last HELLO time.
         self._tc_kept = -(-(DUP_HOLD_MS + interval + longest) // tc_interval)
         for rt in self.nodes.values():
-            self._at(0, self._do_hello, rt)
+            self._timer(0, _HELLO_TIER, self._do_hello, rt)
             # A node with fewer than two neighbours lists at most one in its
             # HELLO, so it covers no 2-hop node: it is never an MPR, gains
             # no MPR selector and so never sends a TC.
             if not rt.leaf:
-                self._at(FIRST_TC_MS, self._do_tc, rt)
+                self._timer(FIRST_TC_MS, _TC_TIER, self._do_tc, rt)
         # Every inject's sequence number is reserved here, in one block,
         # but each traffic spec keeps only its next inject on the heap.
         seq = next(self._seq)
@@ -564,53 +553,15 @@ class Simulator:
         for t in range(cadence, duration + 1, cadence):
             self._at(t, self._on_snapshot)
 
+        self._seq = itertools.count(_EVENT_TIER)
         heap, pop = self._heap, heapq.heappop
-        self._stop = duration + 1
-        self._mark = 0 if self._stretches else self._stop
         while heap:
-            t, seq, handler, args = pop(heap)
-            if t >= self._mark:
-                if t > duration:
-                    break
-                self._passing(t, seq)
+            t, _, handler, args = pop(heap)
+            if t > duration:
+                break
             handler(t, *args)
         self._finalize()
         return self.metrics
-
-    def _passing(self, t: int, seq: int) -> None:
-        """Event (t, seq) runs next: first take the sequence numbers that
-        the reference's timers passed since the last call would have queued
-        their next timers under, then set the next _mark.
-
-        The HELLOs of a HELLO time run as one block and queue the next, and
-        nothing queued in their ms lands on that next time but those
-        HELLOs (see _end_stretch): the first number taken from that ms on,
-        _slot_seq, stands for theirs.  The TC timers of a TC time also run
-        as one block, in address order: they were queued so at the start,
-        and each block queues the next and nothing between.  While a
-        stretch owes them (_on_tc), the block due at _tc_due runs before
-        (t, seq) if it sorts first, and queues the next block under a
-        number taken now: after every event that ran before it, and before
-        every event queued from here on.  So the block of ms t itself runs
-        first only when (t, seq) is a stretch end, queued to run after
-        every other event of its ms (_arm).  Of the numbers taken at one
-        call, the earlier time's block or HELLOs take the first.
-        """
-        interval = self.policies.hello_interval_ms
-        hello = t >= self._hello_due
-        if hello:
-            self._hello_due = t - t % interval + interval
-        tc = self._tc_due
-        while tc[0] < t or tc[0] == t and tc[1] < seq:
-            step = self.policies.tc_interval_ms
-            ran = tc[0] + max(0, (t - tc[0] - 1) // step) * step
-            if hello and ran >= t - t % interval:
-                self._slot_seq = next(self._seq)
-                hello = False
-            tc = self._tc_due = (ran + step, next(self._seq))
-        if hello:
-            self._slot_seq = next(self._seq)
-        self._mark = min(self._hello_due, self._stop, tc[0])
 
     # -- control plane -----------------------------------------------------------
 
@@ -650,7 +601,6 @@ class Simulator:
             return
         if now >= rt.dies_at:
             return
-        interval = self.policies.hello_interval_ms
         if rt.role is None or is_awake(rt.role, now):
             topo = rt.topo
             topo.expire_links(now)
@@ -668,35 +618,10 @@ class Simulator:
             # After the handoff, which may have emptied the bank.
             if rerouted and rt.bank.wants_tick:
                 self._schedule_tick(rt, now)
-            if (rt.battery is None and self._may_quiet and not topo.links
-                    and self._quiet(rt, now)):
-                rt.quiet = now + interval
-                return
             if self._stretches and self._steady(now):
                 return
-        heapq.heappush(self._heap, (now + interval, next(self._seq),
-                                    self._do_hello, (rt,)))
-
-    def _quiet(self, rt: _NodeRuntime, now: int) -> bool:
-        """Whether the HELLOs and TCs of rt, a node with no battery, can
-        change nothing from now on: its stretch never ends.
-
-        So they cannot once rt has no duty-cycle role and can no longer get
-        one, its static neighbours have all been dead for as long as a
-        control packet takes to arrive (at least the 1 ms a 0 m link
-        takes), and its topology state holds nothing and is not dirty: no
-        packet can reach it, it has no MPR selector to send a TC for, and
-        each HELLO would only draw one jitter word per neighbour from its
-        own HELLO stream, which nothing else reads.
-        """
-        topo = rt.topo
-        return (rt.role is None
-                and (now >= ROLE_ASSIGN_MS
-                     or not self.policies.duty_cycle_enabled)
-                and not (topo.links or topo.topology or topo.seen_tc
-                         or topo.dirty)
-                and all(now - peer.dies_at >= max(1, self._longest)
-                        for peer, _ in self._out_links[rt.node]))
+        self._timer(now + self.policies.hello_interval_ms, _HELLO_TIER,
+                    self._do_hello, rt)
 
     # -- stretches ---------------------------------------------------------------
 
@@ -711,14 +636,16 @@ class Simulator:
 
     def _enter_stretch(self, t: int) -> bool:
         """Start a stretch after the HELLOs of time t if every HELLO of
-        every live node that is not quiet can only refresh its
-        neighbours' links until something can change; arm its end.
+        every live node can only refresh its neighbours' links until
+        something can change; arm its end.
 
-        The HELLOs of one time run as one block in address order (see
-        run()), and none of them, no control packet and no topology change
-        came since before the block a HELLO interval ago: so no node is
-        dirty, each has the HELLO every live neighbour heard from it last
-        and nothing is in flight, and this block does what the last did.
+        The HELLOs of one time run as one block in address order, before
+        every event of their ms but those queued before the run (see
+        _HELLO_TIER).  None of them, no control packet and no topology
+        change came since before the block a HELLO interval ago: so no
+        node is dirty, each has the HELLO every live neighbour heard from
+        it last and nothing is in flight, and this block does what the
+        last did.
         A node's state can then change only if a link or topology entry
         lapses, a node dies or a battery falls under the handoff
         threshold.  Links do not lapse: every linked neighbour is alive
@@ -737,7 +664,7 @@ class Simulator:
         tc_arrives_by = t + self.policies.tc_interval_ms + self._longest
         members = []
         for rt in self.nodes.values():
-            if t >= rt.dies_at or rt.quiet is not None:
+            if t >= rt.dies_at:
                 continue
             topo = rt.topo
             if topo.dirty or any(t >= self.nodes[nb].dies_at
@@ -794,8 +721,7 @@ class Simulator:
             heapq.heapify(self._heap)
         self._end_at, self._end_event = end, None
         if end <= self.scenario.duration_ms:
-            self._end_event = (end, _LAST_IN_MS + next(self._seq),
-                               self._do_hello, (None,))
+            self._end_event = (end, _LAST_IN_MS, self._do_hello, (None,))
             heapq.heappush(self._heap, self._end_event)
 
     def _rebudget(self, nodes: list, now: int) -> None:
@@ -816,40 +742,30 @@ class Simulator:
         and TCs would have set, and resume its HELLOs and stopped TC timer
         at their next times.
 
-        The HELLOs of that time were queued, in the reference, by those of
-        the last HELLO time, as one block in address order; nothing queued
-        that ms lands on the next HELLO time but those HELLOs (see run()).
-        So the resumed ones take sequence numbers just after _slot_seq,
-        the first one taken in the ms of the last HELLO time, in address
-        order.  The TC timers resume as the block _tc_due stands for.  A
-        member that fell quiet owes its HELLOs as a quiet node does.
+        HELLO times are the grid k·interval and TC times FIRST_TC_MS +
+        k·tc_interval.  An event that ends a stretch runs after the HELLO
+        and TC timers of its ms (see _HELLO_TIER), so the owed ones run up
+        to the last of each at or before now, or before a node's death.
         """
         interval = self.policies.hello_interval_ms
-        last = now // interval * interval
-        members = [rt for rt in self._members if rt.quiet is None]
-        for rt in members:
-            self._stamp_hellos(rt, now if now < rt.dies_at else rt.dies_at - 1)
+        step = self.policies.tc_interval_ms
+        last = now - now % interval
+        last_tc = now - (now - FIRST_TC_MS) % step
+        for rt in self._members:
+            self._stamp_hellos(rt, min(now, rt.dies_at - 1))
         for rt in self._tc_stopped:
             if rt.topo.mpr_selectors:   # else it would have sent no TC
-                self._stamp_tcs(rt)
-        self._resume(members, (last + interval, self._slot_seq),
-                     self._do_hello, now)
-        self._resume(self._tc_stopped, self._tc_due, self._do_tc, now)
-        for rt in members:
+                self._stamp_tcs(rt, min(last_tc, rt.dies_at - 1))
+            if now < rt.dies_at:
+                self._timer(last_tc + step, _TC_TIER, self._do_tc, rt)
+        for rt in self._members:
             rt.armed_death = -math.inf
             if now < rt.dies_at:
                 rt.topo.expire_topology(last)
+                self._timer(last + interval, _HELLO_TIER, self._do_hello, rt)
         self._arm(math.inf)   # takes the queued end off the heap
         self._members, self._tc_stopped = [], []
-        self._end_at, self._tc_due = None, _NEVER
-
-    def _resume(self, stopped: list, due: tuple, handler, now: int) -> None:
-        """Queue the timers of the stopped nodes alive at now at the time
-        due holds, in address order, just after its sequence number."""
-        for i, rt in enumerate(stopped, 1):
-            if now < rt.dies_at:
-                heapq.heappush(self._heap, (due[0], due[1] + i / (
-                    len(stopped) + 1), handler, (rt,)))
+        self._end_at = None
 
     def _owed(self, rt: _NodeRuntime, rng: _Draws, first: int, step: int,
               last: int, keep: int) -> tuple[int, list]:
@@ -886,19 +802,18 @@ class Simulator:
                 if at < peer.dies_at:
                     peer.topo.refresh_owed(hello, arrival)
 
-    def _stamp_tcs(self, rt: _NodeRuntime) -> None:
+    def _stamp_tcs(self, rt: _NodeRuntime, last: int) -> None:
         """Restamp each live leaf's topology entry for rt and its
         duplicate-set keys as the TCs rt's stopped timer owes would have
         (`TopologyState.refresh_tc_owed`), and move rt's TC sequence
         number on past them.
 
-        They are one at each TC time from _tc_from up to the last one
-        passed (_passing) while rt lives: at least the one at _tc_from,
-        where the timer stopped.  Only the latest _tc_kept can leave a key
-        that the end's expire_topology keeps."""
-        step = self.policies.tc_interval_ms
-        count, owed = self._owed(rt, rt.tc_rng, self._tc_from, step,
-                                 min(self._tc_due[0] - step, rt.dies_at - 1),
+        They are one at each TC time from _tc_from up to time last: at
+        least the one at _tc_from, where the timer stopped.  Only the
+        latest _tc_kept can leave a key that the end's expire_topology
+        keeps."""
+        count, owed = self._owed(rt, rt.tc_rng, self._tc_from,
+                                 self.policies.tc_interval_ms, last,
                                  self._tc_kept)
         seq = rt.tc_seq
         for k, (peer, _) in enumerate(self._out_links[rt.node]):
@@ -909,18 +824,15 @@ class Simulator:
         rt.tc_seq = (seq + count) % SEQ_MOD
 
     def _on_tc(self, now: int, rt: _NodeRuntime) -> None:
-        if now >= rt.dies_at or rt.quiet is not None:
+        if now >= rt.dies_at:
             return
         if self._end_at is not None:
             # In a stretch rt's TCs can only refresh its leaves' entries, so
             # its timer stops until the end restamps the leaves (_stamp_tcs)
-            # and resumes it.  Its TC time's block stops with the first of
-            # it (see _passing).
+            # and resumes it.  Every TC timer runs on one grid of times, so
+            # the whole block stops at the first TC time in the stretch.
             if not self._tc_stopped:
                 self._tc_from = now
-                self._tc_due = (now + self.policies.tc_interval_ms,
-                                next(self._seq))
-                self._mark = min(self._mark, self._tc_due[0])
             self._tc_stopped.append(rt)
             return
         if ((rt.role is None or is_awake(rt.role, now))
@@ -928,8 +840,8 @@ class Simulator:
             rt.tc_seq = (rt.tc_seq + 1) % SEQ_MOD
             self._broadcast(rt, rt.topo.make_tc(rt.tc_seq), now, rt.tc_rng,
                             self._tc_at_send)
-        heapq.heappush(self._heap, (now + self.policies.tc_interval_ms,
-                                    next(self._seq), self._do_tc, (rt,)))
+        self._timer(now + self.policies.tc_interval_ms, _TC_TIER, self._do_tc,
+                    rt)
 
     def _on_ctl(self, now: int, rt: _NodeRuntime, pkt: ControlPacket) -> None:
         self._unsteady_at = now

@@ -14,16 +14,23 @@ messages, validate against the metrics schema and give equal bytes on a
 rerun.  It must also dispatch only events the all-events run
 dispatches, in the same order, and end with the same positions of each
 node's three streams (message plane, HELLO and TC), TC sequence numbers
-and topology state, duplicate sets included, once what a stretch or a
-quiet node owes is settled.  Stretching stars draw TC intervals above
-and below the HELLO interval and under the retry tick, many of whose TC
-times share an ms with a HELLO time, where the resumed HELLOs and TC
-timers must take their places.  One long run with a 7 ms TC interval
-wraps the 16-bit TC sequence among a stretch's owed TCs; pinned stars
-end a stretch with a death between two HELLO times, with a hub's death
-between two TC times and with a death on a TC time, and forward between
-owed TC times; and a pinned router falls quiet only once the last HELLO
-its dead neighbour sent has arrived.
+and topology state, duplicate sets included, once what a stretch owes
+is settled.
+
+Within a ms, events run in one fixed order of tiers: those queued
+before the run, then HELLOs and then TC timers, each in address order,
+then every other event in the order it was queued, and a stretch's end
+last.  So the HELLOs and TC timers a stretch's end resumes take their
+places by what they are, not by when they were queued.  Stretching
+stars draw HELLO intervals at, under and over the retry tick, and TC
+intervals above, equal to and below the HELLO interval and under the
+retry tick, many of whose TC times share an ms with a HELLO time.  One
+long run with a 7 ms TC interval wraps the 16-bit TC sequence among a
+stretch's owed TCs; pinned stars end a stretch with a death between two
+HELLO times, with a hub's death between two TC times and with a death
+on a TC time, and forward between owed TC times; and a pinned 1 ms
+network has a HELLO from a neighbour that has just died arrive and
+remake a link.
 """
 
 import json
@@ -91,16 +98,17 @@ def scenarios(draw) -> Scenario:
     # Each limit is drawn just under, at or just over, or well clear; the
     # run lasts tens of HELLOs, and the first TC comes 2.5 s in.
     if steady:
-        hello = draw(st.sampled_from((101, 250, 1_000)))
-        # A TC timer queued more or less than a HELLO interval ahead runs
-        # before or after the HELLOs of its ms, and one under the retry
-        # tick after or before a retry tick.  With HELLOs every 250 ms or
-        # every second, most of these intervals put every second or fourth
-        # TC time on a HELLO time, so a stretch's end often resumes both in
-        # one ms.
+        # HELLOs at, under and over the retry tick, so ticks and retries
+        # share ms with HELLOs.
+        hello = draw(st.sampled_from((50, 100, 101, 250, 1_000)))
+        # TC intervals above, equal to and below the HELLO interval, and
+        # under the retry tick.  With HELLOs every 50, 100 or 250 ms or
+        # every second, most of these intervals put every TC time, or
+        # every second or fourth, on a HELLO time, so a stretch's end often
+        # resumes both in one ms.
         hold = 2 * hello + longest
         tc = max(longest + 1,
-                 hello * draw(st.sampled_from((10, 2, 6, 1))) // 4)
+                 hello * draw(st.sampled_from((10, 2, 6, 1, 4))) // 4)
         topology_hold = 3 * tc
     else:
         hello = draw(st.sampled_from((longest, longest + 1, 100, 101, 250,
@@ -196,19 +204,12 @@ def traced_run(scenario: Scenario,
 
 def final_state(sim: Simulator) -> dict:
     """Each live node's stream positions and topology state at the end of
-    the run, with what a stretch or a quiet node owes settled up to it.  A
-    dead node's state is never read again, so a stretch does not restamp
-    a neighbour that died before the last owed HELLO it settles."""
+    the run, with what a stretch owes settled up to it.  A dead node's
+    state is never read again, so a stretch does not restamp a neighbour
+    that died before the last owed HELLO it settles."""
     end = sim.scenario.duration_ms
     if sim._end_at is not None:
-        sim._passing(end + 1, 0)   # the TC times after the last event
         sim._end_stretch(end)
-    interval = sim.policies.hello_interval_ms
-    for rt in sim.nodes.values():
-        if rt.quiet is not None and end >= rt.quiet:
-            # Its HELLOs from rt.quiet on, each one word per neighbour.
-            rt.hello_rng.skip(((end - rt.quiet) // interval + 1)
-                              * len(sim._out_links[rt.node]))
     return {str(node): (
         rt.rng.tell(), rt.hello_rng.tell(), rt.tc_rng.tell(), rt.tc_seq,
         sorted((str(n), r.status.value, r.expiry)
@@ -374,20 +375,26 @@ def test_a_hub_that_dies_between_two_tc_times_ends_its_owed_tcs_there():
         seed=11, duration_ms=120_000)
     scenario.validate()
     sim = Simulator(scenario)
-    ends = []
-    end_stretch = sim._end_stretch
+    ends, hub_tcs = [], []
+    end_stretch, on_tc = sim._end_stretch, sim._on_tc
 
     def recorded(now):
-        ends.append((now, sim._tc_due[0]))
+        ends.append(now)
         end_stretch(now)
 
-    sim._end_stretch = recorded
+    def hub_tc(now, rt):
+        if rt.node == hub:
+            hub_tcs.append(now)
+        on_tc(now, rt)
+
+    sim._end_stretch, sim._on_tc = recorded, hub_tc
     sim.run()
     dies_at = sim.nodes[hub].dies_at
     assert (dies_at - FIRST_TC_MS) % 700 == 204
-    # The stretch ended at the death, the hub's TCs owed up to the TC time
-    # before it: the next TC time was not yet passed.
-    assert ends == [(dies_at, dies_at - 204 + 700)]
+    # The stretch ended at the death, and the hub's stopped TC timer did
+    # not resume.
+    assert ends == [dies_at]
+    assert hub_tcs and max(hub_tcs) < dies_at - 204
     check(scenario)
 
 
@@ -451,13 +458,12 @@ def test_a_stretch_end_on_a_tc_time_runs_after_that_tc():
     check(scenario)
 
 
-def test_a_node_falls_quiet_only_once_no_packet_can_reach_it():
+def test_a_hello_in_flight_from_a_dead_neighbour_remakes_the_link():
     # A router whose only neighbour is a leaf phone of a station's star,
     # over 0 m links and with every timer 1 ms.  The phone dies about
     # 15 ms in, and a HELLO it sent the ms before still arrives 1 ms
-    # later and makes the router's link again.  Were the router quiet
-    # before that arrival, it would never expire the link and end the run
-    # holding it, which the run without stretches does not.
+    # later and makes the router's link again, which the router must
+    # then expire as the run without stretches does.
     phone, router = NodeId.parse("10.0.1.3"), NodeId.parse("10.0.0.6")
     leaves = [NodeId.parse(f"10.0.0.{i}") for i in range(1, 6)] + [
         NodeId.parse(f"10.0.1.{i}") for i in range(1, 4)]
