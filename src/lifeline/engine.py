@@ -752,10 +752,11 @@ class Simulator:
         last = now - now % interval
         last_tc = now - (now - FIRST_TC_MS) % step
         for rt in self._members:
-            self._stamp_hellos(rt, min(now, rt.dies_at - 1))
+            self._stamp_hellos(rt, self._timers_ran_to(rt, now))
         for rt in self._tc_stopped:
             if rt.topo.mpr_selectors:   # else it would have sent no TC
-                self._stamp_tcs(rt, min(last_tc, rt.dies_at - 1))
+                self._stamp_tcs(rt, min(last_tc,
+                                        self._timers_ran_to(rt, now)))
             if now < rt.dies_at:
                 self._timer(last_tc + step, _TC_TIER, self._do_tc, rt)
         for rt in self._members:
@@ -766,6 +767,18 @@ class Simulator:
         self._arm(math.inf)   # takes the queued end off the heap
         self._members, self._tc_stopped = [], []
         self._end_at = None
+
+    @staticmethod
+    def _timers_ran_to(rt: _NodeRuntime, now: int) -> int:
+        """The last ms up to now at which rt's HELLO and TC timers ran: now,
+        or the ms before rt's death, or that of its death if a charge
+        emptied it.  In a stretch the only charges are forwards, which run
+        after the timers of their ms."""
+        if now < rt.dies_at:
+            return now
+        if rt.battery.died_of is None:
+            return rt.dies_at - 1
+        return rt.dies_at
 
     def _owed(self, rt: _NodeRuntime, rng: _Draws, first: int, step: int,
               last: int, keep: int) -> tuple[int, list]:

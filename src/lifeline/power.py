@@ -108,7 +108,8 @@ class BatteryModel:
         # The duty-cycle role and the ms it was set at.
         self._role: Optional[RoleAssignment] = None
         self._role_at = 0
-        self._died_of: Optional[Activity] = None
+        # The charge that emptied the battery, if one did.
+        self.died_of: Optional[Activity] = None
         # A level at or under this counts as empty.
         self._floor = self.capacity * EMPTY_SHARE
         self._settle(0, None)
@@ -164,7 +165,7 @@ class BatteryModel:
         if now >= self.dies_at:
             t = self.dies_at
             awake = self._spent(t)[0] > self._spent(t - 1)[0]
-            cause = self._died_of or (self._awake_as if awake else Activity.SLEEP_HOUR)
+            cause = self.died_of or (self._awake_as if awake else Activity.SLEEP_HOUR)
             ledger[cause] += self._level(t)
         return ledger
 
@@ -198,7 +199,7 @@ class BatteryModel:
         just paid, if any, and return it."""
         self.dies_at = self._under(now, self._floor)
         if self.dies_at == now:
-            self._died_of = cause
+            self.died_of = cause
         return self.dies_at
 
     def _under(self, now: int, floor: float) -> float:

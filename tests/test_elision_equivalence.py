@@ -458,6 +458,48 @@ def test_a_stretch_end_on_a_tc_time_runs_after_that_tc():
     check(scenario)
 
 
+def test_a_forward_that_empties_a_hub_on_a_hello_time_comes_after_its_hello():
+    # A phone hub relays two laptops' messages to the station, each laptop
+    # injecting every 100 ms, while HELLOs come every 50 ms.  The forward
+    # that empties the hub, 10,200 ms in, shares its ms with a HELLO time,
+    # and the hub's HELLO of that ms ran before it: the stretch the hub's
+    # death ends owes that HELLO too, or its neighbours' links to the hub
+    # lapse a HELLO interval early and a message goes unsent rather than
+    # lost to the dead hub.
+    hub = NodeId.parse("10.0.1.1")
+    nodes = [NodeSpec(STATION, "station"),
+             NodeSpec(hub, "phone",
+                      battery_capacity=60_000 / IDLE_LIFETIME_MS)]
+    links = [LinkSpec(STATION, hub, 1.5)]
+    for address, kind, distance in (("10.0.2.1", "laptop", 1.2),
+                                    ("10.0.0.1", "router", 3.5),
+                                    ("10.0.2.2", "laptop", 2.4)):
+        nodes.append(NodeSpec(NodeId.parse(address), kind))
+        links.append(LinkSpec(hub, NodeId.parse(address), distance))
+    scenario = Scenario(
+        name="hub-emptied-on-a-hello-time", nodes=nodes, links=links,
+        traffic=[TrafficSpec(NodeId.parse(source), STATION, 400,
+                             interval_ms=100, start_ms=start,
+                             size=SizeSpec.uniform(10, 255),
+                             priority=PrioritySpec.uniform())
+                 for source, start in (("10.0.2.1", 9_996),
+                                       ("10.0.2.2", 10_026))],
+        policies=Policies(handoff_threshold_pct=0.0, hello_interval_ms=50,
+                          hold_time_ms=110, tc_interval_ms=125,
+                          topology_hold_ms=385),
+        seed=11, duration_ms=60_000)
+    scenario.validate()
+    sim = Simulator(scenario)
+    ends = []
+    end_stretch = sim._end_stretch
+    sim._end_stretch = lambda now: ends.append(now) or end_stretch(now)
+    sim.run()
+    hub_rt = sim.nodes[hub]
+    assert hub_rt.dies_at == 10_200 and hub_rt.battery.died_of is not None
+    assert 10_200 in ends
+    check(scenario)
+
+
 def test_a_hello_in_flight_from_a_dead_neighbour_remakes_the_link():
     # A router whose only neighbour is a leaf phone of a station's star,
     # over 0 m links and with every timer 1 ms.  The phone dies about
