@@ -86,16 +86,15 @@ spliced bytes serve both the wire and an after-forward backup.
 An event costs little beyond its modelling work.  A heap entry is
 (time, sequence, handler, arguments): the handler is the bound
 `_on_<kind>` method, read once when run() starts, and a node event
-carries the node's runtime rather than its id.  Every inject's sequence
-number is reserved in one block where queueing them all would have
-taken it, but each traffic spec keeps only its next inject on the heap,
-so the heap stays node-sized and events keep their (time, sequence)
-order.  A message-plane handler asks its bank whether it wants a tick
-only when none is scheduled, skips the backup policy when none is
-enabled, and charges energy only on battery nodes; a loss-free run
-looks up no error draws.  A topology state scans for expired links and
-topology entries only once the earliest expiry may have passed, and
-sends one HELLO packet object until its neighbour tuple changes.
+carries the node's runtime rather than its id.  Each traffic spec keeps
+only its next inject on the heap, under the spec's index, so the heap
+stays node-sized and injects keep their order.  A message-plane handler
+asks its bank whether it wants a tick only when none is scheduled, skips
+the backup policy when none is enabled, and charges energy only on
+battery nodes; a loss-free run looks up no error draws.  A topology
+state scans for expired links and topology entries only once the
+earliest expiry may have passed, and sends one HELLO packet object
+until its neighbour tuple changes.
 
 A lossy run draws a message's send and receive error uniforms at
 inject, keeps each in its own map by message id, and spends it on the
@@ -184,12 +183,12 @@ SNAPSHOT_SHORT_MS = 10_000
 SNAPSHOT_LONG_MS = 600_000
 SNAPSHOT_CADENCE_CUTOFF_MS = 300_000
 # The events of one ms run in tiers of their sequence numbers: first
-# those queued before the run loop starts (injects, snapshots, role
-# assignment, first scans), under the counter's first numbers; then the
-# HELLOs and then the TC timers, each under its tier plus the node's
-# address, so in address order; then every other event, under the
-# counter restarted at _EVENT_TIER, in the order it was queued; and last
-# a stretch's end.
+# those queued before the run loop starts, injects under their traffic
+# spec's index and snapshots, role assignment and first scans under the
+# counter's next numbers; then the HELLOs and then the TC timers, each
+# under its tier plus the node's address, so in address order; then
+# every other event, under the counter restarted at _EVENT_TIER, in the
+# order it was queued; and last a stretch's end.
 _HELLO_TIER = 1 << 40
 _TC_TIER = 2 << 40
 _EVENT_TIER = 3 << 40
@@ -535,16 +534,14 @@ class Simulator:
             # no MPR selector and so never sends a TC.
             if not rt.leaf:
                 self._timer(FIRST_TC_MS, _TC_TIER, self._do_tc, rt)
-        # Every inject's sequence number is reserved here, in one block,
-        # but each traffic spec keeps only its next inject on the heap.
-        seq = next(self._seq)
-        self._seq = itertools.count(
-            seq + sum(spec.count for spec in self.scenario.traffic))
-        for spec in self.scenario.traffic:
+        # Injects run first in their ms, in traffic-spec order: each spec
+        # keeps only its next inject on the heap, under its own index.
+        traffic = self.scenario.traffic
+        for key, spec in enumerate(traffic):
             rt = self.nodes[spec.source]
-            heapq.heappush(self._heap, (spec.start_ms, seq, self._do_inject,
-                                        (spec, rt, 0, seq)))
-            seq += spec.count
+            heapq.heappush(self._heap, (spec.start_ms, key, self._do_inject,
+                                        (spec, rt, 0, key)))
+        self._seq = itertools.count(len(traffic))
         for node, at in sorted(self.policies.scan_schedule.items()):
             self._at(at, self._do_scan, self.nodes[node])
         self._at(ROLE_ASSIGN_MS, self._on_roles)
@@ -1006,12 +1003,12 @@ class Simulator:
         ))
 
     def _on_inject(self, now: int, spec: TrafficSpec, rt: _NodeRuntime, i: int,
-                   seq: int) -> None:
-        """Inject message i of spec, whose sequence number is seq."""
+                   key: int) -> None:
+        """Inject message i of spec, the traffic spec of index key."""
         if i + 1 < spec.count:
-            heapq.heappush(self._heap, (now + spec.interval_ms, seq + 1,
+            heapq.heappush(self._heap, (now + spec.interval_ms, key,
                                         self._do_inject,
-                                        (spec, rt, i + 1, seq + 1)))
+                                        (spec, rt, i + 1, key)))
         if now >= rt.dies_at:
             return
         priority = self._draw_priority(rt, spec.priority, i)
