@@ -27,8 +27,9 @@ intervals above, equal to and below the HELLO interval and under the
 retry tick, many of whose TC times share an ms with a HELLO time.  One
 long run with a 7 ms TC interval wraps the 16-bit TC sequence among a
 stretch's owed TCs; pinned stars end a stretch with a death between two
-HELLO times, with a hub's death between two TC times and with a death
-on a TC time, and forward between owed TC times; and a pinned 1 ms
+HELLO times, with a hub's death between two TC times, with a death on a
+TC time and with a forward that empties the hub on a HELLO time, after
+that ms's HELLO, and forward between owed TC times; and a pinned 1 ms
 network has a HELLO from a neighbour that has just died arrive and
 remake a link.
 """

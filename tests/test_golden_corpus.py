@@ -36,9 +36,9 @@ A behaviour-preserving change keeps every digest.  Each run must also
 give the same bytes with the engine's elisions switched off
 (`Simulator.elisions`): with HELLO and TC refreshes on the event path,
 the reference for the refresh applied when a packet is sent, and with
-every HELLO sent, the reference for the HELLOs a stretch owes.  A run with a battery must give the same bytes when every live
-battery is booked at extra random times, since reading a battery books
-nothing.
+every HELLO sent, the reference for the HELLOs a stretch owes.  A run
+with a battery must give the same bytes when every live battery is
+booked at extra random times, since reading a battery books nothing.
 """
 
 import functools
@@ -370,8 +370,8 @@ def test_corpus_bytes_match_the_event_path(seed, monkeypatch):
 # The event paths the elisions must match, each switched off through
 # `Simulator.elisions`: every TC arrives as an event; no HELLO is owed, so
 # no stretch starts and every node keeps its HELLO and TC timers; and no
-# elision at all.  The path without stretches keeps the name it had while
-# a node could also fall quiet, so that its test ids stay as they were.
+# elision at all.  "never-quiet" names the path without stretches; the key
+# keeps the test ids it has always had.
 REFERENCE_PATHS = {
     "tc-events": Simulator.elisions - {"tc"},
     "never-quiet": Simulator.elisions - {"stretch"},

@@ -289,14 +289,14 @@ def _functions(tree: ast.Module):
                 stack += _children(stmt)
 
 
-def _mark(stmts: list[ast.stmt], ran: set[int], marks: dict) -> bool:
+def _mark_ran(stmts: list[ast.stmt], ran: set[int], marks: dict) -> bool:
     """Record in marks whether each statement ran; return whether any did.
 
     A compound statement ran if a statement inside it did, even without a
     line event of its own (a `try:` header has none)."""
     any_ran = False
     for stmt in stmts:
-        inner = _mark(_children(stmt), ran, marks)
+        inner = _mark_ran(_children(stmt), ran, marks)
         marks[stmt] = inner or any(line in ran for line in _own_lines(stmt))
         any_ran = any_ran or marks[stmt]
     return any_ran
@@ -335,7 +335,7 @@ def module_report(name: str, ran: set[int]) -> tuple[set, set]:
         every.add(def_key)
         every.update(keys.values())
         marks: dict = {}
-        if _mark(body, ran, marks):
+        if _mark_ran(body, ran, marks):
             unreached.update(keys[stmt] for stmt in _missed(body, marks))
         else:
             unreached.add(def_key)
