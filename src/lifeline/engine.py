@@ -92,9 +92,10 @@ stays node-sized and injects keep their order.  A message-plane handler
 asks its bank whether it wants a tick only when none is scheduled, skips
 the backup policy when none is enabled, and charges energy only on
 battery nodes; a loss-free run looks up no error draws.  A topology
-state scans for expired links and topology entries only once the
-earliest expiry may have passed, and sends one HELLO packet object
-until its neighbour tuple changes.
+state sends one HELLO packet object until its neighbour tuple changes.
+It scans for expired links and topology entries at each HELLO a node
+handles as an event, and a stretch queues none, so it keeps no
+earliest-expiry bound to skip a scan.
 
 A lossy run draws a message's send and receive error uniforms at
 inject, keeps each in its own map by message id, and spends it on the

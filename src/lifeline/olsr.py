@@ -14,7 +14,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .messages import NodeId
@@ -28,8 +28,6 @@ DEFAULT_TTL = 16
 
 SEQ_MOD = 1 << 16
 _SEQ_HALF = 1 << 15
-# Expiry bound of a state with nothing to expire.
-_NEVER = float("inf")
 
 
 def seq_newer(a: int, b: int) -> bool:
@@ -58,12 +56,10 @@ _SYMMETRIC = LinkStatus.SYMMETRIC
 _MPR = LinkStatus.MPR
 _HELLO = ControlKind.HELLO
 _TC = ControlKind.TC
-_EXPIRY = attrgetter("expiry")
 
 
 @dataclass
 class LinkRecord:
-    neighbor: NodeId
     status: LinkStatus
     expiry: int
     # The neighbour tuple of the HELLO that set this record: a HELLO
@@ -122,13 +118,6 @@ class TopologyState:
         # or expires.
         self._hello: Optional[ControlPacket] = None
         self._tc_neighbors: Optional[tuple] = None
-        # The earliest link expiry (see _restamp), and a lower bound on the
-        # earliest time a topology entry or a duplicate-set key ages out:
-        # inserts lower it, and refreshes, which only move expiries later
-        # (time never runs backwards), leave it early but still a bound.
-        # The expiry scans return at once while `now` is below theirs.
-        self._links_due = _NEVER
-        self._topology_due = _NEVER
 
     # -- link sensing ---------------------------------------------------
 
@@ -152,10 +141,8 @@ class TopologyState:
         if old is None or old.status is not status:
             self.dirty = True
             self._hello = self._tc_neighbors = None
-        expiry = now + self.hold_time_ms
-        self.links[sender] = LinkRecord(sender, status, expiry,
+        self.links[sender] = LinkRecord(status, now + self.hold_time_ms,
                                         hello.neighbors)
-        self._restamp(None if old is None else old.expiry, expiry)
         two_hop = {
             n for n, st in listed.items()
             if (st is _SYMMETRIC or st is _MPR) and n != self.self_id
@@ -191,29 +178,15 @@ class TopologyState:
 
         This is the lazy form of calling refresh for every HELLO of the
         run: each would restamp the link to its own arrival plus the hold
-        time, so the last one decides the stamp, and _links_due follows
-        it as refresh's would.  The caller guarantees that every HELLO of
-        the run would be accepted: the link is held, set by the very
-        neighbour tuple the HELLO carries, and each HELLO arrives before
-        the previous one's stamp runs out.
+        time, so the last one decides the stamp.  The caller guarantees
+        that every HELLO of the run would be accepted: the link is held,
+        set by the very neighbour tuple the HELLO carries, and each HELLO
+        arrives before the previous one's stamp runs out.
         """
-        rec = self.links[hello.origin]
-        was, rec.expiry = rec.expiry, at + self.hold_time_ms
-        self._restamp(was, rec.expiry)
-
-    def _restamp(self, was: Optional[int], expiry: int) -> None:
-        """Keep _links_due the earliest link expiry once one link's expiry
-        moved from was (None for a new link) to expiry, so a scan comes
-        only when it can drop something."""
-        if was == self._links_due:
-            self._links_due = min(map(_EXPIRY, self.links.values()))
-        elif expiry < self._links_due:
-            self._links_due = expiry
+        self.links[hello.origin].expiry = at + self.hold_time_ms
 
     def expire_links(self, now: int) -> list[NodeId]:
         """Drop links not refreshed within the hold time."""
-        if now < self._links_due:
-            return []
         gone = [n for n, rec in self.links.items() if rec.expiry <= now]
         for n in gone:
             del self.links[n]
@@ -222,14 +195,10 @@ class TopologyState:
             self.mpr_selectors.discard(n)
             self.dirty = True
             self._hello = self._tc_neighbors = None
-        self._links_due = min((rec.expiry for rec in self.links.values()),
-                              default=_NEVER)
         return gone
 
     def expire_topology(self, now: int) -> None:
         """Drop stale advertised sets and aged-out duplicate-set keys."""
-        if now < self._topology_due:
-            return
         dead = [o for o, (_, _, expiry) in self.topology.items() if expiry <= now]
         for o in dead:
             del self.topology[o]
@@ -241,11 +210,6 @@ class TopologyState:
             if arrived + DUP_HOLD_MS > now:
                 break
             del seen[key]
-        due = min((expiry for _, _, expiry in self.topology.values()),
-                  default=_NEVER)
-        if seen:
-            due = min(due, next(iter(seen.values())) + DUP_HOLD_MS)
-        self._topology_due = due
 
     # -- MPR selection ----------------------------------------------------
 
@@ -344,21 +308,17 @@ class TopologyState:
             self.duplicate_tc_dropped += 1
             return False
         self.seen_tc[key] = now
-        due = now + DUP_HOLD_MS
 
         current = self.topology.get(tc.origin)
         if current is None or seq_newer(tc.sequence, current[0]):
             advertised = frozenset(map(itemgetter(0), tc.neighbors))
             if current is None or advertised != current[1]:
                 self.dirty = True
-            expiry = now + self.topology_hold_ms
-            self.topology[tc.origin] = (tc.sequence, advertised, expiry)
+            self.topology[tc.origin] = (tc.sequence, advertised,
+                                        now + self.topology_hold_ms)
             self._tc_heard[tc.origin] = tc.neighbors
-            due = min(due, expiry)
         else:
             self.stale_tc_dropped += 1
-        if due < self._topology_due:
-            self._topology_due = due
 
         return (
             tc.last_hop is not None
@@ -377,20 +337,12 @@ class TopologyState:
         which is what process_tc would do at `at`.  The engine calls this
         when the TC is sent, and only to a node that never relays a TC.
         """
-        origin = tc.origin
-        current = self.topology.get(origin)
-        if (current is None or self._tc_heard[origin] is not tc.neighbors
-                or current[2] <= at or not seq_newer(tc.sequence, current[0])):
+        origin, sequence = tc.origin, tc.sequence
+        if not (self.holds_tc(origin, tc.neighbors, at)
+                and seq_newer(sequence, self.topology[origin][0])
+                and (origin, sequence) not in self.seen_tc):
             return False
-        key = (origin, tc.sequence)
-        if key in self.seen_tc:
-            return False
-        self.seen_tc[key] = at
-        expiry = at + self.topology_hold_ms
-        self.topology[origin] = (tc.sequence, current[1], expiry)
-        due = min(at + DUP_HOLD_MS, expiry)
-        if due < self._topology_due:
-            self._topology_due = due
+        self.refresh_tc_owed(origin, [(sequence, at)])
         return True
 
     def refresh_tc_owed(self, origin: NodeId, keys: list[tuple[int, int]]
@@ -411,13 +363,11 @@ class TopologyState:
         """
         sequence, at = keys[-1]
         _, advertised, _ = self.topology[origin]
-        expiry = at + self.topology_hold_ms
-        self.topology[origin] = (sequence, advertised, expiry)
+        self.topology[origin] = (sequence, advertised,
+                                 at + self.topology_hold_ms)
         seen = self.seen_tc
         for sequence, arrived in keys:
             seen[origin, sequence] = arrived
-        self._topology_due = min(self._topology_due,
-                                 keys[0][1] + DUP_HOLD_MS, expiry)
 
     # -- routing ----------------------------------------------------------
 

@@ -293,14 +293,28 @@ class Scenario:
                     and not 0 < spec.battery_capacity < math.inf):
                 raise MalformedScenario(
                     f"nodes[{i}].battery_capacity: expected a finite value > 0")
+            # json reads NaN and Infinity, which no JSON output may carry.
+            if spec.location is not None:
+                for axis, value in zip("xy", spec.location.coordinates):
+                    if not math.isfinite(value):
+                        raise MalformedScenario(
+                            f"nodes[{i}].location.{axis}: expected a finite value")
+        # The link listed last would win, so a run would depend on the
+        # listing order.
+        pairs: dict[frozenset, int] = {}
         for i, link in enumerate(self.links):
             for end, node in (("a", link.a), ("b", link.b)):
                 if node not in known:
                     raise MalformedScenario(
                         f"links[{i}].{end}: unknown node {node}")
-            if link.distance_m < 0:
+            earlier = pairs.setdefault(frozenset((link.a, link.b)), i)
+            if earlier != i:
                 raise MalformedScenario(
-                    f"links[{i}].distance_m: must be >= 0")
+                    f"links[{i}]: duplicate of links[{earlier}] "
+                    f"({link.a} - {link.b})")
+            if not 0 <= link.distance_m < math.inf:
+                raise MalformedScenario(
+                    f"links[{i}].distance_m: expected a finite value >= 0")
         stations = {s.node for s in self.nodes if s.kind == "station"}
         for i, spec in enumerate(self.traffic):
             for end, node in (("source", spec.source),

@@ -217,8 +217,8 @@ def final_state(sim: Simulator) -> dict:
                for n, r in rt.topo.links.items()),
         sorted((str(o), seq, expiry)
                for o, (seq, _, expiry) in rt.topo.topology.items()),
-        sorted((str(o), seq, at) for (o, seq), at in rt.topo.seen_tc.items()),
-        rt.topo._links_due) for node, rt in sim.nodes.items()
+        sorted((str(o), seq, at) for (o, seq), at in rt.topo.seen_tc.items()))
+        for node, rt in sim.nodes.items()
         if end < rt.dies_at}
 
 

@@ -332,15 +332,6 @@ def test_make_tc_reuses_its_tuple_until_a_link_changes():
                                           (c, LinkStatus.SYMMETRIC))
 
 
-def test_refreshing_the_only_link_keeps_the_expiry_bound_exact():
-    a, b = nid(1), nid(2)
-    state = TopologyState(a, hold_time_ms=6_000)
-    hello = hello_from(b, [(a, LinkStatus.SYMMETRIC)])
-    state.process_hello(hello, 0)
-    assert state.refresh(hello, 2_000) is True
-    assert state._links_due == 8_000
-
-
 def test_duplicate_held_until_dup_hold_time():
     a, b, c = nid(1), nid(2), nid(3)
     state = TopologyState(a)

@@ -2,7 +2,6 @@
 MPR set and routing table are what a fresh computation would give."""
 
 import copy
-import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -82,34 +81,48 @@ def test_clear_flag_means_cached_results_are_current(hold, topology_hold, ops):
             assert fresh.compute_routes() == state.routing_table
 
 
-# -- expiry scans run only when due ----------------------------------------------
+# -- the expiry scans drop exactly what has expired ----------------------------
 
 
-def assert_bounds_hold(state: TopologyState) -> None:
-    """Each expiry bound is at or below every expiry it covers."""
-    for rec in state.links.values():
-        assert state._links_due <= rec.expiry
-    for _, _, expiry in state.topology.values():
-        assert state._topology_due <= expiry
-    for arrived in state.seen_tc.values():
-        assert state._topology_due <= arrived + DUP_HOLD_MS
+def expiries_of(state: TopologyState) -> set[int]:
+    """Every time at which some link, topology entry or duplicate-set key
+    of the state expires."""
+    return ({rec.expiry for rec in state.links.values()}
+            | {expiry for _, _, expiry in state.topology.values()}
+            | {arrived + DUP_HOLD_MS for arrived in state.seen_tc.values()})
 
 
 @OLSR_SETTINGS
-@given(st.integers(2_000, 10_000), st.integers(500, 5_000), operations)
-def test_expiry_bounds_never_pass_a_live_expiry(hold, topology_hold, ops):
+@given(st.integers(2_000, 10_000), st.integers(500, 5_000), operations,
+       st.data())
+def test_expiry_scans_drop_exactly_what_has_expired(hold, topology_hold, ops,
+                                                    data):
     state = TopologyState(SELF, hold_time_ms=hold, topology_hold_ms=topology_hold)
     now = 0
     for op in ops:
         now += op[1]
-        apply(state, op, now)
-        assert_bounds_hold(state)
+        if op[0] not in ("expire_links", "expire_topology"):
+            apply(state, op, now)
+            continue
+        # Half the scans run at an expiry still ahead, where an entry
+        # stops being held.
+        ahead = sorted(t for t in expiries_of(state) if t >= now)
+        if ahead and data.draw(st.booleans()):
+            now = data.draw(st.sampled_from(ahead))
         if op[0] == "expire_links":
-            assert all(rec.expiry > now for rec in state.links.values())
-        elif op[0] == "expire_topology":
-            assert all(expiry > now for _, _, expiry in state.topology.values())
-            assert all(arrived + DUP_HOLD_MS > now
-                       for arrived in state.seen_tc.values())
+            links = dict(state.links)
+            gone = state.expire_links(now)
+            assert gone == [n for n, rec in links.items() if rec.expiry <= now]
+            assert state.links == {n: rec for n, rec in links.items()
+                                   if rec.expiry > now}
+        else:
+            topology, seen = dict(state.topology), dict(state.seen_tc)
+            state.expire_topology(now)
+            assert state.topology == {o: entry for o, entry in topology.items()
+                                      if entry[2] > now}
+            assert state.seen_tc == {key: arrived
+                                     for key, arrived in seen.items()
+                                     if arrived + DUP_HOLD_MS > now}
 
 
 # -- an unchanged HELLO only refreshes timers ------------------------------------
@@ -195,47 +208,9 @@ def test_reused_hello_tuples_end_like_fresh_ones(hold, ops):
         assert hello == fresh.make_hello().neighbors == expected_hello(reused)
 
 
-# -- the link bound is the earliest link expiry ---------------------------------
-
-# ("refresh", delay, sender, lead): the sender's last HELLO, applied as the
-# engine applies one at send, as of its arrival lead ms later.
-refreshes = st.tuples(st.just("refresh"), delays, st.sampled_from(PEERS),
-                      st.integers(1, 500))
-bound_operations = st.lists(
-    st.one_of(resendable_hellos, resendable_hellos, refreshes, expiries,
-              recomputes),
-    max_size=40)
-
-
 def hello_from(sender: NodeId, neighbors: tuple) -> ControlPacket:
     return ControlPacket(ControlKind.HELLO, sender, 0, neighbors, ttl=1,
                          last_hop=sender)
-
-
-@OLSR_SETTINGS
-@given(st.integers(2_000, 10_000), bound_operations)
-def test_link_bound_is_the_earliest_link_expiry(hold, ops):
-    # So expire_links scans only when a link has expired: it never scans
-    # for nothing.
-    state = TopologyState(SELF, hold_time_ms=hold)
-    last_sent: dict = {}
-    now = 0
-    for op in ops:
-        now += op[1]
-        if op[0] == "hello":
-            _, _, sender, listed, resend = op
-            if not (resend and sender in last_sent):
-                last_sent[sender] = tuple(listed.items())
-            state.process_hello(hello_from(sender, last_sent[sender]), now)
-        elif op[0] == "refresh":
-            _, _, sender, lead = op
-            if sender in last_sent:
-                state.refresh(hello_from(sender, last_sent[sender]),
-                              now + lead)
-        else:
-            apply(state, op, now)
-        assert state._links_due == min(
-            (rec.expiry for rec in state.links.values()), default=math.inf)
 
 
 # -- owed stamps read like a refresh at every HELLO -----------------------------
@@ -275,5 +250,3 @@ def test_owed_stamps_read_like_a_refresh_at_every_hello(hold, ops):
         owed.clear()
         assert ({n: rec.expiry for n, rec in lazy.links.items()}
                 == {n: rec.expiry for n, rec in eager.links.items()})
-        assert lazy._links_due == eager._links_due == min(
-            rec.expiry for rec in eager.links.values())

@@ -202,8 +202,6 @@ ALLOWED = {
     ("olsr.TopologyState.process_hello", "return #2"):
         "the engine sends no HELLO over a loopback link; converge's callers "
         "may pass any adjacency",
-    ("olsr.TopologyState.refresh_tc", "return False #2"):
-        "the engine refreshes at send, before any copy of that TC can arrive",
     ("olsr.converge",
      "def converge(adjacency: Adjacency) -> dict[NodeId, TopologyState]:"):
         _CRITERIA_ONLY,

@@ -36,6 +36,28 @@ def test_readme_sample_error_is_what_the_parser_prints():
     assert f"`{caught.value}`" in README.read_text()
 
 
+def _duplicate_link(doc):
+    link = doc["links"][0]
+    doc["links"].append({"a": link["b"], "b": link["a"], "distance_m": 60.0})
+
+
+def _nan_distance(doc):
+    doc["links"][0]["distance_m"] = float("nan")
+
+
+def _nan_x(doc):
+    doc["nodes"][1]["location"]["x"] = float("nan")
+
+
+@pytest.mark.parametrize("mutate", [_duplicate_link, _nan_distance, _nan_x])
+def test_readme_geometry_errors_are_what_the_parser_prints(mutate):
+    doc = readme_scenario()
+    mutate(doc)
+    with pytest.raises(MalformedScenario) as caught:
+        Scenario.from_json_dict(doc)
+    assert f"`{caught.value}`" in README.read_text()
+
+
 def test_readme_policies_table_lists_every_field_with_its_default():
     rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", README.read_text(), re.M)
     default = Policies()

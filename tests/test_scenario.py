@@ -220,6 +220,67 @@ def test_negative_distance_rejected():
         Scenario.from_json_dict(doc)
 
 
+def assert_malformed(doc, error, tmp_path, capsys):
+    """The document is rejected with exactly this error, and the CLI,
+    reading it from a file, exits 2 printing it."""
+    with pytest.raises(MalformedScenario) as info:
+        Scenario.from_json_dict(doc)
+    assert str(info.value) == error
+    # json writes Infinity and NaN too, which the CLI reads back and
+    # rejects before running anything.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# A second link between the same pair used to run, the one listed last
+# winning: setup B (1,000 messages, seed 0) with a reversed 60 m copy of
+# links[0] gave a mean latency of 25.08 ms listed last and 15.00 ms
+# listed first.
+@pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
+def test_duplicate_link_rejected_in_either_order(tmp_path, capsys, first):
+    doc = doc_for("B")
+    link = doc["links"][0]
+    twin = {"a": link["b"], "b": link["a"], "distance_m": 60.0}
+    if first:
+        doc["links"].insert(0, twin)
+    else:
+        doc["links"].append(twin)
+    j = 1 if first else len(doc["links"]) - 1
+    later = doc["links"][j]
+    assert_malformed(doc, f"links[{j}]: duplicate of links[0] "
+                     f"({later['a']} - {later['b']})", tmp_path, capsys)
+
+
+# json reads NaN and Infinity: a NaN or infinite distance used to run as a
+# long lossy link, and a NaN coordinate reached the delivery records'
+# location estimates as `NaN`, which is not JSON.
+NON_FINITE = [
+    ("links[0]", "distance_m", math.nan),
+    ("links[0]", "distance_m", math.inf),
+    ("nodes[1].location", "x", math.nan),
+    ("nodes[1].location", "y", math.inf),
+    ("nodes[1].location", "x", -math.inf),
+]
+
+
+@pytest.mark.parametrize(
+    "where,key,value", NON_FINITE,
+    ids=[f"{where}.{key}={value}" for where, key, value in NON_FINITE])
+def test_non_finite_geometry_is_malformed(tmp_path, capsys, where, key,
+                                          value):
+    doc = doc_for("B")
+    doc["nodes"][1]["location"] = {"x": 3.0, "y": 4.0}
+    if where == "links[0]":
+        doc["links"][0][key] = value
+    else:
+        doc["nodes"][1]["location"][key] = value
+    expected = "a finite value >= 0" if key == "distance_m" else "a finite value"
+    assert_malformed(doc, f"{where}.{key}: expected {expected}", tmp_path,
+                     capsys)
+
+
 def test_traffic_from_unknown_node_rejected():
     doc = doc_for()
     doc["traffic"][0]["source"] = "10.9.9.9"
@@ -442,16 +503,8 @@ def test_battery_values_out_of_range_are_malformed(tmp_path, capsys, where,
                                                    key, value, expected):
     doc = build_battery_scenario("10s").to_json_dict()
     (doc["nodes"][0] if where == "nodes[0]" else doc["policies"])[key] = value
-    error = f"{where}.{key}: expected {expected}"
-    with pytest.raises(MalformedScenario) as info:
-        Scenario.from_json_dict(doc)
-    assert str(info.value) == error
-    # json writes these as Infinity, NaN and plain numbers, which the CLI
-    # reads back and rejects before running anything.
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["run", "--scenario", str(bad)]) == 2
-    assert capsys.readouterr().err == f"error: {error}\n"
+    assert_malformed(doc, f"{where}.{key}: expected {expected}", tmp_path,
+                     capsys)
 
 
 def _every_object():
